@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # numerical failure
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:  # numerical failure
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     write_rows(rows, args.out)

@@ -9,7 +9,6 @@ noisy data the threshold is learned from labelled runs.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,20 +191,6 @@ def monte_carlo_error(
 
 # ---------------------------------------------------------------------------
 # Threshold-learning experiment on simulated noisy data
-
-
-@dataclass
-class LearnReport:
-    """Learned threshold plus train/test errors, JSON/CSV-friendly."""
-
-    n_outcomes: int
-    threshold: float
-    train_error: float
-    test_error: float
-    split_seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 def _measure_family_run(

@@ -34,6 +34,8 @@ PAULI_LETTERS = "IXZY"  # indexed by the per-qubit digit 2*z + x
 
 _WORD_X_MASK = np.uint64(0x5555555555555555)  # even bit positions (x bits)
 
+_MAX_INDEX_QUBITS = 31  # 2N bits must fit a non-negative int64 outcome index
+
 
 def _x_mask(n_qubits: int) -> int:
     """All x-bit positions of an n-qubit string as an int mask."""
@@ -221,7 +223,7 @@ class BellSamples:
     @classmethod
     def from_indices(cls, n_qubits: int, indices: np.ndarray) -> "BellSamples":
         """From integer outcome indices (valid for N <= 31)."""
-        if 2 * n_qubits > 64:
+        if n_qubits > _MAX_INDEX_QUBITS:
             raise ValueError("index form only supports up to 31 qubits")
         return cls(n_qubits, np.asarray(indices, dtype=np.uint64)[:, None])
 
@@ -245,8 +247,8 @@ class BellSamples:
 
     def indices(self) -> np.ndarray:
         """Integer outcome indices (N <= 31 only)."""
-        if self.words.shape[1] != 1:
-            raise ValueError("outcomes wider than 64 bits have no index form")
+        if self.n_qubits > _MAX_INDEX_QUBITS:
+            raise ValueError("outcomes of more than 31 qubits have no int64 index form")
         return self.words[:, 0].astype(np.int64)
 
 

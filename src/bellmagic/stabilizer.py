@@ -7,29 +7,53 @@ ranges over the group's bit-span and sigma_g maps |psi> to +-|psi*>, each
 with probability 2^-N.  Sampling therefore never builds the 4^N
 distribution and scales to thousands of qubits.
 
+The sampler packs the N generator rows once into the `BellSamples` uint64
+layout, W = ceil(2N/64) words each, and XORs them with the method of Four
+Russians: for every group of eight generators a 256-entry table holds all
+XOR combinations of their rows, and one byte of random picks indexes it.
+M samples cost M * ceil(N/8) * W word XORs plus 32 * N * W to build the
+tables, with no (M, N) bit matrix product.
+
 The gate conventions match `simulator` (S = diag(1, -i), so X -> -Y).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .pauli import BellSamples, PauliString, words_per_string
+from .pauli import BellSamples, PauliString, pack_ints, words_per_string
 from .simulator import CircuitSpec, Gate
 
 
-def _pack_zx(z: np.ndarray, x: np.ndarray, n_qubits: int) -> np.ndarray:
+def _pack_rows(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Pack boolean (M, N) z/x matrices into (M, W) uint64 outcome words."""
-    m = z.shape[0]
-    bits = np.zeros((m, 2 * n_qubits), dtype=np.uint64)
+    m, n = z.shape
+    bits = np.zeros((m, 64 * words_per_string(n)), dtype=np.uint8)
     # LSB-first bit sequence: x_N, z_N, x_{N-1}, z_{N-1}, ..., x_1, z_1
-    bits[:, 0::2] = x[:, ::-1]
-    bits[:, 1::2] = z[:, ::-1]
-    n_words = words_per_string(n_qubits)
-    out = np.zeros((m, n_words), dtype=np.uint64)
-    for w in range(n_words):
-        chunk = bits[:, 64 * w : 64 * (w + 1)]
-        shifts = np.arange(chunk.shape[1], dtype=np.uint64)
-        out[:, w] = (chunk << shifts).sum(axis=1, dtype=np.uint64)
+    bits[:, 0 : 2 * n : 2] = x[:, ::-1]
+    bits[:, 1 : 2 * n : 2] = z[:, ::-1]
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+
+
+def _xor_picked_rows(rows: np.ndarray, picks: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """offset XOR the rows each 0/1 pick vector selects, as (M, W) words.
+
+    Method of Four Russians: rows are taken eight at a time, a 256-entry table
+    holds every XOR combination of the group, and one packed byte of picks
+    indexes it, for M * ceil(N/8) * W word XORs in all.
+    """
+    pick_bytes = np.packbits(picks, axis=1, bitorder="little")
+    m, n_groups = pick_bytes.shape
+    n_words = rows.shape[1]
+    padded = np.zeros((8 * n_groups, n_words), dtype=np.uint64)
+    padded[: len(rows)] = rows
+    out = np.repeat(offset, m, axis=0)
+    table = np.zeros((256, n_words), dtype=np.uint64)
+    picked = np.empty((m, n_words), dtype=np.uint64)
+    for j in range(n_groups):
+        for k, row in enumerate(padded[8 * j : 8 * j + 8]):
+            np.bitwise_xor(table[: 1 << k], row, out=table[1 << k : 2 << k])
+        np.take(table, pick_bytes[:, j], axis=0, out=picked)
+        out ^= picked
     return out
 
 
@@ -124,7 +148,7 @@ class StabilizerTableau:
         return (-1 if self.signs[i] else 1), _zx_to_pauli(self.z[i], self.x[i])
 
     def generator_words(self) -> np.ndarray:
-        return _pack_zx(self.z, self.x, self.n_qubits)
+        return _pack_rows(self.z, self.x)
 
     def is_valid(self) -> bool:
         """Generators pairwise commute and are independent over GF(2)."""
@@ -160,12 +184,6 @@ def _gf2_rank(mat: np.ndarray) -> int:
         if rank == m.shape[0]:
             break
     return rank
-
-
-def apply_clifford_gate(tableau: StabilizerTableau, gate: Gate) -> StabilizerTableau:
-    """Functional wrapper over the in-place gate methods."""
-    tableau.apply_gate(gate)
-    return tableau
 
 
 def random_clifford(
@@ -223,10 +241,6 @@ def bell_sample_stabilizer(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     n = tableau.n_qubits
-    g = conjugation_offset(tableau)
-    gz = np.array([(g.digit(q) >> 1) for q in range(1, n + 1)], dtype=np.uint8)
-    gx = np.array([(g.digit(q) & 1) for q in range(1, n + 1)], dtype=np.uint8)
+    offset = pack_ints(n, [conjugation_offset(tableau).bits])
     picks = rng.integers(0, 2, size=(n_samples, n), dtype=np.uint8)
-    tz = (picks @ tableau.z.astype(np.uint8)) % 2
-    tx = (picks @ tableau.x.astype(np.uint8)) % 2
-    return BellSamples(n, _pack_zx((tz ^ gz).astype(bool), (tx ^ gx).astype(bool), n))
+    return BellSamples(n, _xor_picked_rows(tableau.generator_words(), picks, offset))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bellmagic import cli
 from bellmagic.cli import main
 
 
@@ -72,6 +73,16 @@ def test_usage_errors_exit_2(capsys):
 def test_numerical_failure_exit_3():
     # maximal-magic fixtures stop at 4 qubits
     assert run(["magic", "--family", "max", "--n", "5", "--threads", "1"]) == 3
+
+
+def test_programming_error_propagates(monkeypatch):
+    # only numerical failures map to exit 3; a TypeError is a bug and must surface
+    def broken(args):
+        raise TypeError("bad call")
+
+    monkeypatch.setitem(cli.COMMANDS, "magic", broken)
+    with pytest.raises(TypeError, match="bad call"):
+        run(["magic", "--family", "t-product", "--n", "2", "--threads", "1"])
 
 
 def test_discriminate_curve(tmp_path):

@@ -1,6 +1,7 @@
 """Pauli-string algebra against dense-matrix oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hs
 
 from bellmagic import pauli
 from bellmagic.pauli import BellSamples, PauliString, check_commute, symplectic_product, xor_add
@@ -126,6 +127,27 @@ def test_samples_pack_roundtrip():
         s = BellSamples(n, pauli.pack_ints(n, vals))
         assert [o.bits for o in s] == vals
         assert all(o.n_qubits == n for o in s)
+
+
+@given(hs.integers(33, 200).flatmap(
+    lambda n: hs.tuples(hs.just(n), hs.lists(hs.integers(0, 4**n - 1), min_size=1, max_size=5))
+))
+def test_pack_ints_unpack_int_roundtrip_past_64_bits(case):
+    n, vals = case
+    words = pauli.pack_ints(n, vals)
+    assert words.shape == (len(vals), pauli.words_per_string(n))
+    assert [pauli.unpack_int(row) for row in words] == vals
+
+
+def test_index_form_limited_to_31_qubits():
+    top = 4**31 - 1
+    s = BellSamples.from_indices(31, [top, 5])
+    assert list(s.indices()) == [top, 5]
+    with pytest.raises(ValueError):
+        BellSamples.from_indices(32, [2**63 + 5])
+    wide = BellSamples(32, pauli.pack_ints(32, [2**63 + 5]))
+    with pytest.raises(ValueError):
+        wide.indices()
 
 
 def test_samples_word_helpers_match_int_ops():

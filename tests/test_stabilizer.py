@@ -4,7 +4,34 @@ import pytest
 from scipy import stats
 
 from bellmagic import estimation, magic, simulator as sim, stabilizer as st
-from bellmagic.pauli import PauliString, symplectic_rows
+from bellmagic.pauli import BellSamples, PauliString, symplectic_rows, unpack_int, words_per_string
+
+
+def _oracle_pack_zx(z, x, n_qubits):
+    """Bit-by-bit packer of boolean (M, N) z/x matrices (reference copy)."""
+    m = z.shape[0]
+    bits = np.zeros((m, 2 * n_qubits), dtype=np.uint64)
+    bits[:, 0::2] = x[:, ::-1]
+    bits[:, 1::2] = z[:, ::-1]
+    n_words = words_per_string(n_qubits)
+    out = np.zeros((m, n_words), dtype=np.uint64)
+    for w in range(n_words):
+        chunk = bits[:, 64 * w : 64 * (w + 1)]
+        shifts = np.arange(chunk.shape[1], dtype=np.uint64)
+        out[:, w] = (chunk << shifts).sum(axis=1, dtype=np.uint64)
+    return out
+
+
+def _oracle_bell_sample(tableau, n_samples, rng):
+    """The uint8-matmul coset sampler, kept as the bit-exact reference."""
+    n = tableau.n_qubits
+    g = st.conjugation_offset(tableau)
+    gz = np.array([(g.digit(q) >> 1) for q in range(1, n + 1)], dtype=np.uint8)
+    gx = np.array([(g.digit(q) & 1) for q in range(1, n + 1)], dtype=np.uint8)
+    picks = rng.integers(0, 2, size=(n_samples, n), dtype=np.uint8)
+    tz = (picks @ tableau.z.astype(np.uint8)) % 2
+    tx = (picks @ tableau.x.astype(np.uint8)) % 2
+    return BellSamples(n, _oracle_pack_zx((tz ^ gz).astype(bool), (tx ^ gx).astype(bool), n))
 
 
 def test_h_on_zero():
@@ -180,6 +207,26 @@ def test_large_n_sampling_smoke():
     xors = s.words[:25] ^ s.words[25:]
     assert not symplectic_rows(xors, np.roll(xors, 1, axis=0)).any()
     assert estimation.estimate_purity(s) == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 64, 65, 300])
+def test_sampler_bit_identical_to_matmul_oracle(n):
+    # 8-generator table groups and 64-bit word boundaries at every edge
+    tab, _ = st.random_clifford(n, 3, np.random.default_rng(100 + n))
+    for m in (1, 3, 257):
+        fast = st.bell_sample_stabilizer(tab, m, np.random.default_rng(m))
+        ref = _oracle_bell_sample(tab, m, np.random.default_rng(m))
+        assert fast.words.shape == (m, words_per_string(n))
+        assert np.array_equal(fast.words, ref.words)
+
+
+@pytest.mark.parametrize("n", [1, 7, 32, 33, 65])
+def test_generator_words_match_generators(n):
+    tab, _ = st.random_clifford(n, 3, np.random.default_rng(n))
+    words = tab.generator_words()
+    assert words.shape == (n, words_per_string(n))
+    for i in range(n):
+        assert unpack_int(words[i]) == tab.generator(i)[1].bits
 
 
 def test_to_text():
