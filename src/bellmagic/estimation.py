@@ -30,15 +30,15 @@ def _rng(rng: np.random.Generator | None) -> np.random.Generator:
     return rng if rng is not None else np.random.default_rng()
 
 
-def _distinct_quadruples(m: int, n_trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform ordered quadruples of distinct indices in [0, m)."""
-    idx = rng.integers(0, m, size=(n_trials, 4))
+def _distinct_tuples(m: int, n_trials: int, width: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform ordered `width`-tuples of distinct indices in [0, m), by rejection."""
+    idx = rng.integers(0, m, size=(n_trials, width))
     while True:
         srt = np.sort(idx, axis=1)
         bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
         if not bad.any():
             return idx
-        idx[bad] = rng.integers(0, m, size=(int(bad.sum()), 4))
+        idx[bad] = rng.integers(0, m, size=(int(bad.sum()), width))
 
 
 def estimate_bell_magic(
@@ -69,7 +69,7 @@ def estimate_bell_magic(
         quad = rng.integers(0, m, size=(n_r, 4))
     else:
         n_r = DEFAULT_RESAMPLE_FACTOR * m if n_resamples is None else n_resamples
-        quad = _distinct_quadruples(m, n_r, rng)
+        quad = _distinct_tuples(m, n_r, 4, rng)
     w = s.words
     left = w[quad[:, 0]] ^ w[quad[:, 1]]
     right = w[quad[:, 2]] ^ w[quad[:, 3]]

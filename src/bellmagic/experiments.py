@@ -25,6 +25,11 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
+def _child_seeds(seed: int, n: int) -> list[int]:
+    """One 32-bit seed per repetition, spawned from the master seed."""
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
 def _run_indexed(worker, arglist, threads: int):
     if threads <= 1 or len(arglist) <= 1:
         return [worker(a) for a in arglist]
@@ -114,10 +119,10 @@ def magic_experiment(
     seed: int = 0,
     threads: int = 1,
 ) -> list[dict]:
-    seeds = [s.generate_state(1)[0] for s in np.random.SeedSequence(seed).spawn(repetitions)]
+    seeds = _child_seeds(seed, repetitions)
     args = [
         (family, n_qubits, depth, n_tgates, n_magic, phi, p, n_outcomes, n_resamples,
-         n_bootstrap, int(seeds[r]), r)
+         n_bootstrap, seeds[r], r)
         for r in range(repetitions)
     ]
     return _run_indexed(_magic_rep, args, threads)
@@ -158,9 +163,9 @@ def mitigated_error_grid(
     depth: int = 4,
 ) -> np.ndarray:
     """Mean |mitigated - exact| per (p, nq) grid point; fresh circuit per rep."""
-    seeds = [s.generate_state(1)[0] for s in np.random.SeedSequence(seed).spawn(repetitions)]
+    seeds = _child_seeds(seed, repetitions)
     args = [
-        (n_qubits, n_magic, np.pi / 4, depth, tuple(p_values), tuple(nq_values), int(s))
+        (n_qubits, n_magic, np.pi / 4, depth, tuple(p_values), tuple(nq_values), s)
         for s in seeds
     ]
     errs = np.array(_run_indexed(_error_grid_rep, args, threads))
@@ -239,10 +244,9 @@ def resampling_sweep(
     rows = []
     for i, nr in enumerate(nr_values):
         disjoint = nr == "disjoint"
-        seeds = [s.generate_state(1)[0]
-                 for s in np.random.SeedSequence(seed + 15485863 * i).spawn(repetitions)]
+        seeds = _child_seeds(seed + 15485863 * i, repetitions)
         args = [(n_qubits, n_magic, depth, n_outcomes, None if disjoint else int(nr),
-                 disjoint, int(s)) for s in seeds]
+                 disjoint, s) for s in seeds]
         errs = _run_indexed(_resample_rep, args, threads)
         rows.append({
             "n": n_qubits, "na": n_magic, "nq": n_outcomes,
@@ -301,10 +305,10 @@ def error_probability_curve(
     nq_values = list(nq_values)
     if with_replacement is None:
         with_replacement = kind == "many"
-    seeds = [s.generate_state(1)[0] for s in np.random.SeedSequence(seed).spawn(repetitions)]
+    seeds = _child_seeds(seed, repetitions)
     args = [
         (kind, n_qubits, n_magic, phi, depth, tuple(nq_values),
-         discrimination.LARGE_RESAMPLE_FACTOR, with_replacement, int(s))
+         discrimination.LARGE_RESAMPLE_FACTOR, with_replacement, s)
         for s in seeds
     ]
     misses = np.array(_run_indexed(_pe_grid_rep, args, threads))
@@ -408,9 +412,9 @@ def entangle_experiment(
     seed: int = 0,
     threads: int = 1,
 ) -> list[dict]:
-    seeds = [s.generate_state(1)[0] for s in np.random.SeedSequence(seed).spawn(repetitions)]
+    seeds = _child_seeds(seed, repetitions)
     args = [
-        (family, n_qubits, depth, n_tgates, n_magic, phi, p, n_outcomes, int(seeds[r]), r)
+        (family, n_qubits, depth, n_tgates, n_magic, phi, p, n_outcomes, seeds[r], r)
         for r in range(repetitions)
     ]
     return _run_indexed(_entangle_rep, args, threads)

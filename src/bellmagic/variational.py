@@ -7,8 +7,15 @@ rotation angle is an exact difference of two cross-copy distributions,
                    - P_x(theta - pi/(4v) e_k, theta)(r)],
 
 where P_x(a, b) is the Bell distribution measured across |psi(a)> and
-|psi(b)>.  The Bell-magic gradient follows by the product rule and is
-evaluated here either exactly (transform algebra over 4^N arrays) or from
+|psi(b)>.  B is quadratic in Q = P * P (XOR self-convolution), so by the
+product rule the exact gradient is linear in d_k P,
+
+    d_k B = <d_k P, h>,   h = -4 P * (Qhat o J),
+
+with Qhat the Walsh-Hadamard transform of Q and J the (z, x) pair swap.
+The kernel h depends only on the base state, so training computes it once
+per epoch and each parameter then costs one inner product over 4^N
+outcomes.  The sampled gradient estimates the same quantity from
 measurement samples of the three settings (base, plus-shift, minus-shift).
 """
 from __future__ import annotations
@@ -17,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import estimate_bell_magic
+from .estimation import _distinct_tuples, estimate_bell_magic
 from .magic import bell_magic_exact, fwht, pair_swap_permutation, q_distribution, xor_convolve
-from .pauli import BellSamples, as_samples, symplectic_rows
+from .pauli import as_samples, symplectic_rows
 from .simulator import (
+    BellDistribution,
     CircuitSpec,
     bell_distribution,
     cross_bell_distribution,
@@ -56,23 +64,17 @@ def grad_p_shift(circuit: CircuitSpec, k: int, v: float = 0.5) -> np.ndarray:
     return (p_plus - p_minus) / np.sin(shift)
 
 
+def _gradient_kernel(p: BellDistribution) -> np.ndarray:
+    # dB = <dP, h>: B is quadratic in Q = P*P and XOR convolution is self-adjoint
+    qhat_j = fwht(q_distribution(p))[pair_swap_permutation(p.n_qubits)]
+    return -4.0 * xor_convolve(p.probabilities, qhat_j)
+
+
 def grad_bell_magic_exact(circuit: CircuitSpec, k: int, v: float = 0.5) -> float:
     """Exact gradient of Bell magic for parameter k."""
     d = grad_p_shift(circuit, k, v)
     p = bell_distribution(simulate(circuit))
-    return _grad_from_distributions(d, p.probabilities, circuit.n_qubits)
-
-
-def _grad_from_distributions(d: np.ndarray, p: np.ndarray, n_qubits: int) -> float:
-    # 4 sum_{n} G(n) (1 - Qhat(Jn)) with G = D*P, Q = P*P; sum G = 0
-    g = xor_convolve(d, p)
-    qhat = fwht(q_distribution_from_probs(p))
-    j = pair_swap_permutation(n_qubits)
-    return -4.0 * float(np.dot(g, qhat[j]))
-
-
-def q_distribution_from_probs(p: np.ndarray) -> np.ndarray:
-    return xor_convolve(p, p)
+    return float(np.dot(d, _gradient_kernel(p)))
 
 
 def gradient_finite_difference(circuit: CircuitSpec, k: int, step: float = 1e-5) -> float:
@@ -81,16 +83,6 @@ def gradient_finite_difference(circuit: CircuitSpec, k: int, step: float = 1e-5)
     bp = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, step))))
     bm = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, -step))))
     return (bp.bell_magic - bm.bell_magic) / (2 * step)
-
-
-def _distinct_triples(m: int, n_trials: int, rng: np.random.Generator) -> np.ndarray:
-    idx = rng.integers(0, m, size=(n_trials, 3))
-    while True:
-        srt = np.sort(idx, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if not bad.any():
-            return idx
-        idx[bad] = rng.integers(0, m, size=(int(bad.sum()), 3))
 
 
 def estimate_gradient(
@@ -116,7 +108,7 @@ def estimate_gradient(
         raise ValueError("need at least three base samples")
     rng = rng if rng is not None else np.random.default_rng()
     n_r = 10 * len(plus) if n_resamples is None else n_resamples
-    triples = _distinct_triples(len(base), n_r, rng)
+    triples = _distinct_tuples(len(base), n_r, 3, rng)
     ms = rng.integers(0, len(plus), size=n_r)
     left = base.words[triples[:, 0]] ^ base.words[triples[:, 1]]
     third = base.words[triples[:, 2]]
@@ -213,39 +205,25 @@ def optimize(
     lr = learning_rate
     for epoch in range(1, epochs + 1):
         circ = circuit.with_params(state.theta)
-        grad = np.empty(k_params)
+        base_state = simulate(circ)
+        p = bell_distribution(base_state)
         if n_samples is None:
-            base_state = simulate(circ)
-            p = bell_distribution(base_state)
             state.history.append(bell_magic_exact(p).bell_magic)
-            qhat_j = fwht(q_distribution(p))[pair_swap_permutation(circ.n_qubits)]
-            for k in range(k_params):
-                plus = simulate(circ.shifted(k, np.pi / 2))
-                minus = simulate(circ.shifted(k, -np.pi / 2))
-                d = (
-                    cross_bell_distribution(plus, base_state).probabilities
-                    - cross_bell_distribution(minus, base_state).probabilities
-                )
-                g = xor_convolve(d, p.probabilities)
-                grad[k] = -4.0 * float(np.dot(g, qhat_j))
+            h = _gradient_kernel(p)
         else:
-            base_state = simulate(circ)
-            p = bell_distribution(base_state)
             base = sample(p, 3 * n_samples, rng)
             b_hat, _ = estimate_bell_magic(base, n_resamples, rng)
             state.history.append(b_hat)
-            for k in range(k_params):
-                plus = sample(
-                    cross_bell_distribution(simulate(circ.shifted(k, np.pi / 2)), base_state),
-                    n_samples,
-                    rng,
-                )
-                minus = sample(
-                    cross_bell_distribution(simulate(circ.shifted(k, -np.pi / 2)), base_state),
-                    n_samples,
-                    rng,
-                )
-                grad[k] = estimate_gradient(base, plus, minus, n_resamples, rng)
+        grad = np.empty(k_params)
+        for k in range(k_params):
+            plus = cross_bell_distribution(simulate(circ.shifted(k, np.pi / 2)), base_state)
+            minus = cross_bell_distribution(simulate(circ.shifted(k, -np.pi / 2)), base_state)
+            if n_samples is None:
+                grad[k] = float(np.dot(plus.probabilities - minus.probabilities, h))
+            else:
+                plus_outcomes = sample(plus, n_samples, rng)
+                minus_outcomes = sample(minus, n_samples, rng)
+                grad[k] = estimate_gradient(base, plus_outcomes, minus_outcomes, n_resamples, rng)
         state.grad_norms.append(float(np.linalg.norm(grad)))
         state.m = beta1 * state.m + (1 - beta1) * grad
         state.v = beta2 * state.v + (1 - beta2) * grad**2

@@ -9,6 +9,17 @@ from bellmagic.simulator import NoiseModel, bell_distribution, noisy_bell_distri
 from bellmagic.stabilizer import bell_sample_stabilizer, random_clifford
 
 
+def _oracle_distinct(m, n_trials, width, rng):
+    """Rejection sampler of distinct-index tuples (reference copy)."""
+    idx = rng.integers(0, m, size=(n_trials, width))
+    while True:
+        srt = np.sort(idx, axis=1)
+        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if not bad.any():
+            return idx
+        idx[bad] = rng.integers(0, m, size=(int(bad.sum()), width))
+
+
 def t_samples(n_samples, seed):
     rng = np.random.default_rng(seed)
     return sample(bell_distribution(states.t_state()), n_samples, rng), rng
@@ -42,6 +53,17 @@ def test_estimator_with_replacement_below_four():
         assert 0.0 <= b <= 2.0
     with pytest.raises(ValueError):
         est.estimate_bell_magic(sample(dist, 3, rng), rng=rng, disjoint=True)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_distinct_tuples_match_reference(width):
+    # m == width forces many rejection rounds
+    for m in (width, width + 1, 50):
+        fast = est._distinct_tuples(m, 2000, width, np.random.default_rng(m))
+        ref = _oracle_distinct(m, 2000, width, np.random.default_rng(m))
+        assert np.array_equal(fast, ref)
+        srt = np.sort(fast, axis=1)
+        assert (srt[:, 1:] != srt[:, :-1]).all() and srt.max() < m
 
 
 def test_stabilizer_outcomes_estimate_zero():

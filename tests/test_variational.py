@@ -3,11 +3,47 @@ import numpy as np
 import pytest
 
 from bellmagic import magic, simulator as sim, variational as var
+from bellmagic.estimation import estimate_bell_magic
 from bellmagic.simulator import CircuitSpec, bell_distribution, cross_bell_distribution, sample, simulate
 
 
 def random_circuit(n, d, rng):
     return sim.hardware_efficient_ansatz(n, d, rng.uniform(0, 2 * np.pi, 2 * n * d))
+
+
+def _oracle_sampled_optimize(circuit, epochs, learning_rate, n_samples, rng):
+    """The two-loop sampled Adam ascent with default hyper-parameters (reference copy)."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    k_params = circuit.n_params
+    theta, m, v = circuit.params.copy(), np.zeros(k_params), np.zeros(k_params)
+    history, grad_norms = [], []
+    for epoch in range(1, epochs + 1):
+        circ = circuit.with_params(theta)
+        grad = np.empty(k_params)
+        base_state = simulate(circ)
+        p = bell_distribution(base_state)
+        base = sample(p, 3 * n_samples, rng)
+        b_hat, _ = estimate_bell_magic(base, None, rng)
+        history.append(b_hat)
+        for k in range(k_params):
+            plus = sample(
+                cross_bell_distribution(simulate(circ.shifted(k, np.pi / 2)), base_state),
+                n_samples,
+                rng,
+            )
+            minus = sample(
+                cross_bell_distribution(simulate(circ.shifted(k, -np.pi / 2)), base_state),
+                n_samples,
+                rng,
+            )
+            grad[k] = var.estimate_gradient(base, plus, minus, None, rng)
+        grad_norms.append(float(np.linalg.norm(grad)))
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad**2
+        m_hat = m / (1 - beta1**epoch)
+        v_hat = v / (1 - beta2**epoch)
+        theta = theta + learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return history, theta, grad_norms
 
 
 def test_shift_rule_matches_finite_differences():
@@ -117,6 +153,31 @@ def test_optimize_exact_single_qubit():
     assert state.best() > 16 / 27 - 1e-3
     assert state.epoch == 250
     assert len(state.history) == 250 and len(state.grad_norms) == 250
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_optimize_exact_gradient_matches_shift_rule(n):
+    circ = random_circuit(n, 2, np.random.default_rng(20 + n))
+    state = var.optimize(circ, epochs=1)
+    shift_rule = [var.grad_bell_magic_exact(circ, k) for k in range(circ.n_params)]
+    assert abs(state.grad_norms[0] - np.linalg.norm(shift_rule)) < 1e-12
+    # <P, h> = -4 <Q, Qhat o J> = -4 (1 - B)
+    p = bell_distribution(simulate(circ))
+    b = magic.bell_magic_exact(p).bell_magic
+    assert abs(np.dot(p.probabilities, var._gradient_kernel(p)) + 4 * (1 - b)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [12, 13])
+def test_optimize_sampled_mode_bit_identical_to_oracle(seed):
+    circ = random_circuit(2, 2, np.random.default_rng(seed))
+    state = var.optimize(circ, epochs=5, learning_rate=0.1, n_samples=50,
+                         rng=np.random.default_rng(seed))
+    history, theta, grad_norms = _oracle_sampled_optimize(
+        circ, 5, 0.1, 50, np.random.default_rng(seed)
+    )
+    assert state.history == history
+    assert np.array_equal(state.theta, theta)
+    assert state.grad_norms == grad_norms
 
 
 def test_optimize_sampled_mode_runs():
