@@ -2,7 +2,10 @@
 
 Subcommands: magic, discriminate, train, entangle, sweep.  Global flags
 --seed, --threads, --out, --config.  A JSON config file (versioned schema,
-version 1) supplies option values; explicit flags override it.  Exit codes:
+version 1) supplies option values; explicit flags override it.  Each config
+value must have the option's JSON type (an int option takes no float or
+bool; a float option also takes an int).  Every option is declared once, in
+_OPTIONS; _SUBCOMMANDS names the options each subcommand takes.  Exit codes:
 0 success, 2 usage/config error, 3 numerical failure.
 
 Output is data-only: CSV rows to --out (or stdout) plus a JSON summary
@@ -15,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +71,6 @@ def write_summary(summary: dict, path: str | None) -> None:
 
 
 def cmd_magic(a) -> tuple[list[dict], dict]:
-    if a.family not in FAMILIES:
-        raise UsageError(f"unknown family {a.family!r}; choose from {FAMILIES}")
     rows = experiments.magic_experiment(
         a.family, a.n, a.d, a.nt, a.na, a.phi, a.p, a.nq, a.nr or None,
         a.reps, a.bootstrap, a.seed, a.threads,
@@ -87,33 +89,32 @@ def cmd_magic(a) -> tuple[list[dict], dict]:
 def cmd_discriminate(a) -> tuple[list[dict], dict]:
     nq_grid = _parse_grid(a.nq_grid)
     if a.mode == "curve":
-        kind = a.kind
-        if kind not in ("single", "many"):
-            raise UsageError("kind must be 'single' or 'many'")
         rows = experiments.error_probability_curve(
-            kind, a.n, a.phi, a.na, nq_grid, a.reps, a.seed, a.threads, a.d
+            a.kind, a.n, a.phi, a.na, nq_grid, a.reps, a.seed, a.threads, a.d
         )
-        summary = {"command": "discriminate", "mode": "curve", "kind": kind,
+        summary = {"command": "discriminate", "mode": "curve", "kind": a.kind,
                    "seed": a.seed, "max_abs_dev": max(
                        abs(r["p_error"] - r["p_error_theory"]) for r in rows)}
         return rows, summary
-    if a.mode == "learn":
-        if a.runs_csv:
+    if a.runs_csv:
+        try:
             with open(a.runs_csv) as f:
                 runs = discrimination.runs_from_csv_rows(csv.DictReader(f))
             thr = discrimination.learn_threshold(runs)
-            err = discrimination.classification_error(runs, thr)
-            rows = discrimination.runs_to_csv_rows(runs, a.seed)
-            return rows, {"command": "discriminate", "mode": "learn",
-                          "threshold": thr, "train_error": err, "seed": a.seed}
-        rows = experiments.learning_curve(
-            nq_grid, a.per_class, a.n, a.d, a.p, a.splits, a.seed
-        )
-        summary = {"command": "discriminate", "mode": "learn", "p": a.p,
-                   "seed": a.seed, "split_seed": a.seed,
-                   "test_errors": {str(r["nq"]): r["test_error"] for r in rows}}
-        return rows, summary
-    raise UsageError("mode must be 'curve' or 'learn'")
+        except (OSError, KeyError, ValueError) as e:  # missing file, column, value or class
+            raise UsageError(f"bad --runs-csv {a.runs_csv!r}: "
+                             f"{type(e).__name__}: {e}") from None
+        err = discrimination.classification_error(runs, thr)
+        rows = discrimination.runs_to_csv_rows(runs, a.seed)
+        return rows, {"command": "discriminate", "mode": "learn",
+                      "threshold": thr, "train_error": err, "seed": a.seed}
+    rows = experiments.learning_curve(
+        nq_grid, a.per_class, a.n, a.d, a.p, a.splits, a.seed
+    )
+    summary = {"command": "discriminate", "mode": "learn", "p": a.p,
+               "seed": a.seed, "split_seed": a.seed,
+               "test_errors": {str(r["nq"]): r["test_error"] for r in rows}}
+    return rows, summary
 
 
 def cmd_train(a) -> tuple[list[dict], dict]:
@@ -135,8 +136,6 @@ def cmd_train(a) -> tuple[list[dict], dict]:
 
 
 def cmd_entangle(a) -> tuple[list[dict], dict]:
-    if a.family not in FAMILIES:
-        raise UsageError(f"unknown family {a.family!r}; choose from {FAMILIES}")
     rows = experiments.entangle_experiment(
         a.family, a.n, a.d, a.nt, a.na, a.phi, a.p, a.nq, a.reps, a.seed, a.threads
     )
@@ -168,17 +167,15 @@ def cmd_sweep(a) -> tuple[list[dict], dict]:
             [1 - r["p"] for r in rows], [r["mean_abs_error"] for r in rows])
         return rows, {"command": "sweep", "experiment": a.experiment,
                       "seed": a.seed, "slope_vs_one_minus_p": slope}
-    if a.experiment == "resampling":
-        try:
-            nr_grid = ["disjoint" if x.strip() == "disjoint" else int(x)
-                       for x in str(a.nr_grid).split(",") if x.strip()]
-        except ValueError as e:
-            raise UsageError(f"bad --nr-grid: {e}") from None
-        rows = experiments.resampling_sweep(
-            a.n, a.na, a.nq, nr_grid, a.reps, a.seed, a.threads, a.d
-        )
-        return rows, {"command": "sweep", "experiment": a.experiment, "seed": a.seed}
-    raise UsageError("experiment must be error-vs-nq, error-vs-p or resampling")
+    try:
+        nr_grid = ["disjoint" if x.strip() == "disjoint" else int(x)
+                   for x in str(a.nr_grid).split(",") if x.strip()]
+    except ValueError as e:
+        raise UsageError(f"bad --nr-grid: {e}") from None
+    rows = experiments.resampling_sweep(
+        a.n, a.na, a.nq, nr_grid, a.reps, a.seed, a.threads, a.d
+    )
+    return rows, {"command": "sweep", "experiment": a.experiment, "seed": a.seed}
 
 
 COMMANDS = {
@@ -191,27 +188,88 @@ COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# parser and config merging
+# option table, parser and config merging
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, help="master seed (default 0)")
-    sp.add_argument("--threads", type=int, help="worker processes (default all cores)")
-    sp.add_argument("--out", type=str, help="CSV output path (default stdout)")
-    sp.add_argument("--config", type=str, help="JSON config file; flags override it")
+class Option(NamedTuple):
+    """Flag --<name with - for _>: value type, default, help, allowed values."""
+    type: type
+    default: object
+    help: str
+    choices: tuple = ()
 
 
-_DEFAULTS = {
-    "seed": 0, "threads": None, "out": None, "config": None,
-    "family": "t-product", "n": 3, "d": 4, "nt": 0, "na": 0, "phi": np.pi / 4,
-    "p": 0.0, "nq": 1000, "nr": 0, "reps": 1, "bootstrap": 0,
-    "mode": "curve", "kind": "single", "nq_grid": "5,10,20,50", "per_class": 20,
-    "splits": 10, "runs_csv": None,
-    "epochs": 200, "lr": 0.1, "lr_decay": 1.0,
-    "experiment": "error-vs-nq", "p_grid": "0.0,0.02", "nr_grid": "100,1000",
+_OPTIONS = {
+    "seed": Option(int, 0, "master seed"),
+    "threads": Option(int, None, "worker processes (default all cores)"),
+    "out": Option(str, None, "CSV output path (default stdout)"),
+    "config": Option(str, None, "JSON config file; flags override it"),
+    "family": Option(str, "t-product", "state family", FAMILIES),
+    "n": Option(int, 3, "number of qubits"),
+    "d": Option(int, 4, "circuit depth"),
+    "nt": Option(int, 0, "number of T-angle parameters (clifford-t)"),
+    "na": Option(int, 0, "number of magic inputs (magic-input)"),
+    "phi": Option(float, np.pi / 4, "magic-input angle"),
+    "p": Option(float, 0.0, "depolarizing probability"),
+    "nq": Option(int, 1000, "Bell samples per repetition (train: per setting, 0 = exact)"),
+    "nr": Option(int, 0, "resampling trials (0 = 10*nq)"),
+    "reps": Option(int, 1, "repetitions"),
+    "bootstrap": Option(int, 0, "bootstrap resamples for mitigated std"),
+    "mode": Option(str, "curve", "discrimination experiment", ("curve", "learn")),
+    "kind": Option(str, "single", "curve family", ("single", "many")),
+    "nq_grid": Option(str, "5,10,20,50", "comma-separated N_Q grid"),
+    "per_class": Option(int, 20, "labeled runs per class (learn mode)"),
+    "splits": Option(int, 10, "train/test splits (learn mode)"),
+    "runs_csv": Option(str, None, "learn a threshold from an existing labeled-run CSV"),
+    "epochs": Option(int, 200, "training epochs"),
+    "lr": Option(float, 0.1, "Adam learning rate"),
+    "lr_decay": Option(float, 1.0, "learning-rate decay per epoch"),
+    "experiment": Option(str, "error-vs-nq", "sweep", ("error-vs-nq", "error-vs-p", "resampling")),
+    "p_grid": Option(str, "0.0,0.02", "comma-separated depolarizing-probability grid"),
+    "nr_grid": Option(str, "100,1000", "comma-separated N_R grid; 'disjoint' allowed"),
 }
 
-_COMMAND_DEFAULTS = {"train": {"n": 4, "d": 6}, "discriminate": {"n": 8, "reps": 200}}
+_COMMON = ("seed", "threads", "out", "config")
+
+
+class Subcommand(NamedTuple):
+    """Help, epilog, the options taken besides _COMMON, and default overrides."""
+    help: str
+    epilog: str
+    options: tuple
+    defaults: dict
+
+
+_SUBCOMMANDS = {
+    "magic": Subcommand(
+        "estimate (and mitigate) Bell magic of a state family",
+        "CSV columns: rep, family, n, nq, nr, p, b_exact, b_a_exact, "
+        "b_hat, b_a_hat, purity_hat, p_hat, b_mtg_exact (exact-form mitigation), "
+        "b_mtg_approx (large-N form), std_plugin, bootstrap_std, seed",
+        ("family", "n", "d", "nt", "na", "phi", "p", "nq", "nr", "reps", "bootstrap"), {}),
+    "discriminate": Subcommand(
+        "stabilizer vs magical state discrimination",
+        "curve CSV columns: kind, n, phi, na, nq, reps, p_error, "
+        "p_error_theory, binom_std, seed; learn CSV columns: nq, n, p, "
+        "n_per_class, train_error, test_error, seed (threshold and errors "
+        "also land in the JSON summary)",
+        ("mode", "kind", "n", "d", "phi", "na", "nq_grid", "reps", "p", "per_class",
+         "splits", "runs_csv"), {"n": 8, "reps": 200}),
+    "train": Subcommand(
+        "variationally maximize Bell magic",
+        "CSV columns: epoch, b, grad_norm, lr, seed; the JSON summary "
+        "carries the checkpoint (theta, Adam moments, epoch, seed)",
+        ("n", "d", "epochs", "lr", "lr_decay", "nq"), {"n": 4, "d": 6}),
+    "entangle": Subcommand(
+        "Meyer-Wallach entanglement from Bell samples",
+        "CSV columns: rep, family, n, nq, p, e_exact, e_raw, e_mtg, p_hat, seed",
+        ("family", "n", "d", "nt", "na", "phi", "p", "nq", "reps"), {}),
+    "sweep": Subcommand(
+        "estimation-error sweeps over N_Q, p or N_R",
+        "CSV columns: n, na, p, nq [, nr, mode], mean_abs_error "
+        "[, std_error], seed; fitted slopes land in the JSON summary",
+        ("experiment", "n", "d", "na", "nq", "nq_grid", "p_grid", "nr_grid", "reps"), {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,100 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
         "discrimination, variational maximization, entanglement.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    m = sub.add_parser(
-        "magic",
-        help="estimate (and mitigate) Bell magic of a state family",
-        epilog="CSV columns: rep, family, n, nq, nr, p, b_exact, b_a_exact, "
-        "b_hat, b_a_hat, purity_hat, p_hat, b_mtg_exact (exact-form mitigation), "
-        "b_mtg_approx (large-N form), std_plugin, bootstrap_std, seed",
-    )
-    m.add_argument("--family", type=str, help=f"one of {', '.join(FAMILIES)}")
-    m.add_argument("--n", type=int, help="number of qubits")
-    m.add_argument("--d", type=int, help="circuit depth")
-    m.add_argument("--nt", type=int, help="number of T-angle parameters (clifford-t)")
-    m.add_argument("--na", type=int, help="number of magic inputs (magic-input)")
-    m.add_argument("--phi", type=float, help="magic-input angle")
-    m.add_argument("--p", type=float, help="depolarizing probability")
-    m.add_argument("--nq", type=int, help="Bell-measurement samples per repetition")
-    m.add_argument("--nr", type=int, help="resampling trials (0 = 10*nq)")
-    m.add_argument("--reps", type=int, help="repetitions")
-    m.add_argument("--bootstrap", type=int, help="bootstrap resamples for mitigated std")
-    _add_common(m)
-
-    d = sub.add_parser(
-        "discriminate",
-        help="stabilizer vs magical state discrimination",
-        epilog="curve CSV columns: kind, n, phi, na, nq, reps, p_error, "
-        "p_error_theory, binom_std, seed; learn CSV columns: nq, n, p, "
-        "n_per_class, train_error, test_error, seed (threshold and errors "
-        "also land in the JSON summary)",
-    )
-    d.add_argument("--mode", choices=["curve", "learn"])
-    d.add_argument("--kind", type=str, help="curve family: single or many")
-    d.add_argument("--n", type=int)
-    d.add_argument("--d", type=int)
-    d.add_argument("--phi", type=float)
-    d.add_argument("--na", type=int)
-    d.add_argument("--nq-grid", dest="nq_grid", type=str, help="comma-separated N_Q grid")
-    d.add_argument("--reps", type=int)
-    d.add_argument("--p", type=float, help="depolarizing probability (learn mode)")
-    d.add_argument("--per-class", dest="per_class", type=int)
-    d.add_argument("--splits", type=int)
-    d.add_argument("--runs-csv", dest="runs_csv", type=str,
-                   help="learn a threshold from an existing labeled-run CSV")
-    _add_common(d)
-
-    t = sub.add_parser(
-        "train",
-        help="variationally maximize Bell magic",
-        epilog="CSV columns: epoch, b, grad_norm, lr, seed; the JSON summary "
-        "carries the checkpoint (theta, Adam moments, epoch, seed)",
-    )
-    t.add_argument("--n", type=int)
-    t.add_argument("--d", type=int)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--lr-decay", dest="lr_decay", type=float)
-    t.add_argument("--nq", type=int, help="samples per setting (0 = exact gradients)")
-    _add_common(t)
-
-    e = sub.add_parser(
-        "entangle",
-        help="Meyer-Wallach entanglement from Bell samples",
-        epilog="CSV columns: rep, family, n, nq, p, e_exact, e_raw, e_mtg, "
-        "p_hat, seed",
-    )
-    e.add_argument("--family", type=str)
-    e.add_argument("--n", type=int)
-    e.add_argument("--d", type=int)
-    e.add_argument("--nt", type=int)
-    e.add_argument("--na", type=int)
-    e.add_argument("--phi", type=float)
-    e.add_argument("--p", type=float)
-    e.add_argument("--nq", type=int)
-    e.add_argument("--reps", type=int)
-    _add_common(e)
-
-    s = sub.add_parser(
-        "sweep",
-        help="estimation-error sweeps over N_Q, p or N_R",
-        epilog="CSV columns: n, na, p, nq [, nr, mode], mean_abs_error "
-        "[, std_error], seed; fitted slopes land in the JSON summary",
-    )
-    s.add_argument("--experiment", type=str,
-                   help="error-vs-nq | error-vs-p | resampling")
-    s.add_argument("--n", type=int)
-    s.add_argument("--d", type=int)
-    s.add_argument("--na", type=int)
-    s.add_argument("--nq", type=int)
-    s.add_argument("--nq-grid", dest="nq_grid", type=str)
-    s.add_argument("--p-grid", dest="p_grid", type=str)
-    s.add_argument("--nr-grid", dest="nr_grid", type=str,
-                   help="comma-separated N_R grid; 'disjoint' allowed")
-    s.add_argument("--reps", type=int)
-    _add_common(s)
-
+    for name, spec in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help, epilog=spec.epilog)
+        for dest in spec.options + _COMMON:
+            opt = _OPTIONS[dest]
+            default = spec.defaults.get(dest, opt.default)
+            text = opt.help + (f" ({' | '.join(opt.choices)})" if opt.choices else "")
+            if default is not None:
+                text += f"; default {default}"
+            # defaults stay None here so _merge_config can tell a flag from a config value
+            sp.add_argument("--" + dest.replace("_", "-"), dest=dest, type=opt.type,
+                            help=text)
     return p
 
 
@@ -326,19 +301,40 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                 config = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"cannot read config: {e}") from None
+        if not isinstance(config, dict):
+            raise UsageError("config must be a JSON object")
         if config.pop("version", 1) != 1:
             raise UsageError("unsupported config version")
         config.pop("command", None)
-        unknown = set(config) - set(_DEFAULTS)
+        unknown = set(config) - set(_OPTIONS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    overrides = _COMMAND_DEFAULTS.get(args.command, {})
-    for key, default in _DEFAULTS.items():
+    overrides = _SUBCOMMANDS[args.command].defaults
+    for key, opt in _OPTIONS.items():
         if getattr(args, key, None) is None:
-            setattr(args, key, config.get(key, overrides.get(key, default)))
+            setattr(args, key, config.get(key, overrides.get(key, opt.default)))
     if args.threads is None:
         args.threads = experiments.default_threads()
     return args
+
+
+def _check_values(args: argparse.Namespace) -> None:
+    """Check the subcommand's options against their types and choices.
+
+    Flags arrive typed from argparse; config values must have the option's
+    JSON type (a float option also takes an int, and no option takes a bool).
+    Keys of other subcommands are left unchecked, since they are ignored.
+    """
+    for key in _SUBCOMMANDS[args.command].options + _COMMON:
+        opt, value = _OPTIONS[key], getattr(args, key)
+        if value is None and opt.default is None:
+            continue
+        allowed = (int, float) if opt.type is float else opt.type
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise UsageError(f"{key} must be a {opt.type.__name__}, got {value!r}")
+        if opt.choices and value not in opt.choices:
+            raise UsageError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
+        setattr(args, key, opt.type(value))
 
 
 def main(argv=None) -> int:
@@ -346,14 +342,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
+        _check_values(args)
         rows, summary = COMMANDS[args.command](args)
+        write_rows(rows, args.out)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:  # numerical failure
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    write_rows(rows, args.out)
     write_summary(summary, args.out)
     if args.out:
         print(f"wrote {len(rows)} rows to {args.out} (+ {args.out}.summary.json)")

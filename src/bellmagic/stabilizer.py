@@ -65,33 +65,38 @@ def _zx_to_pauli(z: np.ndarray, x: np.ndarray) -> PauliString:
     return PauliString(n, bits)
 
 
-def _gf2_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One solution of mat @ v = rhs over GF(2); free variables set to 0."""
-    m = mat.astype(np.uint8).copy()
-    y = rhs.astype(np.uint8).copy()
-    rows, cols = m.shape
+def _gf2_eliminate(m: np.ndarray, n_pivot_cols: int) -> list[int]:
+    """Gauss-Jordan elimination of the uint8 0/1 matrix m over GF(2), in place.
+
+    Pivots are taken left to right among the first n_pivot_cols columns, the
+    first nonzero row at or below the next pivot row being swapped up; the
+    pivot row is XORed into every other row with a 1 in its column at once.
+    Returns the pivot columns, one per pivot row.
+    """
     pivots = []
-    r = 0
-    for c in range(cols):
-        hit = np.nonzero(m[r:, c])[0]
+    for c in range(n_pivot_cols):
+        r = len(pivots)
+        if r == m.shape[0]:
+            break
+        hit = np.flatnonzero(m[r:, c])
         if hit.size == 0:
             continue
-        pr = r + hit[0]
-        m[[r, pr]], y[[r, pr]] = m[[pr, r]].copy(), y[[pr, r]].copy()
-        elim = np.nonzero(m[:, c])[0]
-        for rr in elim:
-            if rr != r:
-                m[rr] ^= m[r]
-                y[rr] ^= y[r]
+        if hit[0]:
+            m[[r, r + hit[0]]] = m[[r + hit[0], r]]
+        others = np.flatnonzero(m[:, c])
+        m[others[others != r]] ^= m[r]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    if np.any(y[r:]):
+    return pivots
+
+
+def _gf2_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One solution of mat @ v = rhs over GF(2); free variables set to 0."""
+    m = np.concatenate([mat, rhs[:, None]], axis=1).astype(np.uint8)
+    pivots = _gf2_eliminate(m, mat.shape[1])
+    if np.any(m[len(pivots):, -1]):
         raise AssertionError("inconsistent GF(2) system for a valid tableau")
-    v = np.zeros(cols, dtype=np.uint8)
-    for i, c in enumerate(pivots):
-        v[c] = y[i]
+    v = np.zeros(mat.shape[1], dtype=np.uint8)
+    v[pivots] = m[: len(pivots), -1]
     return v
 
 
@@ -157,7 +162,7 @@ class StabilizerTableau:
         if np.any(sym):
             return False
         mat = np.concatenate([zi, xi], axis=1)
-        return _gf2_rank(mat) == self.n_qubits
+        return len(_gf2_eliminate(mat, mat.shape[1])) == self.n_qubits
 
     def to_text(self) -> str:
         """One generator per line, sign then letters."""
@@ -166,24 +171,6 @@ class StabilizerTableau:
             sign, p = self.generator(i)
             lines.append(("+" if sign > 0 else "-") + p.to_letters())
         return "\n".join(lines)
-
-
-def _gf2_rank(mat: np.ndarray) -> int:
-    m = mat.astype(np.uint8).copy()
-    rank = 0
-    for c in range(m.shape[1]):
-        hit = np.nonzero(m[rank:, c])[0]
-        if hit.size == 0:
-            continue
-        pr = rank + hit[0]
-        m[[rank, pr]] = m[[pr, rank]].copy()
-        for rr in range(m.shape[0]):
-            if rr != rank and m[rr, c]:
-                m[rr] ^= m[rank]
-        rank += 1
-        if rank == m.shape[0]:
-            break
-    return rank
 
 
 def random_clifford(

@@ -60,6 +60,16 @@ def test_config_schema_validation(tmp_path):
     bad_key.write_text(json.dumps({"version": 1, "qubits": 2}))
     assert run(["magic", "--config", str(bad_key)]) == 2
     assert run(["magic", "--config", str(tmp_path / "missing.json")]) == 2
+    not_object = tmp_path / "bad3.json"
+    not_object.write_text("[1, 2]")
+    assert run(["magic", "--config", str(not_object)]) == 2
+    # values must have the option's JSON type: no strings for numbers, no
+    # floats for ints, no bools; a float option takes an int
+    for i, bad in enumerate(({"n": "2"}, {"n": 2.5}, {"seed": "3"}, {"nq": True},
+                             {"family": 3}, {"family": "bogus"})):
+        cfg = tmp_path / f"bad_type{i}.json"
+        cfg.write_text(json.dumps({"version": 1, **bad}))
+        assert run(["magic", "--config", str(cfg), "--threads", "1"]) == 2, bad
 
 
 def test_usage_errors_exit_2(capsys):
@@ -68,6 +78,32 @@ def test_usage_errors_exit_2(capsys):
         run(["not-a-command"])
     assert exc.value.code == 2
     assert run(["discriminate", "--mode", "curve", "--kind", "wrong"]) == 2
+    assert run(["discriminate", "--mode", "wrong"]) == 2
+    assert run(["sweep", "--experiment", "wrong"]) == 2
+    # runs that produce no rows
+    assert run(["magic", "--reps", "0", "--threads", "1"]) == 2
+    assert run(["train", "--epochs", "0", "--threads", "1"]) == 2
+    assert run(["sweep", "--p-grid", "", "--threads", "1"]) == 2
+
+
+def test_config_int_for_float_option(tmp_path):
+    # a JSON int given for a float option is read as a float, as the flag is
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "n": 2, "nq": 50, "p": 0, "phi": 1}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["magic", "--config", str(cfg), "--threads", "1", "--out", str(a)]) == 0
+    assert run(["magic", "--n", "2", "--nq", "50", "--p", "0", "--phi", "1",
+                "--threads", "1", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_help_lists_every_option(capsys):
+    for name, spec in cli._SUBCOMMANDS.items():
+        with pytest.raises(SystemExit):
+            run([name, "--help"])
+        text = capsys.readouterr().out
+        for dest in spec.options + cli._COMMON:
+            assert "--" + dest.replace("_", "-") in text, (name, dest)
 
 
 def test_numerical_failure_exit_3():
@@ -119,6 +155,17 @@ def test_discriminate_learn_and_runs_csv(tmp_path):
     report = json.loads((tmp_path / "report.csv.summary.json").read_text())
     assert report["train_error"] == 0.0
     assert 0.02 < report["threshold"] < 0.5
+
+
+def test_runs_csv_bad_input_exit_2(tmp_path):
+    learn = ["discriminate", "--mode", "learn", "--runs-csv"]
+    assert run(learn + [str(tmp_path / "missing.csv")]) == 2
+    no_label = tmp_path / "no_label.csv"
+    no_label.write_text("b_hat,n_outcomes\n0.1,100\n0.5,100\n")
+    assert run(learn + [str(no_label)]) == 2
+    one_class = tmp_path / "one_class.csv"
+    one_class.write_text("b_hat,label,n_outcomes\n0.1,1,100\n0.5,1,100\n")
+    assert run(learn + [str(one_class)]) == 2
 
 
 def test_train_checkpoint(tmp_path):

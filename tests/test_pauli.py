@@ -139,6 +139,29 @@ def test_pack_ints_unpack_int_roundtrip_past_64_bits(case):
     assert [pauli.unpack_int(row) for row in words] == vals
 
 
+# (n, [(a, b), ...]): pairs of n-qubit bit patterns, one to seven 64-bit words each
+_STRING_PAIRS = hs.integers(1, 200).flatmap(lambda n: hs.tuples(hs.just(n), hs.lists(
+    hs.tuples(hs.integers(0, 4**n - 1), hs.integers(0, 4**n - 1)), min_size=1, max_size=5)))
+
+
+@given(_STRING_PAIRS)
+def test_symplectic_rows_matches_symplectic_product(case):
+    n, pairs = case
+    a, b = zip(*pairs)
+    sym = pauli.symplectic_rows(pauli.pack_ints(n, a), pauli.pack_ints(n, b))
+    assert list(sym) == [symplectic_product(PauliString(n, x), PauliString(n, y))
+                         for x, y in pairs]
+
+
+@given(_STRING_PAIRS)
+def test_packed_xor_matches_xor_add(case):
+    n, pairs = case
+    a, b = zip(*pairs)
+    words = pauli.pack_ints(n, a) ^ pauli.pack_ints(n, b)
+    assert [pauli.unpack_int(row) for row in words] == [
+        xor_add(PauliString(n, x), PauliString(n, y)).bits for x, y in pairs]
+
+
 def test_index_form_limited_to_31_qubits():
     top = 4**31 - 1
     s = BellSamples.from_indices(31, [top, 5])
