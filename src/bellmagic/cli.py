@@ -4,9 +4,10 @@ Subcommands: magic, discriminate, train, entangle, sweep.  Global flags
 --seed, --threads, --out, --config.  A JSON config file (versioned schema,
 version 1) supplies option values; explicit flags override it.  Each config
 value must have the option's JSON type (an int option takes no float or
-bool; a float option also takes an int).  Every option is declared once, in
-_OPTIONS; _SUBCOMMANDS names the options each subcommand takes.  Exit codes:
-0 success, 2 usage/config error, 3 numerical failure.
+bool; a float option also takes an int) and lie within the option's
+inclusive bounds.  Every option is declared once, in _OPTIONS; _SUBCOMMANDS
+names the options each subcommand takes.  Exit codes: 0 success, 2
+usage/config error, 3 numerical failure.
 
 Output is data-only: CSV rows to --out (or stdout) plus a JSON summary
 written next to --out.  Identical (config, seed) pairs produce
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import NamedTuple
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import discrimination, experiments
 from .experiments import FAMILIES
+from .simulator import DENSE_CAP
 
 
 class UsageError(Exception):
@@ -32,9 +35,12 @@ class UsageError(Exception):
 
 def _parse_grid(text: str, cast=int) -> list:
     try:
-        return [cast(x) for x in str(text).split(",") if x != ""]
+        grid = [cast(x) for x in str(text).split(",") if x != ""]
     except ValueError as e:
         raise UsageError(f"bad grid {text!r}: {e}") from None
+    if not grid:
+        raise UsageError("empty grid")
+    return grid
 
 
 def _fmt(v) -> str:
@@ -87,10 +93,9 @@ def cmd_magic(a) -> tuple[list[dict], dict]:
 
 
 def cmd_discriminate(a) -> tuple[list[dict], dict]:
-    nq_grid = _parse_grid(a.nq_grid)
     if a.mode == "curve":
         rows = experiments.error_probability_curve(
-            a.kind, a.n, a.phi, a.na, nq_grid, a.reps, a.seed, a.threads, a.d
+            a.kind, a.n, a.phi, a.na, _parse_grid(a.nq_grid), a.reps, a.seed, a.threads, a.d
         )
         summary = {"command": "discriminate", "mode": "curve", "kind": a.kind,
                    "seed": a.seed, "max_abs_dev": max(
@@ -109,7 +114,7 @@ def cmd_discriminate(a) -> tuple[list[dict], dict]:
         return rows, {"command": "discriminate", "mode": "learn",
                       "threshold": thr, "train_error": err, "seed": a.seed}
     rows = experiments.learning_curve(
-        nq_grid, a.per_class, a.n, a.d, a.p, a.splits, a.seed
+        _parse_grid(a.nq_grid), a.per_class, a.n, a.d, a.p, a.splits, a.seed
     )
     summary = {"command": "discriminate", "mode": "learn", "p": a.p,
                "seed": a.seed, "split_seed": a.seed,
@@ -192,38 +197,46 @@ COMMANDS = {
 
 
 class Option(NamedTuple):
-    """Flag --<name with - for _>: value type, default, help, allowed values."""
+    """Flag --<name with - for _>: value type, default, help, allowed values,
+    and the inclusive (low, high) bounds of a number, None for an open side."""
     type: type
     default: object
     help: str
     choices: tuple = ()
+    bounds: tuple = (None, None)
 
+
+_AT_LEAST_0 = (0, None)
+_AT_LEAST_1 = (1, None)
+_ABOVE_ZERO = (math.ulp(0.0), None)  # the least float above 0, so low <= x means x > 0
 
 _OPTIONS = {
-    "seed": Option(int, 0, "master seed"),
-    "threads": Option(int, None, "worker processes (default all cores)"),
+    "seed": Option(int, 0, "master seed", bounds=_AT_LEAST_0),
+    "threads": Option(int, None, "worker processes (default all cores)", bounds=_AT_LEAST_1),
     "out": Option(str, None, "CSV output path (default stdout)"),
     "config": Option(str, None, "JSON config file; flags override it"),
     "family": Option(str, "t-product", "state family", FAMILIES),
-    "n": Option(int, 3, "number of qubits"),
-    "d": Option(int, 4, "circuit depth"),
-    "nt": Option(int, 0, "number of T-angle parameters (clifford-t)"),
-    "na": Option(int, 0, "number of magic inputs (magic-input)"),
+    "n": Option(int, 3, "number of qubits", bounds=(1, DENSE_CAP)),
+    "d": Option(int, 4, "circuit depth", bounds=_AT_LEAST_0),
+    "nt": Option(int, 0, "number of T-angle parameters (clifford-t)", bounds=_AT_LEAST_0),
+    "na": Option(int, 0, "number of magic inputs (magic-input)", bounds=_AT_LEAST_0),
     "phi": Option(float, np.pi / 4, "magic-input angle"),
-    "p": Option(float, 0.0, "depolarizing probability"),
-    "nq": Option(int, 1000, "Bell samples per repetition (train: per setting, 0 = exact)"),
-    "nr": Option(int, 0, "resampling trials (0 = 10*nq)"),
-    "reps": Option(int, 1, "repetitions"),
-    "bootstrap": Option(int, 0, "bootstrap resamples for mitigated std"),
+    "p": Option(float, 0.0, "depolarizing probability", bounds=(0.0, 1.0)),
+    "nq": Option(int, 1000, "Bell samples per repetition (train: per setting, 0 = exact)",
+                 bounds=_AT_LEAST_0),
+    "nr": Option(int, 0, "resampling trials (0 = 10*nq)", bounds=_AT_LEAST_0),
+    "reps": Option(int, 1, "repetitions", bounds=_AT_LEAST_1),
+    "bootstrap": Option(int, 0, "bootstrap resamples for mitigated std", bounds=_AT_LEAST_0),
     "mode": Option(str, "curve", "discrimination experiment", ("curve", "learn")),
     "kind": Option(str, "single", "curve family", ("single", "many")),
     "nq_grid": Option(str, "5,10,20,50", "comma-separated N_Q grid"),
-    "per_class": Option(int, 20, "labeled runs per class (learn mode)"),
-    "splits": Option(int, 10, "train/test splits (learn mode)"),
+    # one labeled run per class leaves a one-class training split
+    "per_class": Option(int, 20, "labeled runs per class (learn mode)", bounds=(2, None)),
+    "splits": Option(int, 10, "train/test splits (learn mode)", bounds=_AT_LEAST_1),
     "runs_csv": Option(str, None, "learn a threshold from an existing labeled-run CSV"),
-    "epochs": Option(int, 200, "training epochs"),
-    "lr": Option(float, 0.1, "Adam learning rate"),
-    "lr_decay": Option(float, 1.0, "learning-rate decay per epoch"),
+    "epochs": Option(int, 200, "training epochs", bounds=_AT_LEAST_1),
+    "lr": Option(float, 0.1, "Adam learning rate", bounds=_ABOVE_ZERO),
+    "lr_decay": Option(float, 1.0, "learning-rate decay per epoch", bounds=_AT_LEAST_0),
     "experiment": Option(str, "error-vs-nq", "sweep", ("error-vs-nq", "error-vs-p", "resampling")),
     "p_grid": Option(str, "0.0,0.02", "comma-separated depolarizing-probability grid"),
     "nr_grid": Option(str, "100,1000", "comma-separated N_R grid; 'disjoint' allowed"),
@@ -319,7 +332,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _check_values(args: argparse.Namespace) -> None:
-    """Check the subcommand's options against their types and choices.
+    """Check the subcommand's options against their types, choices and bounds.
 
     Flags arrive typed from argparse; config values must have the option's
     JSON type (a float option also takes an int, and no option takes a bool).
@@ -334,6 +347,11 @@ def _check_values(args: argparse.Namespace) -> None:
             raise UsageError(f"{key} must be a {opt.type.__name__}, got {value!r}")
         if opt.choices and value not in opt.choices:
             raise UsageError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
+        low, high = opt.bounds  # compared with `not` so that NaN fails both
+        if low is not None and not value >= low:
+            raise UsageError(f"{key} must be at least {low}, got {value!r}")
+        if high is not None and not value <= high:
+            raise UsageError(f"{key} must be at most {high}, got {value!r}")
         setattr(args, key, opt.type(value))
 
 

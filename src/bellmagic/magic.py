@@ -10,7 +10,10 @@ The fast path evaluates this in O(N 4^N) with Walsh-Hadamard transforms:
 XOR convolutions diagonalize under the +-1 character transform, and the
 anticommutation indicator is itself a character evaluated at the pair-swapped
 index, giving B = 1 - sum_n Q(n) Qhat(J n) with J the (z, x) bit swap.
-The O(16^N) double loop is retained as the verification oracle.
+The transform is blocked: each memory pass applies a 16 x 16 Hadamard
+matrix to four index bits as one GEMM (`simulator._wht`), and J is an axis
+transpose of the (2, 2)^N view.  The O(16^N) double loop is retained as the
+verification oracle.
 
 All logarithms are base 2, so the additive quantities count injected
 T-states: B_a(|T>^k tensored into any Clifford circuit) = k.
@@ -21,30 +24,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import BellDistribution, StateVector
+from .simulator import BellDistribution, StateVector, _wht
 
 _ADDITIVE_OVERFLOW = 1e-15
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, W(a)[k] = sum_j (-1)^<k,j> a[j]."""
-    a = np.array(a, dtype=float)
-    h = 1
-    n = len(a)
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        even = a[:, 0, :] + a[:, 1, :]
-        odd = a[:, 0, :] - a[:, 1, :]
-        a = np.stack([even, odd], axis=1)
-        h *= 2
-    return a.reshape(-1)
+    """Unnormalized Walsh-Hadamard transform, W(a)[k] = sum_j (-1)^<k,j> a[j].
+
+    Returns a new float array; `a` is left untouched.  The length must be a
+    power of two.
+    """
+    a = np.asarray(a, dtype=float)
+    size = a.size
+    if a.ndim != 1 or size == 0 or size & (size - 1):
+        raise ValueError(f"fwht needs a 1-D array whose length is a power of two, got {a.shape}")
+    return _wht(a, size.bit_length() - 1)
 
 
 def xor_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """XOR (dyadic) convolution c[n] = sum_r a[r] b[r XOR n]."""
     if len(a) != len(b):
         raise ValueError("length mismatch")
-    return fwht(fwht(a) * fwht(b)) / len(a)
+    fa = fwht(a)
+    fa *= fa if b is a else fwht(b)
+    c = fwht(fa)
+    c /= len(a)
+    return c
 
 
 def pair_swap_permutation(n_qubits: int) -> np.ndarray:
@@ -56,6 +62,12 @@ def pair_swap_permutation(n_qubits: int) -> np.ndarray:
     return (x << 1) | z
 
 
+def _pair_swapped(v: np.ndarray, n_qubits: int) -> np.ndarray:
+    """v[J r] over r: v with the (z, x) bits of every pair exchanged."""
+    axes = [ax for q in range(n_qubits) for ax in (2 * q + 1, 2 * q)]
+    return v.reshape((2,) * (2 * n_qubits)).transpose(axes).reshape(-1)
+
+
 def q_distribution(dist: BellDistribution) -> np.ndarray:
     """XOR self-convolution Q(n) = sum_r P(r) P(r XOR n)."""
     return xor_convolve(dist.probabilities, dist.probabilities)
@@ -65,7 +77,7 @@ def additive_magic(b: float) -> float:
     """-log2(1 - B), with +inf once 1 - B underflows."""
     if b >= 1.0 - _ADDITIVE_OVERFLOW:
         return np.inf
-    return float(-np.log2(1.0 - b))
+    return float(0.0 - np.log2(1.0 - b))  # B = 0 gives 0.0, where a negation gives -0.0
 
 
 @dataclass(frozen=True)
@@ -90,9 +102,7 @@ def _magic_value(b: float, purity: float | None = None) -> MagicValue:
 def bell_magic_exact(dist: BellDistribution, purity: float | None = None) -> MagicValue:
     """Exact Bell magic of a distribution via the fast transform path."""
     q = q_distribution(dist)
-    qhat = fwht(q)
-    j = pair_swap_permutation(dist.n_qubits)
-    b = 1.0 - float(np.dot(q, qhat[j]))
+    b = 1.0 - float(np.dot(q, _pair_swapped(fwht(q), dist.n_qubits)))
     return _magic_value(max(b, 0.0), purity)
 
 

@@ -14,6 +14,16 @@ permutation is irrelevant for every magic quantity (they only depend on
 XORs and commutators) and is pinned down by the |0...0> fixture, whose
 distribution is supported exactly on {I, Z}^N labels.
 
+With sigma_r = i^{#Y} X^x Z^z for the label r = (z, x), the Bell
+measurement is a CNOT from copy B onto copy A followed by Hadamards on
+copy B:
+
+    <Bell_r | a (x) b> = 2^-N/2 (-i)^{#Y(r)} sum_j (-1)^{z.j} a[j XOR x] b[j],
+
+so `bell_amplitudes` gathers g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard
+transforms it over j.  The transform (`_wht`, also behind `magic.fwht`)
+runs four index bits per pass as one real matrix product.
+
 Gate set: H, S = diag(1, -i), T = diag(1, e^{-i pi/4}), CNOT, and the
 rotations Ry(t), Rz(t) = exp(-i t sigma/2).
 """
@@ -21,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -47,20 +58,6 @@ def _rz(t: float) -> np.ndarray:
 
 
 _PARAM_GATES = {"ry": _ry, "rz": _rz}
-
-# Bell analysis kernel: row r of the pair transform is <Bell_r| with
-# |Bell_r> = (sigma_r (x) I)|Phi+>; entry [r, a, b] multiplies the amplitude
-# with copy-A bit a and copy-B bit b.
-_BELL_KERNEL = _SQ2 * np.array(
-    [
-        [[1, 0], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[1, 0], [0, -1]],
-        [[0, 1j], [-1j, 0]],
-    ],
-    dtype=complex,
-)
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -195,10 +192,6 @@ def _apply_cnot(amps: np.ndarray, c: int, t: int, n: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-# pair kernel as a 4x4 matrix over the combined digit 2*(copy-A bit) + copy-B bit
-_BELL_KERNEL_MAT = _BELL_KERNEL.reshape(4, 4)
-
-
 def simulate(circuit: CircuitSpec, initial: StateVector | None = None) -> StateVector:
     """Apply the circuit's gates in order to |0...0> (or `initial`)."""
     n = circuit.n_qubits
@@ -278,30 +271,103 @@ class BellDistribution:
         object.__setattr__(self, "probabilities", p)
 
 
+@cache
+def _hadamard(c: int) -> np.ndarray:
+    """The 2^c x 2^c Sylvester-Hadamard matrix, (-1)^popcount(i & j)."""
+    h = np.ones((1, 1))
+    for _ in range(c):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
+def _wht(v: np.ndarray, nbits: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform over the `nbits` leading index bits.
+
+    `v` is a flat float64 array whose length is a multiple of 2^nbits.  A
+    pass transforms c <= 4 leading bits as one GEMM on the transposed view,
+    out = v.reshape(2^c, -1).T @ H_c, which also rotates those c bits to the
+    least significant end; after all passes the transformed bits come last,
+    in their original order, below the untouched ones.  The first pass reads
+    `v` into a fresh array; later passes alternate between that array and
+    `scratch` (fresh when None, and it may be `v` itself).  Returns the
+    array holding the result, which is never `v` unless `v` is `scratch`.
+    """
+    if nbits == 0:
+        return v.copy()
+    out, spare = np.empty(v.size), scratch
+    while True:
+        c = min(nbits, 4)  # 16 x 16 blocks: one memory pass per four bits
+        np.matmul(v.reshape(2**c, -1).T, _hadamard(c), out=out.reshape(-1, 2**c))
+        nbits -= c
+        if not nbits:
+            return out
+        if spare is None:
+            spare = np.empty(v.size)
+        v, out, spare = out, spare, out
+
+
+@cache
+def _xor_table(n: int) -> np.ndarray:
+    """table[j, x] = j XOR x over n-bit indices (n <= DENSE_CAP fits uint16)."""
+    j = np.arange(2**n, dtype=np.uint16)
+    table = j[:, None] ^ j[None, :]
+    table.setflags(write=False)
+    return table
+
+
+@cache
+def _bell_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """2^-n/2 (-i)^{#Y(r)} as factors over the leading and trailing halves of r's digits."""
+    halves = []
+    for k in (n // 2, n - n // 2):
+        phase = np.ones(1, dtype=complex)
+        for _ in range(k):
+            phase = np.kron(phase, [1, 1, 1, -1j])
+        halves.append(phase)
+    halves[0] *= 2.0 ** (-n / 2)
+    for phase in halves:
+        phase.setflags(write=False)
+    return halves[0][:, None], halves[1]
+
+
 def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
     """Bell-basis amplitudes <Bell_r | a (x) b> as a 4^N complex vector.
 
-    Interleaves the two copies into per-qubit pair digits once, then applies
-    the 4x4 pair kernel mode by mode as batched matrix products, so the
-    result comes out directly in the interleaved outcome indexing.
+    A CNOT from copy B onto copy A, then Hadamards on copy B: gathers
+    g[j, x] = a[j XOR x] b[j] through a cached XOR table, Walsh-Hadamard
+    transforms the float view of g over j (which leaves the axes as
+    x, re/im, z), transposes them into the interleaved (z_q x_q) outcome
+    digits in one copy, and multiplies by 2^-N/2 (-i)^{#Y(r)}, one -i per
+    qubit whose digit is Y.
     """
     if a.n_qubits != b.n_qubits:
         raise ValueError("qubit-count mismatch")
     n = a.n_qubits
     if n > DENSE_CAP:
         raise ValueError(f"dense Bell distributions are capped at {DENSE_CAP} qubits")
-    t = np.outer(a.amplitudes, b.amplitudes).reshape((2,) * (2 * n))
-    order = [ax for q in range(n) for ax in (q, n + q)]
-    t = np.ascontiguousarray(t.transpose(order)).reshape(-1)
-    for k in range(n):
-        t = np.matmul(_BELL_KERNEL_MAT, t.reshape(4**k, 4, -1)).reshape(-1)
-    return t
+    g = np.take(a.amplitudes, _xor_table(n))
+    g *= b.amplitudes[:, None]
+    gf = g.view(float).reshape(-1)
+    f = _wht(gf, n, scratch=gf)
+    del g, gf  # frees the gather buffer unless it holds the result
+    # float axes (x_1..x_n, re/im, z_1..z_n) -> (z_1, x_1, ..., z_n, x_n, re/im)
+    order = [ax for q in range(n) for ax in (n + 1 + q, q)] + [n]
+    out = np.empty(4**n, dtype=complex)
+    np.copyto(out.view(float).reshape((2,) * (2 * n + 1)),
+              f.reshape((2,) * (2 * n + 1)).transpose(order))
+    lead, trail = _bell_phases(n)
+    halves = out.reshape(len(lead), len(trail))
+    halves *= lead
+    halves *= trail
+    return out
 
 
 def cross_bell_distribution(a: StateVector, b: StateVector) -> BellDistribution:
     """Outcome distribution of a Bell measurement across |a> and |b>."""
     amps = bell_amplitudes(a, b)
-    probs = np.abs(amps) ** 2
+    probs = np.square(amps.real)
+    probs += np.square(amps.imag)
     assert probs.max() <= 2.0**-a.n_qubits + 1e-12
     return BellDistribution(a.n_qubits, probs)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import _distinct_tuples, estimate_bell_magic
-from .magic import bell_magic_exact, fwht, pair_swap_permutation, q_distribution, xor_convolve
+from .magic import _pair_swapped, bell_magic_exact, fwht, q_distribution, xor_convolve
 from .pauli import as_samples, symplectic_rows
 from .simulator import (
     BellDistribution,
@@ -66,7 +66,7 @@ def grad_p_shift(circuit: CircuitSpec, k: int, v: float = 0.5) -> np.ndarray:
 
 def _gradient_kernel(p: BellDistribution) -> np.ndarray:
     # dB = <dP, h>: B is quadratic in Q = P*P and XOR convolution is self-adjoint
-    qhat_j = fwht(q_distribution(p))[pair_swap_permutation(p.n_qubits)]
+    qhat_j = _pair_swapped(fwht(q_distribution(p)), p.n_qubits)
     return -4.0 * xor_convolve(p.probabilities, qhat_j)
 
 

@@ -1,6 +1,9 @@
 """CLI contract: subcommands, config merging, determinism, exit codes."""
 import csv
 import json
+import shlex
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -64,9 +67,10 @@ def test_config_schema_validation(tmp_path):
     not_object.write_text("[1, 2]")
     assert run(["magic", "--config", str(not_object)]) == 2
     # values must have the option's JSON type: no strings for numbers, no
-    # floats for ints, no bools; a float option takes an int
+    # floats for ints, no bools; a float option takes an int; bounds hold too
     for i, bad in enumerate(({"n": "2"}, {"n": 2.5}, {"seed": "3"}, {"nq": True},
-                             {"family": 3}, {"family": "bogus"})):
+                             {"family": 3}, {"family": "bogus"}, {"p": -0.5},
+                             {"n": 13})):
         cfg = tmp_path / f"bad_type{i}.json"
         cfg.write_text(json.dumps({"version": 1, **bad}))
         assert run(["magic", "--config", str(cfg), "--threads", "1"]) == 2, bad
@@ -80,10 +84,37 @@ def test_usage_errors_exit_2(capsys):
     assert run(["discriminate", "--mode", "curve", "--kind", "wrong"]) == 2
     assert run(["discriminate", "--mode", "wrong"]) == 2
     assert run(["sweep", "--experiment", "wrong"]) == 2
-    # runs that produce no rows
-    assert run(["magic", "--reps", "0", "--threads", "1"]) == 2
-    assert run(["train", "--epochs", "0", "--threads", "1"]) == 2
-    assert run(["sweep", "--p-grid", "", "--threads", "1"]) == 2
+    # runs that would produce no rows, and values outside an option's bounds,
+    # are rejected before any experiment or summary runs: no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["magic", "--reps", "0"], ["entangle", "--reps", "0"],
+                     ["train", "--epochs", "0"], ["sweep", "--p-grid", ""],
+                     ["discriminate", "--nq-grid", ""], ["discriminate", "--reps", "0"],
+                     ["sweep", "--reps", "0"],
+                     ["magic", "--n", "0"], ["magic", "--nq", "-1"], ["magic", "--p", "1.5"],
+                     ["magic", "--p", "nan"], ["magic", "--n", "13"], ["magic", "--d", "-1"],
+                     ["magic", "--nt", "-1"], ["magic", "--bootstrap", "-1"],
+                     ["magic", "--seed", "-1"], ["train", "--lr", "-1"], ["train", "--lr", "0"],
+                     ["train", "--lr", "nan"],
+                     ["entangle", "--n", "0"], ["discriminate", "--mode", "learn",
+                                                "--per-class", "1"]):
+            assert run(argv + ["--threads", "1"]) == 2, argv
+        assert run(["magic", "--n", "2", "--threads", "0"]) == 2
+
+
+def test_option_bounds_keep_valid_commands(tmp_path):
+    # train --nq 0 selects exact gradients; it and every README command pass the checks
+    out = tmp_path / "exact.csv"
+    assert run(["train", "--n", "1", "--d", "1", "--epochs", "1", "--nq", "0",
+                "--threads", "1", "--out", str(out)]) == 0
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = [shlex.split(line)[1:] for line in readme.splitlines()
+                if line.startswith("bellmagic ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        args = cli._merge_config(cli.build_parser().parse_args(argv))
+        cli._check_values(args)
 
 
 def test_config_int_for_float_option(tmp_path):

@@ -38,14 +38,74 @@ def test_fwht_matches_dense():
         assert np.allclose(fwht(fwht(a)) / n, a)
 
 
+def stack_fwht(a):
+    """The per-stage np.stack butterfly that the blocked transform replaced."""
+    a = np.array(a, dtype=float)
+    h, n = 1, len(a)
+    while h < n:
+        a = a.reshape(-1, 2, h)
+        a = np.stack([a[:, 0, :] + a[:, 1, :], a[:, 0, :] - a[:, 1, :]], axis=1)
+        h *= 2
+    return a.reshape(-1)
+
+
+def stack_bell_magic(dist):
+    """bell_magic_exact as it was: four stacked transforms and an index gather."""
+    fp = stack_fwht(dist.probabilities)
+    q = stack_fwht(fp * fp) / len(fp)
+    return 1.0 - float(np.dot(q, stack_fwht(q)[magic.pair_swap_permutation(dist.n_qubits)]))
+
+
+def test_fwht_matches_stack_butterfly():
+    rng = np.random.default_rng(11)
+    for m in range(17):
+        a = rng.normal(size=2**m)
+        old, new = stack_fwht(a), fwht(a)
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old)), m
+
+
+def test_fwht_edge_cases():
+    assert fwht(np.array([3.0])).tolist() == [3.0]
+    assert fwht(np.array([1.0, 2.0])).tolist() == [3.0, -1.0]
+    ints = fwht(np.array([1, 2, 3, 4]))
+    assert ints.dtype == np.float64 and ints.tolist() == [10.0, -2.0, -4.0, 0.0]
+    for size in (1, 2, 16, 64):
+        a = np.arange(size, dtype=float)
+        a.setflags(write=False)  # Bell distributions are read-only
+        w = fwht(a)
+        assert w.flags.writeable and not np.shares_memory(w, a)
+        w[:] = -7.0
+        assert a.tolist() == list(range(size))
+    for bad in (np.zeros(0), np.zeros(3), np.zeros(6), np.zeros(12), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            fwht(bad)
+
+
+def test_pair_swap_transpose_matches_index_permutation():
+    rng = np.random.default_rng(12)
+    for n in range(1, 6):
+        v = rng.normal(size=4**n)
+        assert np.array_equal(magic._pair_swapped(v, n), v[magic.pair_swap_permutation(n)])
+
+
+def test_bell_magic_exact_matches_stacked_transform_form():
+    rng = np.random.default_rng(13)
+    for n in range(1, 9):
+        d = bell_distribution(sample_haar_state(n, rng))
+        assert abs(bell_magic_exact(d).bell_magic - stack_bell_magic(d)) <= 1e-12, n
+
+
 def test_xor_convolve_oracle():
     rng = np.random.default_rng(1)
     for size in (4, 16, 64):
         a, b = rng.random(size), rng.random(size)
         direct = np.zeros(size)
+        self_direct = np.zeros(size)
         for n in range(size):
             direct[n] = sum(a[r] * b[r ^ n] for r in range(size))
+            self_direct[n] = sum(a[r] * a[r ^ n] for r in range(size))
         assert np.allclose(xor_convolve(a, b), direct)
+        assert np.allclose(xor_convolve(a, a), self_direct)  # reuses W(a)
 
 
 def test_q_distribution_examples():
@@ -102,6 +162,7 @@ def test_fast_equals_brute():
 
 def test_additive_overflow_sentinel():
     assert additive_magic(0.5) == pytest.approx(1.0)
+    assert not np.signbit(additive_magic(0.0))  # prints as 0.0, not -0.0
     assert additive_magic(1.0) == np.inf
     assert additive_magic(1.5) == np.inf
     assert additive_magic(1.0 - 1e-16) == np.inf

@@ -136,6 +136,54 @@ def test_cross_distribution():
     assert d.probabilities.sum() == pytest.approx(1.0)
 
 
+def pair_kernel_bell_amplitudes(a, b):
+    """The outer-product / 4x4 pair-kernel construction that bell_amplitudes replaced."""
+    kernel = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1j, -1j, 0]]) / np.sqrt(2)
+    n = a.n_qubits
+    t = np.outer(a.amplitudes, b.amplitudes).reshape((2,) * (2 * n))
+    t = t.transpose([ax for q in range(n) for ax in (q, n + q)]).reshape(-1)
+    for k in range(n):
+        t = np.matmul(kernel, t.reshape(4**k, 4, -1)).reshape(-1)
+    return t
+
+
+def explicit_bell_basis(n):
+    """Rows <Bell_r| over the pairwise-interleaved (A1 B1 A2 B2 ...) two-copy basis.
+
+    Per pair |Bell_d> = (sigma_d (x) I)|Phi+>, sigma indexed by the digit
+    2z + x (I, X, Z, Y); qubit 1's pair is the most significant.
+    """
+    sigmas = [np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1]),
+              np.array([[0, -1j], [1j, 0]])]
+    phi_plus = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    pair = np.array([np.kron(s, np.eye(2)) @ phi_plus for s in sigmas])
+    basis = np.ones((1, 1))
+    for _ in range(n):
+        basis = np.kron(basis, pair)
+    return basis.conj()
+
+
+def test_bell_amplitudes_match_explicit_bell_basis():
+    # pins the outcome order and the (-i)^{#Y} phases, which probabilities never see
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3):
+        a, b = magic.sample_haar_state(n, rng), magic.sample_haar_state(n, rng)
+        rows = explicit_bell_basis(n)
+        for x, y in ((a, b), (a, a), (b, a)):
+            t = np.outer(x.amplitudes, y.amplitudes).reshape((2,) * (2 * n))
+            psi = t.transpose([ax for q in range(n) for ax in (q, n + q)]).reshape(-1)
+            assert np.max(np.abs(sim.bell_amplitudes(x, y) - rows @ psi)) <= 1e-12, n
+
+
+def test_bell_amplitudes_match_pair_kernel_construction():
+    rng = np.random.default_rng(15)
+    for n in range(1, 9):
+        a, b = magic.sample_haar_state(n, rng), magic.sample_haar_state(n, rng)
+        for x, y in ((a, b), (a, a)):
+            old = pair_kernel_bell_amplitudes(x, y)
+            assert np.max(np.abs(sim.bell_amplitudes(x, y) - old)) <= 1e-12, n
+
+
 def test_cross_validated_against_projector_construction():
     # fast kernel path vs the explicit two-qubit projector build, N <= 3
     rng = np.random.default_rng(6)
