@@ -32,7 +32,6 @@ from .simulator import (
     mixed_bell_distribution,
     noisy_bell_distribution,
     pauli_expectation,
-    project_measure,
     sample,
     simulate,
 )
@@ -49,7 +48,7 @@ from .estimation import (
     required_samples,
     std_bernoulli,
 )
-from .discrimination import classify, learn_threshold, monte_carlo_error, p_error_random, p_error_single_magic
+from .discrimination import classify, learn_threshold, p_error_random, p_error_single_magic
 from .variational import (
     TrainState,
     estimate_gradient,

@@ -5,8 +5,10 @@ Subcommands: magic, discriminate, train, entangle, sweep.  Global flags
 version 1) supplies option values; explicit flags override it.  Each config
 value must have the option's JSON type (an int option takes no float or
 bool; a float option also takes an int) and lie within the option's
-inclusive bounds.  Every option is declared once, in _OPTIONS; _SUBCOMMANDS
-names the options each subcommand takes.  Exit codes: 0 success, 2
+inclusive bounds; each entry of a comma-separated grid obeys the bounds of
+the option it lists.  Every option is declared once, in _OPTIONS;
+_SUBCOMMANDS names the options each subcommand takes and overrides their
+defaults and bounds where it needs to.  Exit codes: 0 success, 2
 usage/config error, 3 numerical failure.
 
 Output is data-only: CSV rows to --out (or stdout) plus a JSON summary
@@ -33,9 +35,11 @@ class UsageError(Exception):
     pass
 
 
-def _parse_grid(text: str, cast=int) -> list:
+def _parse_grid(text: str, cast, words: tuple = ()) -> list:
+    """Comma-separated values of `cast` (or literal `words`); blank entries are skipped."""
     try:
-        grid = [cast(x) for x in str(text).split(",") if x != ""]
+        grid = [x.strip() if x.strip() in words else cast(x)
+                for x in str(text).split(",") if x.strip()]
     except ValueError as e:
         raise UsageError(f"bad grid {text!r}: {e}") from None
     if not grid:
@@ -95,7 +99,7 @@ def cmd_magic(a) -> tuple[list[dict], dict]:
 def cmd_discriminate(a) -> tuple[list[dict], dict]:
     if a.mode == "curve":
         rows = experiments.error_probability_curve(
-            a.kind, a.n, a.phi, a.na, _parse_grid(a.nq_grid), a.reps, a.seed, a.threads, a.d
+            a.kind, a.n, a.phi, a.na, a.nq_grid, a.reps, a.seed, a.threads, a.d
         )
         summary = {"command": "discriminate", "mode": "curve", "kind": a.kind,
                    "seed": a.seed, "max_abs_dev": max(
@@ -114,7 +118,7 @@ def cmd_discriminate(a) -> tuple[list[dict], dict]:
         return rows, {"command": "discriminate", "mode": "learn",
                       "threshold": thr, "train_error": err, "seed": a.seed}
     rows = experiments.learning_curve(
-        _parse_grid(a.nq_grid), a.per_class, a.n, a.d, a.p, a.splits, a.seed
+        a.nq_grid, a.per_class, a.n, a.d, a.p, a.splits, a.seed
     )
     summary = {"command": "discriminate", "mode": "learn", "p": a.p,
                "seed": a.seed, "split_seed": a.seed,
@@ -153,32 +157,25 @@ def cmd_entangle(a) -> tuple[list[dict], dict]:
 def cmd_sweep(a) -> tuple[list[dict], dict]:
     if a.experiment == "error-vs-nq":
         rows = experiments.error_vs_samples_sweep(
-            a.n, a.na, _parse_grid(a.p_grid, float), _parse_grid(a.nq_grid),
-            a.reps, a.seed, a.threads, a.d,
+            a.n, a.na, a.p_grid, a.nq_grid, a.reps, a.seed, a.threads, a.d,
         )
         slopes = {}
-        for p in _parse_grid(a.p_grid, float):
+        for p in a.p_grid:
             sub = [r for r in rows if r["p"] == p]
             slopes[str(p)] = experiments.loglog_slope(
                 [r["nq"] for r in sub], [r["mean_abs_error"] for r in sub])
         return rows, {"command": "sweep", "experiment": a.experiment,
                       "seed": a.seed, "loglog_slopes_vs_nq": slopes}
     if a.experiment == "error-vs-p":
-        p_grid = _parse_grid(a.p_grid, float)
         rows = experiments.error_vs_noise_sweep(
-            a.n, a.na, p_grid, a.nq, a.reps, a.seed, a.threads, a.d
+            a.n, a.na, a.p_grid, a.nq, a.reps, a.seed, a.threads, a.d
         )
         slope = experiments.loglog_slope(
             [1 - r["p"] for r in rows], [r["mean_abs_error"] for r in rows])
         return rows, {"command": "sweep", "experiment": a.experiment,
                       "seed": a.seed, "slope_vs_one_minus_p": slope}
-    try:
-        nr_grid = ["disjoint" if x.strip() == "disjoint" else int(x)
-                   for x in str(a.nr_grid).split(",") if x.strip()]
-    except ValueError as e:
-        raise UsageError(f"bad --nr-grid: {e}") from None
     rows = experiments.resampling_sweep(
-        a.n, a.na, a.nq, nr_grid, a.reps, a.seed, a.threads, a.d
+        a.n, a.na, a.nq, a.nr_grid, a.reps, a.seed, a.threads, a.d
     )
     return rows, {"command": "sweep", "experiment": a.experiment, "seed": a.seed}
 
@@ -198,12 +195,15 @@ COMMANDS = {
 
 class Option(NamedTuple):
     """Flag --<name with - for _>: value type, default, help, allowed values,
-    and the inclusive (low, high) bounds of a number, None for an open side."""
+    and the inclusive (low, high) bounds of a number, None for an open side.
+    A grid option names the option it `lists`; each entry is of that type and
+    within its bounds, or one of the grid's `choices`."""
     type: type
     default: object
     help: str
     choices: tuple = ()
     bounds: tuple = (None, None)
+    lists: str | None = None
 
 
 _AT_LEAST_0 = (0, None)
@@ -223,13 +223,13 @@ _OPTIONS = {
     "phi": Option(float, np.pi / 4, "magic-input angle"),
     "p": Option(float, 0.0, "depolarizing probability", bounds=(0.0, 1.0)),
     "nq": Option(int, 1000, "Bell samples per repetition (train: per setting, 0 = exact)",
-                 bounds=_AT_LEAST_0),
+                 bounds=_AT_LEAST_1),
     "nr": Option(int, 0, "resampling trials (0 = 10*nq)", bounds=_AT_LEAST_0),
     "reps": Option(int, 1, "repetitions", bounds=_AT_LEAST_1),
     "bootstrap": Option(int, 0, "bootstrap resamples for mitigated std", bounds=_AT_LEAST_0),
     "mode": Option(str, "curve", "discrimination experiment", ("curve", "learn")),
     "kind": Option(str, "single", "curve family", ("single", "many")),
-    "nq_grid": Option(str, "5,10,20,50", "comma-separated N_Q grid"),
+    "nq_grid": Option(str, "5,10,20,50", "comma-separated N_Q grid", lists="nq"),
     # one labeled run per class leaves a one-class training split
     "per_class": Option(int, 20, "labeled runs per class (learn mode)", bounds=(2, None)),
     "splits": Option(int, 10, "train/test splits (learn mode)", bounds=_AT_LEAST_1),
@@ -238,19 +238,23 @@ _OPTIONS = {
     "lr": Option(float, 0.1, "Adam learning rate", bounds=_ABOVE_ZERO),
     "lr_decay": Option(float, 1.0, "learning-rate decay per epoch", bounds=_AT_LEAST_0),
     "experiment": Option(str, "error-vs-nq", "sweep", ("error-vs-nq", "error-vs-p", "resampling")),
-    "p_grid": Option(str, "0.0,0.02", "comma-separated depolarizing-probability grid"),
-    "nr_grid": Option(str, "100,1000", "comma-separated N_R grid; 'disjoint' allowed"),
+    "p_grid": Option(str, "0.0,0.02", "comma-separated depolarizing-probability grid",
+                     lists="p"),
+    "nr_grid": Option(str, "100,1000", "comma-separated N_R grid; an entry may also be",
+                      ("disjoint",), lists="nr"),
 }
 
 _COMMON = ("seed", "threads", "out", "config")
 
 
 class Subcommand(NamedTuple):
-    """Help, epilog, the options taken besides _COMMON, and default overrides."""
+    """Help, epilog, the options taken besides _COMMON, and default and bound
+    overrides (bounds also apply to the entries of a grid that lists the option)."""
     help: str
     epilog: str
     options: tuple
     defaults: dict
+    bounds: dict = {}
 
 
 _SUBCOMMANDS = {
@@ -272,16 +276,19 @@ _SUBCOMMANDS = {
         "variationally maximize Bell magic",
         "CSV columns: epoch, b, grad_norm, lr, seed; the JSON summary "
         "carries the checkpoint (theta, Adam moments, epoch, seed)",
-        ("n", "d", "epochs", "lr", "lr_decay", "nq"), {"n": 4, "d": 6}),
+        ("n", "d", "epochs", "lr", "lr_decay", "nq"), {"n": 4, "d": 6}, {"nq": _AT_LEAST_0}),
     "entangle": Subcommand(
         "Meyer-Wallach entanglement from Bell samples",
         "CSV columns: rep, family, n, nq, p, e_exact, e_raw, e_mtg, p_hat, seed",
-        ("family", "n", "d", "nt", "na", "phi", "p", "nq", "reps"), {}),
+        # Meyer-Wallach entanglement needs two qubits
+        ("family", "n", "d", "nt", "na", "phi", "p", "nq", "reps"), {}, {"n": (2, DENSE_CAP)}),
     "sweep": Subcommand(
         "estimation-error sweeps over N_Q, p or N_R",
         "CSV columns: n, na, p, nq [, nr, mode], mean_abs_error "
         "[, std_error], seed; fitted slopes land in the JSON summary",
-        ("experiment", "n", "d", "na", "nq", "nq_grid", "p_grid", "nr_grid", "reps"), {}),
+        # a grid N_R has no "0 = 10*nq" default
+        ("experiment", "n", "d", "na", "nq", "nq_grid", "p_grid", "nr_grid", "reps"), {},
+        {"nr": _AT_LEAST_1}),
 }
 
 
@@ -331,28 +338,42 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _check_bounds(key: str, value, bounds: tuple) -> None:
+    low, high = bounds  # compared with `not` so that NaN fails both
+    if low is not None and not value >= low:
+        raise UsageError(f"{key} must be at least {low}, got {value!r}")
+    if high is not None and not value <= high:
+        raise UsageError(f"{key} must be at most {high}, got {value!r}")
+
+
 def _check_values(args: argparse.Namespace) -> None:
     """Check the subcommand's options against their types, choices and bounds.
 
     Flags arrive typed from argparse; config values must have the option's
     JSON type (a float option also takes an int, and no option takes a bool).
-    Keys of other subcommands are left unchecked, since they are ignored.
+    A grid is replaced by its parsed list of entries.  Keys of other
+    subcommands are left unchecked, since they are ignored.
     """
-    for key in _SUBCOMMANDS[args.command].options + _COMMON:
+    spec = _SUBCOMMANDS[args.command]
+    for key in spec.options + _COMMON:
         opt, value = _OPTIONS[key], getattr(args, key)
         if value is None and opt.default is None:
             continue
         allowed = (int, float) if opt.type is float else opt.type
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise UsageError(f"{key} must be a {opt.type.__name__}, got {value!r}")
-        if opt.choices and value not in opt.choices:
-            raise UsageError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
-        low, high = opt.bounds  # compared with `not` so that NaN fails both
-        if low is not None and not value >= low:
-            raise UsageError(f"{key} must be at least {low}, got {value!r}")
-        if high is not None and not value <= high:
-            raise UsageError(f"{key} must be at most {high}, got {value!r}")
-        setattr(args, key, opt.type(value))
+        if opt.lists:
+            listed = _OPTIONS[opt.lists]
+            value = _parse_grid(value, listed.type, opt.choices)
+            for entry in value:
+                if entry not in opt.choices:
+                    _check_bounds(key, entry, spec.bounds.get(opt.lists, listed.bounds))
+        else:
+            if opt.choices and value not in opt.choices:
+                raise UsageError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
+            _check_bounds(key, value, spec.bounds.get(key, opt.bounds))
+            value = opt.type(value)
+        setattr(args, key, value)
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,13 @@
-"""Stabilizer vs. magical state discrimination.
+"""Stabilizer vs. magical state discrimination: closed forms and the learner.
 
 A state is flagged as magical when its estimated Bell magic exceeds a
 threshold (ties go to the stabilizer class).  For noiseless data the natural
 threshold is zero, since stabilizer outcomes can never produce a
 non-commuting quadruple; closed forms for the misclassification probability
-exist for the single-magic-input family and for highly magical states.  For
-noisy data the threshold is learned from labelled runs.
+exist for the single-magic-input family (`single_magic_family`) and for
+highly magical states.  For noisy data the threshold is learned from
+labelled runs.  The simulated repetitions that check both, including the
+labelled runs, live in `experiments`.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimation, simulator
-from .simulator import CircuitSpec, magic_input_circuit
+from . import simulator
+from .simulator import magic_input_circuit
 
 STABILIZER, MAGICAL = -1, 1
 
@@ -123,10 +125,6 @@ def classification_error(runs: list[LabeledRun], threshold: float) -> float:
     return wrong / len(runs)
 
 
-# ---------------------------------------------------------------------------
-# State families and the Monte-Carlo error harness
-
-
 def single_magic_family(n_qubits: int, phi: float, depth: int = 4):
     """Fresh random Clifford on one magic-angle qubit per call."""
 
@@ -136,112 +134,17 @@ def single_magic_family(n_qubits: int, phi: float, depth: int = 4):
     return make
 
 
-def many_magic_family(n_qubits: int, n_magic: int, depth: int = 4):
-    """Fresh random Clifford on n_magic T-angle qubits per call."""
-
-    def make(rng: np.random.Generator) -> simulator.StateVector:
-        return simulator.simulate(
-            magic_input_circuit(n_qubits, n_magic, np.pi / 4, depth, rng)
-        )
-
-    return make
-
-
-def stabilizer_family(n_qubits: int, depth: int = 4):
-    """Fresh random stabilizer state per call."""
-
-    def make(rng: np.random.Generator) -> simulator.StateVector:
-        return simulator.simulate(magic_input_circuit(n_qubits, 0, 0.0, depth, rng))
-
-    return make
-
-
-def monte_carlo_error(
-    family,
-    n_outcomes: int,
-    repetitions: int,
-    rng: np.random.Generator,
-    resample_factor: int = LARGE_RESAMPLE_FACTOR,
-    with_replacement: bool = False,
-) -> float:
-    """Empirical probability that a magical state estimates to exactly zero.
-
-    Every repetition draws a fresh circuit from the family and fresh samples,
-    runs the resampling estimator with threshold zero and counts misses.
-    Set `with_replacement` when validating the random-string law: its
-    derivation counts pairwise commutation of the derived strings, and
-    distinct-index quadruples cannot see the all-pairs-anticommuting
-    configuration (which doubles the miss probability).
-    """
-    if repetitions < 1:
-        raise ValueError("need at least one repetition")
-    misses = 0
-    for _ in range(repetitions):
-        state = family(rng)
-        dist = simulator.bell_distribution(state)
-        samples = simulator.sample(dist, n_outcomes, rng)
-        b_hat, _ = estimation.estimate_bell_magic(
-            samples, resample_factor * n_outcomes, rng,
-            with_replacement=with_replacement,
-        )
-        if classify(b_hat, 0.0) == STABILIZER:
-            misses += 1
-    return misses / repetitions
-
-
-# ---------------------------------------------------------------------------
-# Threshold-learning experiment on simulated noisy data
-
-
-def _measure_family_run(
-    state: simulator.StateVector,
-    label: int,
-    p: float,
-    n_outcomes: int,
-    rng: np.random.Generator,
-) -> LabeledRun:
-    dist = simulator.noisy_bell_distribution(
-        simulator.bell_distribution(state), simulator.NoiseModel(p)
-    )
-    samples = simulator.sample(dist, n_outcomes, rng)
-    result = estimation.estimate_magic(samples, rng)
-    feature = result.b_mtg_exact if result.b_mtg_exact is not None else result.b_hat
-    return LabeledRun(feature, label, n_outcomes, {"p": p})
-
-
-def threshold_learning_runs(
-    n_per_class: int,
-    n_qubits: int,
-    depth: int,
-    p: float,
-    n_outcomes: int,
-    rng: np.random.Generator,
-) -> list[LabeledRun]:
-    """Labelled mitigated-magic estimates for stabilizer vs. random states.
-
-    The magical class uses the layered ansatz with uniformly random angles;
-    the stabilizer class uses random pi/2 multiples.  Both are measured
-    through a global depolarizing channel of strength p.
-    """
-    runs = []
-    k = 2 * n_qubits * depth
-    for _ in range(n_per_class):
-        theta = simulator.clifford_plus_t_params(n_qubits, depth, 0, rng)
-        state = simulator.simulate(simulator.hardware_efficient_ansatz(n_qubits, depth, theta))
-        runs.append(_measure_family_run(state, STABILIZER, p, n_outcomes, rng))
-        theta = rng.uniform(0, 2 * np.pi, size=k)
-        state = simulator.simulate(simulator.hardware_efficient_ansatz(n_qubits, depth, theta))
-        runs.append(_measure_family_run(state, MAGICAL, p, n_outcomes, rng))
-    return runs
-
-
 def train_test_split_error(
     runs: list[LabeledRun],
     n_splits: int,
     rng: np.random.Generator,
     test_fraction: float = 0.2,
 ) -> tuple[float, float]:
-    """Mean train/test error of the learned threshold over random splits."""
+    """Mean train/test error of the learned threshold over random splits.
+
+    Splits whose training part lacks a class are skipped; ValueError when
+    every split does.
+    """
     runs = list(runs)
     n_test = max(1, int(round(test_fraction * len(runs))))
     train_errs, test_errs = [], []
@@ -254,6 +157,8 @@ def train_test_split_error(
         thr = learn_threshold(train)
         train_errs.append(classification_error(train, thr))
         test_errs.append(classification_error(test, thr))
+    if not train_errs:
+        raise ValueError("no train/test split has runs of both classes")
     return float(np.mean(train_errs)), float(np.mean(test_errs))
 
 

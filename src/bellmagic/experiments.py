@@ -1,8 +1,11 @@
-"""Experiment drivers: seeded repetition sweeps behind the CLI and tests.
+"""Experiment drivers: every simulated repetition loop behind the CLI and tests.
 
-Every driver takes a master seed, derives one child seed per repetition via
-SeedSequence spawning and reduces in repetition order, so results are
-byte-identical for a fixed (config, seed) regardless of the worker count.
+One recipe runs everywhere: build a state, take Bell samples of two copies
+through depolarizing noise (`_bell_samples`), estimate.  Every driver takes
+a master seed and hands its per-repetition worker to `_run_reps`, which
+spawns one child seed per repetition and returns results in repetition
+order, so output is byte-identical for a fixed (config, seed) regardless of
+the worker count.  `discrimination` keeps the closed forms and the learner.
 """
 from __future__ import annotations
 
@@ -25,16 +28,24 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _child_seeds(seed: int, n: int) -> list[int]:
-    """One 32-bit seed per repetition, spawned from the master seed."""
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
+def _run_reps(worker, fixed: tuple, seed: int, repetitions: int, threads: int) -> list:
+    """[worker(fixed + (child_seed, rep)) for each rep], serially or in a process pool.
 
-
-def _run_indexed(worker, arglist, threads: int):
-    if threads <= 1 or len(arglist) <= 1:
-        return [worker(a) for a in arglist]
+    One 32-bit child seed per repetition is spawned from the master seed.
+    """
+    seeds = np.random.SeedSequence(seed).spawn(repetitions)
+    args = [fixed + (int(s.generate_state(1)[0]), r) for r, s in enumerate(seeds)]
+    if threads <= 1 or len(args) <= 1:
+        return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(worker, arglist, chunksize=max(1, len(arglist) // (4 * threads))))
+        return list(ex.map(worker, args, chunksize=max(1, len(args) // (4 * threads))))
+
+
+def _bell_samples(state: StateVector, p: float, nq: int, rng: np.random.Generator):
+    """The noiseless two-copy Bell distribution, and nq samples through depolarizing noise p."""
+    dist = simulator.bell_distribution(state)
+    noisy = simulator.noisy_bell_distribution(dist, NoiseModel(p))
+    return dist, simulator.sample(noisy, nq, rng)
 
 
 def build_family_state(
@@ -78,10 +89,8 @@ def _magic_rep(args) -> dict:
     (family, n, depth, nt, na, phi, p, nq, nr, boot, seed, rep) = args
     rng = np.random.default_rng(seed)
     state = build_family_state(family, n, depth, nt, na, phi, rng)
-    dist = simulator.bell_distribution(state)
+    dist, samples = _bell_samples(state, p, nq, rng)
     exact = magic.bell_magic_exact(dist)
-    noisy = simulator.noisy_bell_distribution(dist, NoiseModel(p))
-    samples = simulator.sample(noisy, nq, rng)
     res = estimation.estimate_magic(samples, rng, n_resamples=nr, n_bootstrap=boot)
     return {
         "rep": rep,
@@ -119,13 +128,9 @@ def magic_experiment(
     seed: int = 0,
     threads: int = 1,
 ) -> list[dict]:
-    seeds = _child_seeds(seed, repetitions)
-    args = [
-        (family, n_qubits, depth, n_tgates, n_magic, phi, p, n_outcomes, n_resamples,
-         n_bootstrap, seeds[r], r)
-        for r in range(repetitions)
-    ]
-    return _run_indexed(_magic_rep, args, threads)
+    fixed = (family, n_qubits, depth, n_tgates, n_magic, phi, p, n_outcomes, n_resamples,
+             n_bootstrap)
+    return _run_reps(_magic_rep, fixed, seed, repetitions, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +140,7 @@ def magic_experiment(
 def _error_grid_rep(args) -> list[float]:
     # one fresh circuit per repetition; every (p, nq) grid point gets fresh
     # i.i.d. samples (noise mixes of the same state, sample prefixes)
-    (n, na, phi, depth, p_values, nq_values, seed) = args
+    (n, na, phi, depth, p_values, nq_values, seed, _) = args
     rng = np.random.default_rng(seed)
     state = simulator.simulate(simulator.magic_input_circuit(n, na, phi, depth, rng))
     dist = simulator.bell_distribution(state)
@@ -163,12 +168,8 @@ def mitigated_error_grid(
     depth: int = 4,
 ) -> np.ndarray:
     """Mean |mitigated - exact| per (p, nq) grid point; fresh circuit per rep."""
-    seeds = _child_seeds(seed, repetitions)
-    args = [
-        (n_qubits, n_magic, np.pi / 4, depth, tuple(p_values), tuple(nq_values), s)
-        for s in seeds
-    ]
-    errs = np.array(_run_indexed(_error_grid_rep, args, threads))
+    fixed = (n_qubits, n_magic, np.pi / 4, depth, tuple(p_values), tuple(nq_values))
+    errs = np.array(_run_reps(_error_grid_rep, fixed, seed, repetitions, threads))
     return errs.mean(axis=0).reshape(len(p_values), len(nq_values))
 
 
@@ -220,12 +221,11 @@ def loglog_slope(x, y) -> float:
 
 
 def _resample_rep(args) -> float:
-    (n, na, depth, nq, nr, disjoint, seed) = args
+    (n, na, depth, nq, nr, disjoint, seed, _) = args
     rng = np.random.default_rng(seed)
     state = simulator.simulate(simulator.magic_input_circuit(n, na, np.pi / 4, depth, rng))
-    dist = simulator.bell_distribution(state)
+    dist, samples = _bell_samples(state, 0.0, nq, rng)
     b_exact = magic.bell_magic_exact(dist).bell_magic
-    samples = simulator.sample(dist, nq, rng)
     b_hat, _ = estimation.estimate_bell_magic(samples, nr, rng, disjoint=disjoint)
     return abs(b_hat - b_exact)
 
@@ -244,10 +244,8 @@ def resampling_sweep(
     rows = []
     for i, nr in enumerate(nr_values):
         disjoint = nr == "disjoint"
-        seeds = _child_seeds(seed + 15485863 * i, repetitions)
-        args = [(n_qubits, n_magic, depth, n_outcomes, None if disjoint else int(nr),
-                 disjoint, s) for s in seeds]
-        errs = _run_indexed(_resample_rep, args, threads)
+        fixed = (n_qubits, n_magic, depth, n_outcomes, None if disjoint else int(nr), disjoint)
+        errs = _run_reps(_resample_rep, fixed, seed + 15485863 * i, repetitions, threads)
         rows.append({
             "n": n_qubits, "na": n_magic, "nq": n_outcomes,
             "nr": n_outcomes // 4 if disjoint else int(nr),
@@ -266,14 +264,13 @@ def resampling_sweep(
 def _pe_grid_rep(args) -> list[int]:
     # fresh circuit and fresh i.i.d. samples per repetition; the N_Q grid is
     # evaluated on prefixes of one batch of max(N_Q) samples
-    (kind, n, na, phi, depth, nq_values, factor, replace, seed) = args
+    (kind, n, na, phi, depth, nq_values, factor, replace, seed, _) = args
     rng = np.random.default_rng(seed)
     if kind == "single":
         state = discrimination.single_magic_family(n, phi, depth)(rng)
     else:
-        state = discrimination.many_magic_family(n, na, depth)(rng)
-    dist = simulator.bell_distribution(state)
-    samples = simulator.sample(dist, max(nq_values), rng)
+        state = build_family_state("magic-input", n, depth, 0, na, np.pi / 4, rng)
+    _, samples = _bell_samples(state, 0.0, max(nq_values), rng)
     misses = []
     for nq in nq_values:
         sub = BellSamples(n, samples.words[:nq])
@@ -300,18 +297,15 @@ def error_probability_curve(
 
     The random-string law ('many' kind) is validated with with-replacement
     resampling by default, since its derivation inspects all pairs of the
-    derived strings.
+    derived strings; distinct-index quadruples cannot see the
+    all-pairs-anticommuting configuration, which doubles the miss rate.
     """
     nq_values = list(nq_values)
     if with_replacement is None:
         with_replacement = kind == "many"
-    seeds = _child_seeds(seed, repetitions)
-    args = [
-        (kind, n_qubits, n_magic, phi, depth, tuple(nq_values),
-         discrimination.LARGE_RESAMPLE_FACTOR, with_replacement, s)
-        for s in seeds
-    ]
-    misses = np.array(_run_indexed(_pe_grid_rep, args, threads))
+    fixed = (kind, n_qubits, n_magic, phi, depth, tuple(nq_values),
+             discrimination.LARGE_RESAMPLE_FACTOR, with_replacement)
+    misses = np.array(_run_reps(_pe_grid_rep, fixed, seed, repetitions, threads))
     rows = []
     for j, nq in enumerate(nq_values):
         pe = float(misses[:, j].mean())
@@ -329,6 +323,38 @@ def error_probability_curve(
     return rows
 
 
+def threshold_learning_runs(
+    n_per_class: int,
+    n_qubits: int,
+    depth: int,
+    p: float,
+    n_outcomes: int,
+    rng: np.random.Generator,
+) -> list[discrimination.LabeledRun]:
+    """Labelled mitigated-magic estimates for stabilizer vs. random states.
+
+    The magical class uses the layered ansatz with uniformly random angles;
+    the stabilizer class uses random pi/2 multiples (the clifford-t family
+    without T angles).  Both are measured through a global depolarizing
+    channel of strength p.
+    """
+
+    def measure(state: StateVector, label: int) -> discrimination.LabeledRun:
+        _, samples = _bell_samples(state, p, n_outcomes, rng)
+        res = estimation.estimate_magic(samples, rng)
+        feature = res.b_mtg_exact if res.b_mtg_exact is not None else res.b_hat
+        return discrimination.LabeledRun(feature, label, n_outcomes, {"p": p})
+
+    runs = []
+    for _ in range(n_per_class):
+        state = build_family_state("clifford-t", n_qubits, depth, 0, 0, 0.0, rng)
+        runs.append(measure(state, discrimination.STABILIZER))
+        theta = rng.uniform(0, 2 * np.pi, size=2 * n_qubits * depth)
+        state = simulator.simulate(simulator.hardware_efficient_ansatz(n_qubits, depth, theta))
+        runs.append(measure(state, discrimination.MAGICAL))
+    return runs
+
+
 def learning_curve(
     nq_values,
     n_per_class: int,
@@ -342,9 +368,7 @@ def learning_curve(
     rows = []
     for i, nq in enumerate(nq_values):
         rng = np.random.default_rng(seed + 49979687 * i)
-        runs = discrimination.threshold_learning_runs(
-            n_per_class, n_qubits, depth, p, nq, rng
-        )
+        runs = threshold_learning_runs(n_per_class, n_qubits, depth, p, nq, rng)
         train_err, test_err = discrimination.train_test_split_error(runs, n_splits, rng)
         rows.append({
             "nq": nq, "n": n_qubits, "p": p, "n_per_class": n_per_class,
@@ -384,10 +408,7 @@ def _entangle_rep(args) -> dict:
     rng = np.random.default_rng(seed)
     state = build_family_state(family, n, depth, nt, na, phi, rng)
     e_exact = magic.meyer_wallach(state)
-    noisy = simulator.noisy_bell_distribution(
-        simulator.bell_distribution(state), NoiseModel(p)
-    )
-    samples = simulator.sample(noisy, nq, rng)
+    _, samples = _bell_samples(state, p, nq, rng)
     p_hat = estimation.estimate_depolarization(estimation.estimate_purity(samples), n)
     if p_hat < 1.0:
         e_raw, e_mtg = estimation.estimate_meyer_wallach(samples, p_hat)
@@ -412,9 +433,5 @@ def entangle_experiment(
     seed: int = 0,
     threads: int = 1,
 ) -> list[dict]:
-    seeds = _child_seeds(seed, repetitions)
-    args = [
-        (family, n_qubits, depth, n_tgates, n_magic, phi, p, n_outcomes, seeds[r], r)
-        for r in range(repetitions)
-    ]
-    return _run_indexed(_entangle_rep, args, threads)
+    fixed = (family, n_qubits, depth, n_tgates, n_magic, phi, p, n_outcomes)
+    return _run_reps(_entangle_rep, fixed, seed, repetitions, threads)

@@ -29,7 +29,6 @@ rotations Ry(t), Rz(t) = exp(-i t sigma/2).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -102,6 +101,22 @@ class Gate:
     param: int | None = None  # index into the circuit parameter vector
 
 
+def _check_gates(gates, n_qubits: int) -> list[int]:
+    """Check names, qubit ranges and rotation parameter indices; return those indices."""
+    seen = []
+    for g in gates:
+        if g.name not in _FIXED_GATES and g.name not in _PARAM_GATES and g.name != "cnot":
+            raise ValueError(f"unknown gate {g.name!r}")
+        for q in g.qubits:
+            if not 1 <= q <= n_qubits:
+                raise ValueError(f"qubit index {q} out of range")
+        if g.name in _PARAM_GATES:
+            if g.param is None:
+                raise ValueError(f"{g.name} gate needs a parameter index")
+            seen.append(g.param)
+    return seen
+
+
 @dataclass
 class CircuitSpec:
     """Ordered gate list with a parameter vector for the rotation gates."""
@@ -113,18 +128,7 @@ class CircuitSpec:
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
-        seen = []
-        for g in self.gates:
-            if g.name not in _FIXED_GATES and g.name not in _PARAM_GATES and g.name != "cnot":
-                raise ValueError(f"unknown gate {g.name!r}")
-            for q in g.qubits:
-                if not 1 <= q <= self.n_qubits:
-                    raise ValueError(f"qubit index {q} out of range")
-            if g.name in _PARAM_GATES:
-                if g.param is None:
-                    raise ValueError(f"{g.name} gate needs a parameter index")
-                seen.append(g.param)
-        if sorted(seen) != list(range(len(self.params))):
+        if sorted(_check_gates(self.gates, self.n_qubits)) != list(range(len(self.params))):
             raise ValueError("parameter count does not match parameterized-gate count")
 
     @property
@@ -141,40 +145,15 @@ class CircuitSpec:
 
     def add(self, name: str, *qubits: int, angle: float | None = None) -> "CircuitSpec":
         """Append a gate; rotation angles are appended to the parameter vector."""
-        if name not in _FIXED_GATES and name not in _PARAM_GATES and name != "cnot":
-            raise ValueError(f"unknown gate {name!r}")
-        for q in qubits:
-            if not 1 <= q <= self.n_qubits:
-                raise ValueError(f"qubit index {q} out of range")
-        param = None
-        if name in _PARAM_GATES:
-            if angle is None:
-                raise ValueError("rotation gate needs an angle")
-            param = len(self.params)
+        rotation = name in _PARAM_GATES
+        if rotation and angle is None:
+            raise ValueError("rotation gate needs an angle")
+        gate = Gate(name, tuple(qubits), len(self.params) if rotation else None)
+        _check_gates([gate], self.n_qubits)
+        if rotation:
             self.params = np.append(self.params, angle)
-        self.gates.append(Gate(name, tuple(qubits), param))
+        self.gates.append(gate)
         return self
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": 1,
-                "n_qubits": self.n_qubits,
-                "depth": self.depth,
-                "gates": [
-                    {"name": g.name, "qubits": list(g.qubits), "param": g.param}
-                    for g in self.gates
-                ],
-                "params": [float(x) for x in self.params],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CircuitSpec":
-        d = json.loads(text)
-        gates = [Gate(g["name"], tuple(g["qubits"]), g.get("param")) for g in d["gates"]]
-        return cls(d["n_qubits"], gates, np.array(d["params"], dtype=float), d.get("depth"))
 
 
 def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -385,8 +364,10 @@ def pauli_expectation_table(state: StateVector) -> np.ndarray:
 
 
 def noisy_bell_distribution(dist: BellDistribution, noise: NoiseModel) -> BellDistribution:
-    """Distribution after global depolarizing noise on both copies."""
+    """Distribution after global depolarizing noise on both copies (`dist` itself at p = 0)."""
     p = noise.p
+    if p == 0.0:
+        return dist
     dim = 4**dist.n_qubits
     return BellDistribution(
         dist.n_qubits, (1 - p) ** 2 * dist.probabilities + p * (2 - p) / dim
@@ -468,31 +449,6 @@ def mixed_bell_distribution(rho: np.ndarray, cap: int = 5) -> BellDistribution:
             op = np.kron(op, pair_proj[d])
         probs[r] = np.einsum("ij,ji->", w, op).real
     return BellDistribution(n, probs)
-
-
-def distribution_to_csv(dist: BellDistribution, path: str) -> None:
-    """Write a distribution as CSV rows of (outcome bits, probability)."""
-    n2 = 2 * dist.n_qubits
-    with open(path, "w") as f:
-        f.write("bits,probability\n")
-        for r, p in enumerate(dist.probabilities):
-            f.write(f"{r:0{n2}b},{float(p)!r}\n")
-
-
-def project_measure(state: StateVector, qubit: int) -> list[tuple[float, StateVector]]:
-    """Computational-basis measurement branches (probability, state)."""
-    n = state.n_qubits
-    if not 1 <= qubit <= n:
-        raise ValueError("qubit index out of range")
-    t = state.amplitudes.reshape(2 ** (qubit - 1), 2, 2 ** (n - qubit))
-    branches = []
-    for b in (0, 1):
-        proj = np.zeros_like(t)
-        proj[:, b, :] = t[:, b, :]
-        prob = float(np.vdot(proj, proj).real)
-        if prob > 1e-12:
-            branches.append((prob, StateVector(n, proj.reshape(-1) / np.sqrt(prob))))
-    return branches
 
 
 # ---------------------------------------------------------------------------

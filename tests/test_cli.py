@@ -34,11 +34,18 @@ def test_magic_writes_csv_and_summary(tmp_path):
 
 def test_determinism_across_threads(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["magic", "--family", "clifford-t", "--n", "2", "--nt", "1",
-            "--nq", "150", "--reps", "6", "--seed", "9"]
-    assert run(base + ["--threads", "1", "--out", str(a)]) == 0
-    assert run(base + ["--threads", "3", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # every repetition driver, serial and in a process pool
+    for base in (["magic", "--family", "clifford-t", "--n", "2", "--nt", "1",
+                  "--nq", "150", "--reps", "6", "--seed", "9"],
+                 ["discriminate", "--mode", "curve", "--kind", "many", "--n", "3",
+                  "--na", "2", "--nq-grid", "3,6", "--reps", "6", "--seed", "9"],
+                 ["entangle", "--family", "clifford-t", "--n", "2", "--nt", "1",
+                  "--p", "0.1", "--nq", "150", "--reps", "6", "--seed", "9"],
+                 ["sweep", "--experiment", "resampling", "--n", "2", "--na", "1",
+                  "--nq", "40", "--nr-grid", "disjoint,50", "--reps", "6", "--seed", "9"]):
+        assert run(base + ["--threads", "1", "--out", str(a)]) == 0, base
+        assert run(base + ["--threads", "3", "--out", str(b)]) == 0, base
+        assert a.read_bytes() == b.read_bytes(), base
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -98,7 +105,16 @@ def test_usage_errors_exit_2(capsys):
                      ["magic", "--seed", "-1"], ["train", "--lr", "-1"], ["train", "--lr", "0"],
                      ["train", "--lr", "nan"],
                      ["entangle", "--n", "0"], ["discriminate", "--mode", "learn",
-                                                "--per-class", "1"]):
+                                                "--per-class", "1"],
+                     # bounds that depend on the subcommand, also for grid entries
+                     ["entangle", "--n", "1"], ["magic", "--nq", "0"], ["entangle", "--nq", "0"],
+                     ["sweep", "--experiment", "error-vs-p", "--nq", "0"],
+                     ["sweep", "--experiment", "resampling", "--nq", "0"],
+                     ["discriminate", "--nq-grid", "0"], ["discriminate", "--nq-grid", "-3"],
+                     ["sweep", "--nq-grid", "0"], ["sweep", "--nq-grid", "-3"],
+                     ["sweep", "--p-grid", "1.5"],
+                     ["sweep", "--experiment", "resampling", "--nr-grid", "0"],
+                     ["sweep", "--experiment", "resampling", "--nr-grid", "disjoint,-5"]):
             assert run(argv + ["--threads", "1"]) == 2, argv
         assert run(["magic", "--n", "2", "--threads", "0"]) == 2
 

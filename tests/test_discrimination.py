@@ -1,9 +1,14 @@
-"""Discrimination formulas, threshold learner and the Monte-Carlo harness."""
+"""Discrimination formulas, threshold learner and the Monte-Carlo checks of both."""
+import warnings
+
 import numpy as np
 import pytest
 
 from bellmagic import discrimination as dis
 from bellmagic.discrimination import LabeledRun, classify, learn_threshold
+from bellmagic.estimation import estimate_bell_magic
+from bellmagic.experiments import error_probability_curve, threshold_learning_runs
+from bellmagic.simulator import bell_distribution, magic_input_circuit, sample, simulate
 
 
 def test_classify_tie_rule():
@@ -80,33 +85,38 @@ def test_label_validation():
 
 def test_monte_carlo_stabilizer_never_flags():
     rng = np.random.default_rng(0)
-    fam = dis.stabilizer_family(3, depth=3)
     misses = 0
     for _ in range(50):
-        state = fam(rng)
-        from bellmagic import estimation, simulator
-
-        s = simulator.sample(simulator.bell_distribution(state), 20, rng)
-        b, _ = estimation.estimate_bell_magic(s, 500, rng)
+        state = simulate(magic_input_circuit(3, 0, 0.0, 3, rng))
+        s = sample(bell_distribution(state), 20, rng)
+        b, _ = estimate_bell_magic(s, 500, rng)
         misses += classify(b, 0.0) == dis.MAGICAL
     assert misses == 0
 
 
 def test_monte_carlo_matches_formula_small():
-    rng = np.random.default_rng(1)
-    fam = dis.single_magic_family(4, np.pi / 4, depth=3)
     reps = 400
-    pe = dis.monte_carlo_error(fam, 10, reps, rng)
+    (row,) = error_probability_curve("single", 4, np.pi / 4, 0, [10], reps, seed=1, depth=3)
+    pe = row["p_error"]
     theory = dis.p_error_single_magic(np.pi / 4, 10)
     assert abs(pe - theory) < 3 * np.sqrt(theory * (1 - theory) / reps)
 
 
 def test_learning_pipeline_small():
     rng = np.random.default_rng(2)
-    runs = dis.threshold_learning_runs(10, 3, 2, 0.15, 300, rng)
+    runs = threshold_learning_runs(10, 3, 2, 0.15, 300, rng)
     assert len(runs) == 20
     train_err, test_err = dis.train_test_split_error(runs, 5, rng)
     assert 0.0 <= train_err <= 0.5 and 0.0 <= test_err <= 0.5
+
+
+def test_split_error_needs_both_classes():
+    # one run per class: every training split lacks the class drawn for testing
+    runs = [LabeledRun(0.0, dis.STABILIZER, 10), LabeledRun(0.5, dis.MAGICAL, 10)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="both classes"):
+            dis.train_test_split_error(runs, 5, np.random.default_rng(3))
 
 
 def test_runs_csv_roundtrip():

@@ -337,23 +337,3 @@ def test_haar_state_norm_and_level():
         means.append((np.mean(vals), np.std(vals) / np.sqrt(len(vals))))
     (m1, s1), (m2, s2) = means
     assert abs(m1 - m2) < 3 * np.hypot(s1, s2)
-
-
-def test_measurement_monotonicity_spot_check():
-    # conjecture-level: average magic should not grow under measurement;
-    # violations are reported, not fatal
-    rng = np.random.default_rng(15)
-    violations = 0
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        psi = sample_haar_state(n, rng)
-        before = bell_magic_of_state(psi).bell_magic
-        qubit = int(rng.integers(1, n + 1))
-        after = sum(
-            prob * bell_magic_of_state(branch).bell_magic
-            for prob, branch in sim.project_measure(psi, qubit)
-        )
-        if after > before + 1e-9:
-            violations += 1
-    print(f"measurement monotonicity spot-check: {violations}/200 violations")
-    assert violations >= 0

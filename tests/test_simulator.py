@@ -1,6 +1,4 @@
 """Statevector engine and Bell-distribution kernels against independent constructions."""
-import json
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,7 +16,6 @@ from bellmagic.simulator import (
     mixed_bell_distribution,
     noisy_bell_distribution,
     pauli_expectation,
-    project_measure,
     sample,
     simulate,
     zero_state,
@@ -47,14 +44,6 @@ def test_gate_errors():
         CircuitSpec(2, [sim.Gate("ry", (1,), 0)], np.zeros(2))
     with pytest.raises(ValueError):
         CircuitSpec(1, [sim.Gate("bogus", (1,))])
-
-
-def test_circuit_json_roundtrip():
-    rng = np.random.default_rng(0)
-    c = sim.hardware_efficient_ansatz(3, 2, rng.uniform(0, 2 * np.pi, 12))
-    c2 = CircuitSpec.from_json(c.to_json())
-    assert np.allclose(simulate(c).amplitudes, simulate(c2).amplitudes)
-    assert json.loads(c.to_json())["version"] == 1
 
 
 def test_conjugate():
@@ -212,7 +201,7 @@ def test_conjugate_free_moment_identity():
 
 def test_noisy_distribution():
     d = bell_distribution(states.t_state())
-    assert np.allclose(noisy_bell_distribution(d, NoiseModel(0.0)).probabilities, d.probabilities)
+    assert noisy_bell_distribution(d, NoiseModel(0.0)) is d
     u = noisy_bell_distribution(d, NoiseModel(1.0)).probabilities
     assert np.allclose(u, 0.25)
     rng = np.random.default_rng(8)
@@ -281,17 +270,6 @@ def test_mixed_bell_distribution_validation():
         mixed_bell_distribution(np.eye(2**6) / 2**6)  # over the cap
 
 
-def test_project_measure():
-    branches = project_measure(states.plus_state(), 1)
-    assert len(branches) == 2
-    assert all(p == pytest.approx(0.5) for p, _ in branches)
-    branches = project_measure(zero_state(1), 1)
-    assert len(branches) == 1 and branches[0][0] == pytest.approx(1.0)
-    rng = np.random.default_rng(13)
-    psi = magic.sample_haar_state(3, rng)
-    assert sum(p for p, _ in project_measure(psi, 2)) == pytest.approx(1.0)
-
-
 def test_ansatz_examples():
     state = simulate(sim.hardware_efficient_ansatz(1, 1, [np.pi / 2, np.pi / 4]))
     assert magic.bell_magic_of_state(state).additive == pytest.approx(1.0, abs=1e-9)
@@ -338,17 +316,6 @@ def test_clifford_t_many_tgates_approach_haar():
     assert levels[0][0] < levels[1][0] < levels[4][0] < levels[k // 2][0]
     mean, se = levels[k // 2]
     assert abs(mean - haar_mean) < 3 * np.hypot(se, haar_se)
-
-
-def test_distribution_to_csv(tmp_path):
-    d = bell_distribution(states.t_state())
-    path = tmp_path / "dist.csv"
-    sim.distribution_to_csv(d, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "bits,probability"
-    assert len(lines) == 5
-    bits, prob = lines[1].split(",")
-    assert bits == "00" and float(prob) == d.probabilities[0]
 
 
 def test_magic_input_circuit():
