@@ -5,11 +5,13 @@ Subcommands: magic, discriminate, train, entangle, sweep.  Global flags
 version 1) supplies option values; explicit flags override it.  Each config
 value must have the option's JSON type (an int option takes no float or
 bool; a float option also takes an int) and lie within the option's
-inclusive bounds; each entry of a comma-separated grid obeys the bounds of
-the option it lists.  Every option is declared once, in _OPTIONS;
-_SUBCOMMANDS names the options each subcommand takes and overrides their
-defaults and bounds where it needs to.  Exit codes: 0 success, 2
-usage/config error, 3 numerical failure.
+inclusive bounds, and a float must be finite; each entry of a
+comma-separated grid obeys the bounds of the option it lists.  The limits
+a state family puts on the other options (magic inputs and T angles that
+fit the circuit, fixture sizes for `max`) are checked with them.  Every
+option is declared once, in _OPTIONS; _SUBCOMMANDS names the options each
+subcommand takes and overrides their defaults and bounds where it needs
+to.  Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 
 Output is data-only: CSV rows to --out (or stdout) plus a JSON summary
 written next to --out.  Identical (config, seed) pairs produce
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import discrimination, experiments
+from . import discrimination, experiments, states
 from .experiments import FAMILIES
 from .simulator import DENSE_CAP
 
@@ -339,6 +341,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _check_bounds(key: str, value, bounds: tuple) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise UsageError(f"{key} must be finite, got {value!r}")
     low, high = bounds  # compared with `not` so that NaN fails both
     if low is not None and not value >= low:
         raise UsageError(f"{key} must be at least {low}, got {value!r}")
@@ -371,9 +375,28 @@ def _check_values(args: argparse.Namespace) -> None:
         else:
             if opt.choices and value not in opt.choices:
                 raise UsageError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
+            try:
+                value = opt.type(value)
+            except OverflowError:  # a config int beyond the float range
+                raise UsageError(f"{key} must be finite, got {value!r}") from None
             _check_bounds(key, value, spec.bounds.get(key, opt.bounds))
-            value = opt.type(value)
         setattr(args, key, value)
+    # sweep and the many-magic curve build magic-input states without a --family
+    many_curve = args.mode == "curve" and args.kind == "many"
+    implied = {"sweep": "magic-input", "discriminate": "magic-input" if many_curve else None}
+    _check_family(implied.get(args.command, args.family), args)
+
+
+def _check_family(family: str | None, args: argparse.Namespace) -> None:
+    """Limits a state family puts on the other options."""
+    if family == "magic-input" and args.na > args.n:
+        raise UsageError(f"na must be at most n = {args.n} for magic-input, got {args.na}")
+    if family == "clifford-t" and args.nt > 2 * args.n * args.d:
+        raise UsageError(f"nt must be at most 2*n*d = {2 * args.n * args.d} for clifford-t, "
+                         f"got {args.nt}")
+    max_n = max(states.MAX_MAGIC_ADDITIVE)
+    if family == "max" and args.n > max_n:
+        raise UsageError(f"n must be at most {max_n} for max, got {args.n}")
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .magic import additive_magic, maximally_mixed_magic
-from .pauli import BellSamples, and_parity_rows, as_samples, symplectic_rows
+from .pauli import BellSamples, and_parity_rows, as_samples, symplectic_rows, unpack_zx
 
 DEFAULT_RESAMPLE_FACTOR = 10  # n_resamples = 10 * n_outcomes is near-optimal
 
@@ -181,14 +181,8 @@ def mitigate_probabilities(p_noisy: np.ndarray, p_hat: float, n_qubits: int) -> 
 
 def _and_bit_fractions(samples: BellSamples) -> np.ndarray:
     """Per-qubit frequency of the AND bit (both copies measured 1)."""
-    n = samples.n_qubits
-    and_words = (samples.words >> np.uint64(1)) & samples.words
-    fracs = np.empty(n)
-    for q in range(1, n + 1):
-        pos = 2 * (n - q)  # x-slot bit of qubit q in the packed layout
-        word, bit = pos // 64, np.uint64(pos % 64)
-        fracs[q - 1] = float(((and_words[:, word] >> bit) & np.uint64(1)).mean())
-    return fracs
+    z, x = unpack_zx(samples.words, samples.n_qubits)
+    return (z & x).mean(axis=0)
 
 
 def estimate_meyer_wallach(outcomes, p_hat: float = 0.0) -> tuple[float, float]:

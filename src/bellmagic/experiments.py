@@ -393,7 +393,7 @@ def train_experiment(
     rng = np.random.default_rng(seed)
     state = variational.maximize_magic(
         n_qubits, depth, epochs, learning_rate,
-        n_samples=n_outcomes, rng=rng, lr_decay=lr_decay, seed=seed,
+        n_samples=n_outcomes, rng=rng, lr_decay=lr_decay,
     )
     rows = [
         {"epoch": e + 1, "b": state.history[e], "grad_norm": state.grad_norms[e],

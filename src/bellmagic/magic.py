@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pauli import swap_pair_words
 from .simulator import BellDistribution, StateVector, _wht
 
 _ADDITIVE_OVERFLOW = 1e-15
@@ -54,12 +55,8 @@ def xor_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pair_swap_permutation(n_qubits: int) -> np.ndarray:
-    """Index permutation swapping the (z, x) bits of every pair."""
-    idx = np.arange(4**n_qubits, dtype=np.int64)
-    xmask = sum(1 << (2 * k) for k in range(n_qubits))
-    x = idx & xmask
-    z = (idx >> 1) & xmask
-    return (x << 1) | z
+    """Index permutation J r swapping the (z, x) bits of every pair; oracle for `_pair_swapped`."""
+    return swap_pair_words(np.arange(4**n_qubits, dtype=np.uint64)[:, None])[:, 0]
 
 
 def _pair_swapped(v: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -86,24 +83,13 @@ class MagicValue:
 
     bell_magic: float
     additive: float
-    purity: float | None = None
-    mixed: float | None = None
-    mixed_additive: float | None = None
 
 
-def _magic_value(b: float, purity: float | None = None) -> MagicValue:
-    b = float(b)
-    if purity is None:
-        return MagicValue(b, additive_magic(b))
-    bm, bam = mixed_bell_magic(b, purity)
-    return MagicValue(b, additive_magic(b), purity, bm, bam)
-
-
-def bell_magic_exact(dist: BellDistribution, purity: float | None = None) -> MagicValue:
+def bell_magic_exact(dist: BellDistribution) -> MagicValue:
     """Exact Bell magic of a distribution via the fast transform path."""
     q = q_distribution(dist)
-    b = 1.0 - float(np.dot(q, _pair_swapped(fwht(q), dist.n_qubits)))
-    return _magic_value(max(b, 0.0), purity)
+    b = max(1.0 - float(np.dot(q, _pair_swapped(fwht(q), dist.n_qubits))), 0.0)
+    return MagicValue(b, additive_magic(b))
 
 
 def bell_magic_brute(dist: BellDistribution) -> MagicValue:
@@ -112,10 +98,10 @@ def bell_magic_brute(dist: BellDistribution) -> MagicValue:
         raise ValueError("brute-force oracle is limited to 3 qubits")
     q = q_distribution(dist)
     idx = np.arange(4**dist.n_qubits, dtype=np.uint64)
-    j = pair_swap_permutation(dist.n_qubits).astype(np.uint64)
+    j = pair_swap_permutation(dist.n_qubits)
     anti = np.bitwise_count(idx[:, None] & j[None, :]) & 1
     b = float(q @ (2 * anti) @ q)
-    return _magic_value(b)
+    return MagicValue(b, additive_magic(b))
 
 
 def bell_magic_of_state(state: StateVector) -> MagicValue:

@@ -15,14 +15,18 @@ Pauli labels share one encoding and the XOR of two outcomes is directly a
 Pauli string.  Phases {+-1, +-i} of Pauli products are never tracked; Bell
 magic only depends on the commutator norm, which is phase-free.
 
-Within the packed integer the x bit of every pair sits at an even bit
-position and the z bit at the following odd position, so the symplectic
-form reduces to popcount(a & swap_pairs(b)) mod 2 regardless of qubit order.
+Within the packed integer the x bit of qubit n sits at bit 2(N - n) and
+its z bit at the odd position above, so the x bits form the mask
+(4^N - 1) / 3 and the symplectic form reduces to
+popcount(a & swap_pairs(b)) mod 2 regardless of qubit order.
 
 Measurement-outcome batches are stored bit-packed in uint64 words
 (`BellSamples`), little-endian limbs of the same integer, so XOR,
 commutation checks and parity extractions stay O(N/64) numpy word
-operations per sample even for thousands of qubits.
+operations per sample even for thousands of qubits.  This module is the
+only one that knows the bit layout: `pack_zx` turns boolean (M, N) z/x
+matrices into (M, W) words and `unpack_zx` turns words back into them;
+`pack_ints`/`unpack_int` convert between words and packed integers.
 """
 from __future__ import annotations
 
@@ -32,19 +36,20 @@ import numpy as np
 
 PAULI_LETTERS = "IXZY"  # indexed by the per-qubit digit 2*z + x
 
-_WORD_X_MASK = np.uint64(0x5555555555555555)  # even bit positions (x bits)
-
 _MAX_INDEX_QUBITS = 31  # 2N bits must fit a non-negative int64 outcome index
 
 
 def _x_mask(n_qubits: int) -> int:
     """All x-bit positions of an n-qubit string as an int mask."""
-    return int("5" * ((2 * n_qubits + 3) // 4), 16) & ((1 << (2 * n_qubits)) - 1)
+    return (4**n_qubits - 1) // 3
+
+
+_WORD_X_MASK = np.uint64(_x_mask(32))  # the x bits of one uint64 word
 
 
 def swap_pairs(bits: int) -> int:
     """Exchange the (z, x) bits within every pair of a packed string."""
-    mask = int("5" * (bits.bit_length() // 4 + 2), 16)
+    mask = _x_mask(bits.bit_length() // 2 + 1)
     x = bits & mask
     z = (bits >> 1) & mask
     return (x << 1) | z
@@ -86,14 +91,6 @@ class PauliString:
         """Per-qubit value 2*z + x for qubit n (1-based)."""
         return (self.bits >> (2 * (self.n_qubits - n))) & 3
 
-    @property
-    def z_bits(self) -> int:
-        return (self.bits >> 1) & _x_mask(self.n_qubits)
-
-    @property
-    def x_bits(self) -> int:
-        return self.bits & _x_mask(self.n_qubits)
-
     def weight(self) -> int:
         """Number of non-identity tensor factors."""
         return int.bit_count((self.bits | (self.bits >> 1)) & _x_mask(self.n_qubits))
@@ -101,20 +98,6 @@ class PauliString:
     def y_count(self) -> int:
         """Number of Y tensor factors."""
         return int.bit_count(self.bits & (self.bits >> 1) & _x_mask(self.n_qubits))
-
-    def x_bits_compact(self) -> int:
-        """x bits as an N-bit integer, qubit 1 most significant."""
-        v = 0
-        for n in range(1, self.n_qubits + 1):
-            v = (v << 1) | (self.digit(n) & 1)
-        return v
-
-    def z_bits_compact(self) -> int:
-        """z bits as an N-bit integer, qubit 1 most significant."""
-        v = 0
-        for n in range(1, self.n_qubits + 1):
-            v = (v << 1) | (self.digit(n) >> 1)
-        return v
 
     def is_identity(self) -> bool:
         return self.bits == 0
@@ -167,20 +150,30 @@ def words_per_string(n_qubits: int) -> int:
 def pack_ints(n_qubits: int, values) -> np.ndarray:
     """Pack an iterable of bit-pattern ints into an (M, W) uint64 array."""
     n_words = words_per_string(n_qubits)
-    values = list(values)
-    out = np.zeros((len(values), n_words), dtype=np.uint64)
-    for i, v in enumerate(values):
-        v = int(v)
-        for w in range(n_words):
-            out[i, w] = (v >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-    return out
+    buf = b"".join(int(v).to_bytes(8 * n_words, "little") for v in values)
+    return np.frombuffer(buf, dtype="<u8").reshape(-1, n_words).astype(np.uint64)
 
 
 def unpack_int(words_row: np.ndarray) -> int:
-    v = 0
-    for w in range(len(words_row) - 1, -1, -1):
-        v = (v << 64) | int(words_row[w])
-    return v
+    """The packed integer of one (W,) row of words."""
+    return int.from_bytes(np.asarray(words_row, dtype="<u8").tobytes(), "little")
+
+
+def pack_zx(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Pack 0/1 (M, N) z/x matrices, column n-1 for qubit n, into (M, W) uint64 words."""
+    m, n = z.shape
+    bits = np.zeros((m, 64 * words_per_string(n)), dtype=np.uint8)
+    # LSB-first bit sequence: x_N, z_N, x_{N-1}, z_{N-1}, ..., x_1, z_1
+    bits[:, 0 : 2 * n : 2] = x[:, ::-1]
+    bits[:, 1 : 2 * n : 2] = z[:, ::-1]
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_zx(words: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (M, N) z and x matrices of (M, W) packed words; inverse of `pack_zx`."""
+    bytes_ = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(bytes_, axis=1, bitorder="little").view(bool)
+    return bits[:, 2 * n_qubits - 1 :: -2], bits[:, 2 * n_qubits - 2 :: -2]
 
 
 def swap_pair_words(words: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from functools import cache
 
 import numpy as np
 
-from .pauli import BellSamples, PauliString
+from .pauli import BellSamples, PauliString, pack_ints, unpack_zx
 
 DENSE_CAP = 12  # exact 4^N distributions get large quickly
 
@@ -70,7 +70,7 @@ class StateVector:
         if amps.shape != (2**self.n_qubits,):
             raise ValueError("amplitude vector has wrong length")
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > 1e-9:
+        if not abs(norm2 - 1.0) <= 1e-9:  # `not` so that NaN fails
             raise ValueError(f"state is not normalized: |psi|^2 = {norm2}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -124,7 +124,6 @@ class CircuitSpec:
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
     params: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    depth: int | None = None
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
@@ -188,8 +187,8 @@ def simulate(circuit: CircuitSpec, initial: StateVector | None = None) -> StateV
             u = _PARAM_GATES[g.name](circuit.params[g.param])
             amps = _apply_1q(amps, u, g.qubits[0], n)
     norm2 = float(np.vdot(amps, amps).real)
-    if abs(norm2 - 1.0) > 1e-6:
-        raise RuntimeError(f"norm drifted to {norm2}")
+    if not abs(norm2 - 1.0) <= 1e-6:
+        raise FloatingPointError(f"norm drifted to {norm2}")
     return StateVector(n, amps / np.sqrt(norm2))
 
 
@@ -199,8 +198,10 @@ def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
         raise ValueError("qubit-count mismatch")
     n = state.n_qubits
     idx = np.arange(2**n, dtype=np.uint64)
-    # per-qubit x/z masks as N-bit integers (qubit 1 = MSB)
-    xm, zm = np.uint64(p.x_bits_compact()), np.uint64(p.z_bits_compact())
+    # per-qubit z/x masks as N-bit integers (qubit 1 = MSB)
+    z, x = unpack_zx(pack_ints(n, [p.bits]), n)
+    place = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    zm, xm = place[z[0]].sum(), place[x[0]].sum()
     signs = np.where(np.bitwise_count(idx & zm) & 1, -1.0, 1.0)
     global_phase = 1j ** (p.y_count() % 4)
     out = np.empty_like(state.amplitudes)
@@ -242,9 +243,9 @@ class BellDistribution:
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (4**self.n_qubits,):
             raise ValueError("probability vector has wrong length")
-        if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
+        if not (p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12):  # `not` so that NaN fails
             raise ValueError("entries outside [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-9:
+        if not abs(p.sum() - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {p.sum()}")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
@@ -440,13 +441,10 @@ def mixed_bell_distribution(rho: np.ndarray, cap: int = 5) -> BellDistribution:
     pair_proj = [_pair_projector(d) for d in range(4)]
     probs = np.empty(4**n)
     for r in range(4**n):
+        label = PauliString(n, r)
         op = np.ones((1, 1), dtype=complex)
-        rr = r
-        for _ in range(n):
-            # most significant base-4 digit first
-            d = (rr >> (2 * (n - 1))) & 3
-            rr = (rr << 2) & (4**n - 1)
-            op = np.kron(op, pair_proj[d])
+        for q in range(1, n + 1):
+            op = np.kron(op, pair_proj[label.digit(q)])
         probs[r] = np.einsum("ij,ji->", w, op).real
     return BellDistribution(n, probs)
 
@@ -470,7 +468,7 @@ def hardware_efficient_ansatz(n_qubits: int, depth: int, params) -> CircuitSpec:
             k += 1
         for q in range(1, n_qubits):
             gates.append(Gate("cnot", (q, q + 1)))
-    return CircuitSpec(n_qubits, gates, params, depth)
+    return CircuitSpec(n_qubits, gates, params)
 
 
 def clifford_plus_t_params(
@@ -511,5 +509,4 @@ def magic_input_circuit(
             circuit.add("rz", q, angle=(np.pi / 2) * int(rng.integers(0, 4)))
         for q in range(1, n_qubits):
             circuit.add("cnot", q, q + 1)
-    circuit.depth = depth
     return circuit

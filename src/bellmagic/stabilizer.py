@@ -7,8 +7,8 @@ ranges over the group's bit-span and sigma_g maps |psi> to +-|psi*>, each
 with probability 2^-N.  Sampling therefore never builds the 4^N
 distribution and scales to thousands of qubits.
 
-The sampler packs the N generator rows once into the `BellSamples` uint64
-layout, W = ceil(2N/64) words each, and XORs them with the method of Four
+The sampler packs the N generator rows once (`pauli.pack_zx`) into the
+`BellSamples` uint64 layout, W = ceil(2N/64) words each, and XORs them with the method of Four
 Russians: for every group of eight generators a 256-entry table holds all
 XOR combinations of their rows, and one byte of random picks indexes it.
 M samples cost M * ceil(N/8) * W word XORs plus 32 * N * W to build the
@@ -20,18 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import BellSamples, PauliString, pack_ints, words_per_string
+from .pauli import BellSamples, PauliString, pack_ints, pack_zx, unpack_int
 from .simulator import CircuitSpec, Gate
-
-
-def _pack_rows(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Pack boolean (M, N) z/x matrices into (M, W) uint64 outcome words."""
-    m, n = z.shape
-    bits = np.zeros((m, 64 * words_per_string(n)), dtype=np.uint8)
-    # LSB-first bit sequence: x_N, z_N, x_{N-1}, z_{N-1}, ..., x_1, z_1
-    bits[:, 0 : 2 * n : 2] = x[:, ::-1]
-    bits[:, 1 : 2 * n : 2] = z[:, ::-1]
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
 
 
 def _xor_picked_rows(rows: np.ndarray, picks: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -55,14 +45,6 @@ def _xor_picked_rows(rows: np.ndarray, picks: np.ndarray, offset: np.ndarray) ->
         np.take(table, pick_bytes[:, j], axis=0, out=picked)
         out ^= picked
     return out
-
-
-def _zx_to_pauli(z: np.ndarray, x: np.ndarray) -> PauliString:
-    n = len(z)
-    bits = 0
-    for i in range(n):
-        bits = (bits << 2) | (int(z[i]) << 1) | int(x[i])
-    return PauliString(n, bits)
 
 
 def _gf2_eliminate(m: np.ndarray, n_pivot_cols: int) -> list[int]:
@@ -150,10 +132,12 @@ class StabilizerTableau:
 
     def generator(self, i: int) -> tuple[int, PauliString]:
         """Generator i as (sign in {+1,-1}, PauliString)."""
-        return (-1 if self.signs[i] else 1), _zx_to_pauli(self.z[i], self.x[i])
+        words = pack_zx(self.z[i : i + 1], self.x[i : i + 1])
+        return (-1 if self.signs[i] else 1), PauliString(self.n_qubits, unpack_int(words[0]))
 
     def generator_words(self) -> np.ndarray:
-        return _pack_rows(self.z, self.x)
+        """The N generators as (N, W) packed words, signs dropped."""
+        return pack_zx(self.z, self.x)
 
     def is_valid(self) -> bool:
         """Generators pairwise commute and are independent over GF(2)."""
@@ -195,7 +179,6 @@ def random_clifford(
                 circuit.add(name, q)
         for q in range(1, n_qubits):
             circuit.add("cnot", q, q + 1)
-    circuit.depth = depth
     tab.apply_circuit(circuit)
     return tab, circuit
 
@@ -213,7 +196,7 @@ def conjugation_offset(tableau: StabilizerTableau) -> PauliString:
     # row i = pair-swapped generator i, so mat @ (z|x) is the symplectic form
     mat = np.concatenate([tableau.x, tableau.z], axis=1).astype(np.uint8)
     v = _gf2_solve(mat, y_parity.astype(np.uint8))
-    return _zx_to_pauli(v[:n].astype(bool), v[n:].astype(bool))
+    return PauliString(n, unpack_int(pack_zx(v[None, :n], v[None, n:])[0]))
 
 
 def bell_sample_stabilizer(

@@ -145,6 +145,8 @@ def qfim_diagonal(
 # ---------------------------------------------------------------------------
 # Adam ascent
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam moment decays and denominator guard
+
 
 @dataclass
 class TrainState:
@@ -154,10 +156,8 @@ class TrainState:
     epoch: int = 0
     history: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
-    learning_rate: float = 0.1
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    seed: int | None = None
 
     def best(self) -> float:
         return max(self.history) if self.history else -np.inf
@@ -180,28 +180,20 @@ def optimize(
     n_resamples: int | None = None,
     rng: np.random.Generator | None = None,
     lr_decay: float = 1.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    seed: int | None = None,
 ) -> TrainState:
     """Adam ascent on Bell magic with shift-rule gradients (v = 1/2).
 
     n_samples = None uses exact gradients and exact per-epoch magic; else
     each epoch spends n_samples per measurement setting (2K + 3 settings)
-    and the history records the sampled estimate.
+    and the history records the sampled estimate.  A step that leaves a
+    parameter non-finite (a learning rate grown past the float range)
+    raises FloatingPointError.
     """
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
     rng = rng if rng is not None else np.random.default_rng()
     k_params = circuit.n_params
-    state = TrainState(
-        theta=circuit.params.copy(),
-        learning_rate=learning_rate,
-        m=np.zeros(k_params),
-        v=np.zeros(k_params),
-        seed=seed,
-    )
+    state = TrainState(theta=circuit.params.copy(), m=np.zeros(k_params), v=np.zeros(k_params))
     lr = learning_rate
     for epoch in range(1, epochs + 1):
         circ = circuit.with_params(state.theta)
@@ -225,11 +217,14 @@ def optimize(
                 minus_outcomes = sample(minus, n_samples, rng)
                 grad[k] = estimate_gradient(base, plus_outcomes, minus_outcomes, n_resamples, rng)
         state.grad_norms.append(float(np.linalg.norm(grad)))
-        state.m = beta1 * state.m + (1 - beta1) * grad
-        state.v = beta2 * state.v + (1 - beta2) * grad**2
-        m_hat = state.m / (1 - beta1**epoch)
-        v_hat = state.v / (1 - beta2**epoch)
-        state.theta = state.theta + lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m = _BETA1 * state.m + (1 - _BETA1) * grad
+        state.v = _BETA2 * state.v + (1 - _BETA2) * grad**2
+        m_hat = state.m / (1 - _BETA1**epoch)
+        v_hat = state.v / (1 - _BETA2**epoch)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            state.theta = state.theta + lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        if not np.isfinite(state.theta).all():
+            raise FloatingPointError(f"Adam step left non-finite parameters at epoch {epoch}")
         state.epoch = epoch
         lr *= lr_decay
     return state
@@ -243,21 +238,13 @@ def maximize_magic(
     n_samples: int | None = None,
     rng: np.random.Generator | None = None,
     lr_decay: float = 1.0,
-    seed: int | None = None,
 ) -> TrainState:
     """Near-stabilizer-initialized run of the layered ansatz."""
     rng = rng if rng is not None else np.random.default_rng()
     theta0 = near_stabilizer_params(2 * n_qubits * depth, rng)
     circuit = hardware_efficient_ansatz(n_qubits, depth, theta0)
-    return optimize(
-        circuit,
-        epochs,
-        learning_rate,
-        n_samples=n_samples,
-        rng=rng,
-        lr_decay=lr_decay,
-        seed=seed,
-    )
+    return optimize(circuit, epochs, learning_rate, n_samples=n_samples, rng=rng,
+                    lr_decay=lr_decay)
 
 
 def clifford_dressed_rotation(

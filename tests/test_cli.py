@@ -74,10 +74,11 @@ def test_config_schema_validation(tmp_path):
     not_object.write_text("[1, 2]")
     assert run(["magic", "--config", str(not_object)]) == 2
     # values must have the option's JSON type: no strings for numbers, no
-    # floats for ints, no bools; a float option takes an int; bounds hold too
+    # floats for ints, no bools; a float option takes an int; bounds hold too,
+    # and a float (or an int read as one) must be finite
     for i, bad in enumerate(({"n": "2"}, {"n": 2.5}, {"seed": "3"}, {"nq": True},
                              {"family": 3}, {"family": "bogus"}, {"p": -0.5},
-                             {"n": 13})):
+                             {"n": 13}, {"phi": float("nan")}, {"phi": 10**400})):
         cfg = tmp_path / f"bad_type{i}.json"
         cfg.write_text(json.dumps({"version": 1, **bad}))
         assert run(["magic", "--config", str(cfg), "--threads", "1"]) == 2, bad
@@ -114,7 +115,23 @@ def test_usage_errors_exit_2(capsys):
                      ["sweep", "--nq-grid", "0"], ["sweep", "--nq-grid", "-3"],
                      ["sweep", "--p-grid", "1.5"],
                      ["sweep", "--experiment", "resampling", "--nr-grid", "0"],
-                     ["sweep", "--experiment", "resampling", "--nr-grid", "disjoint,-5"]):
+                     ["sweep", "--experiment", "resampling", "--nr-grid", "disjoint,-5"],
+                     # every float option must be finite
+                     ["magic", "--family", "magic-input", "--n", "2", "--na", "1",
+                      "--phi", "nan"],
+                     ["magic", "--family", "t-product", "--phi", "nan"],
+                     ["train", "--lr", "inf"], ["train", "--lr-decay", "inf"],
+                     ["discriminate", "--phi", "nan"], ["entangle", "--phi", "inf"],
+                     ["sweep", "--p-grid", "0,nan"],
+                     # limits of the state family, also where the command implies it
+                     ["magic", "--family", "magic-input", "--n", "3", "--na", "5"],
+                     ["magic", "--family", "clifford-t", "--n", "2", "--d", "1", "--nt", "9"],
+                     ["magic", "--family", "max", "--n", "5"],
+                     ["entangle", "--family", "magic-input", "--n", "3", "--na", "4"],
+                     ["entangle", "--family", "clifford-t", "--n", "2", "--d", "1", "--nt", "5"],
+                     ["entangle", "--family", "max", "--n", "5"],
+                     ["sweep", "--n", "2", "--na", "3"],
+                     ["discriminate", "--kind", "many", "--n", "2", "--na", "3"]):
             assert run(argv + ["--threads", "1"]) == 2, argv
         assert run(["magic", "--n", "2", "--threads", "0"]) == 2
 
@@ -154,8 +171,12 @@ def test_help_lists_every_option(capsys):
 
 
 def test_numerical_failure_exit_3():
-    # maximal-magic fixtures stop at 4 qubits
-    assert run(["magic", "--family", "max", "--n", "5", "--threads", "1"]) == 3
+    # a finite decay that grows the learning rate past the float range overflows
+    # the parameters inside the optimizer, without a numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--n", "1", "--d", "1", "--epochs", "4", "--lr-decay", "1e300",
+                    "--threads", "1"]) == 3
 
 
 def test_programming_error_propagates(monkeypatch):

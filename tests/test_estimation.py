@@ -204,6 +204,26 @@ def test_meyer_wallach_estimates():
     assert abs(e_raw - 1.0) < 0.05
 
 
+def _oracle_and_bit_fractions(samples):
+    """Word/bit-position loop over qubits (reference copy of the per-qubit AND frequency)."""
+    n = samples.n_qubits
+    and_words = (samples.words >> np.uint64(1)) & samples.words
+    fracs = np.empty(n)
+    for q in range(1, n + 1):
+        pos = 2 * (n - q)  # x-slot bit of qubit q in the packed layout
+        word, bit = pos // 64, np.uint64(pos % 64)
+        fracs[q - 1] = float(((and_words[:, word] >> bit) & np.uint64(1)).mean())
+    return fracs
+
+
+@pytest.mark.parametrize("n", [2, 5, 31, 32, 33, 70])
+def test_and_bit_fractions_match_loop(n):
+    rng = np.random.default_rng(n)
+    tab, _ = random_clifford(n, 2, rng)
+    s = bell_sample_stabilizer(tab, 301, rng)
+    assert np.array_equal(est._and_bit_fractions(s), _oracle_and_bit_fractions(s))
+
+
 def test_meyer_wallach_mitigation_closed_loop():
     rng = np.random.default_rng(11)
     psi = magic.sample_haar_state(3, rng)

@@ -115,9 +115,25 @@ def test_weight_and_y_count():
 
 
 def test_compact_bits():
-    p = P("XZY")  # x bits: 101, z bits: 011
-    assert p.x_bits_compact() == 0b101
-    assert p.z_bits_compact() == 0b011
+    p = P("XZY")  # x bits: 101, z bits: 011, qubit 1 first
+    z, x = pauli.unpack_zx(pauli.pack_ints(3, [p.bits]), 3)
+    assert x.tolist() == [[True, False, True]]
+    assert z.tolist() == [[False, True, True]]
+
+
+@given(hs.integers(1, 200).flatmap(lambda n: hs.tuples(hs.just(n), hs.lists(
+    hs.lists(hs.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=5))))
+def test_pack_zx_unpack_zx_roundtrip(case):
+    # per-qubit digits 2*z + x, qubit 1 first, against the packed integer
+    n, digits = case
+    d = np.array(digits)
+    z, x = d >> 1 == 1, d & 1 == 1
+    words = pauli.pack_zx(z, x)
+    assert words.dtype == np.uint64 and words.shape == (len(digits), pauli.words_per_string(n))
+    assert [pauli.unpack_int(row) for row in words] == [
+        int("".join(map(str, row)), 4) for row in digits]
+    z2, x2 = pauli.unpack_zx(words, n)
+    assert np.array_equal(z2, z) and np.array_equal(x2, x)
 
 
 def test_samples_pack_roundtrip():

@@ -37,6 +37,17 @@ def test_basic_gates():
     assert np.allclose(simulate(c).amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
 
+@pytest.mark.filterwarnings("error")
+def test_nan_rejected():
+    with pytest.raises(ValueError):
+        BellDistribution(1, [np.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        BellDistribution(1, [np.nan, 1.0, 0.0, 0.0])
+    # a NaN angle reaches the norm check, which reports a numerical failure
+    with pytest.raises(FloatingPointError):
+        simulate(CircuitSpec(1).add("ry", 1, angle=np.nan))
+
+
 def test_gate_errors():
     with pytest.raises(ValueError):
         CircuitSpec(1).add("h", 2)
@@ -332,5 +343,7 @@ def test_magic_input_circuit():
 def test_statevector_validation():
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         bell_distribution(zero_state(13))

@@ -22,6 +22,15 @@ def _oracle_pack_zx(z, x, n_qubits):
     return out
 
 
+def _zx_to_pauli(z, x):
+    """Per-qubit loop from one z/x row to a PauliString (reference copy)."""
+    n = len(z)
+    bits = 0
+    for i in range(n):
+        bits = (bits << 2) | (int(z[i]) << 1) | int(x[i])
+    return PauliString(n, bits)
+
+
 def _oracle_bell_sample(tableau, n_samples, rng):
     """The uint8-matmul coset sampler, kept as the bit-exact reference."""
     n = tableau.n_qubits
@@ -225,8 +234,10 @@ def test_generator_words_match_generators(n):
     tab, _ = st.random_clifford(n, 3, np.random.default_rng(n))
     words = tab.generator_words()
     assert words.shape == (n, words_per_string(n))
+    assert np.array_equal(words, _oracle_pack_zx(tab.z, tab.x, n))
     for i in range(n):
-        assert unpack_int(words[i]) == tab.generator(i)[1].bits
+        oracle = _zx_to_pauli(tab.z[i], tab.x[i]).bits
+        assert unpack_int(words[i]) == tab.generator(i)[1].bits == oracle
 
 
 def test_to_text():
