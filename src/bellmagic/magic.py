@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import swap_pair_words
-from .simulator import BellDistribution, StateVector, _wht
+from .pauli import swap_pair_words, zx_axis_order
+from .simulator import BellDistribution, StateVector, _wht, bell_distribution
 
 _ADDITIVE_OVERFLOW = 1e-15
 
@@ -61,7 +61,8 @@ def pair_swap_permutation(n_qubits: int) -> np.ndarray:
 
 def _pair_swapped(v: np.ndarray, n_qubits: int) -> np.ndarray:
     """v[J r] over r: v with the (z, x) bits of every pair exchanged."""
-    axes = [ax for q in range(n_qubits) for ax in (2 * q + 1, 2 * q)]
+    # the x axis of each pair moves into the z slot and vice versa
+    axes = zx_axis_order(z_axes=range(1, 2 * n_qubits, 2), x_axes=range(0, 2 * n_qubits, 2))
     return v.reshape((2,) * (2 * n_qubits)).transpose(axes).reshape(-1)
 
 
@@ -105,8 +106,6 @@ def bell_magic_brute(dist: BellDistribution) -> MagicValue:
 
 
 def bell_magic_of_state(state: StateVector) -> MagicValue:
-    from .simulator import bell_distribution
-
     return bell_magic_exact(bell_distribution(state))
 
 

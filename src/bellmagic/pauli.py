@@ -26,7 +26,9 @@ commutation checks and parity extractions stay O(N/64) numpy word
 operations per sample even for thousands of qubits.  This module is the
 only one that knows the bit layout: `pack_zx` turns boolean (M, N) z/x
 matrices into (M, W) words and `unpack_zx` turns words back into them;
-`pack_ints`/`unpack_int` convert between words and packed integers.
+`pack_ints`/`unpack_int` convert between words and packed integers; and
+`zx_axis_order` gives the same (z, x) pair order as axes of a dense
+(2,)^2N view.
 """
 from __future__ import annotations
 
@@ -53,6 +55,17 @@ def swap_pairs(bits: int) -> int:
     x = bits & mask
     z = (bits >> 1) & mask
     return (x << 1) | z
+
+
+def zx_axis_order(z_axes, x_axes) -> list[int]:
+    """Axis order that interleaves per-qubit z and x axes as (z_1, x_1, ..., z_N, x_N).
+
+    A dense 4^N array indexed by packed strings, viewed as (2,)^2N, has its
+    axes in this order: the base-4 digit 2*z + x of qubit 1 leads.  So
+    `view.transpose(zx_axis_order(z_axes, x_axes))` of a view whose qubit-q
+    z and x bits sit on axes z_axes[q-1] and x_axes[q-1] is in index order.
+    """
+    return [ax for pair in zip(z_axes, x_axes) for ax in pair]
 
 
 @dataclass(frozen=True)

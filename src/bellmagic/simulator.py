@@ -20,9 +20,17 @@ copy B:
 
     <Bell_r | a (x) b> = 2^-N/2 (-i)^{#Y(r)} sum_j (-1)^{z.j} a[j XOR x] b[j],
 
-so `bell_amplitudes` gathers g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard
+so `_bell_transform` gathers g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard
 transforms it over j.  The transform (`_wht`, also behind `magic.fwht`)
 runs four index bits per pass as one real matrix product.
+
+Both kernels carry a leading row axis, so one pass serves a batch of
+states: the gate loop `_simulate_rows` runs one circuit under R parameter
+rows on an (R, 2^N) array, and `_bell_transform` takes R rows against one
+shared copy-B state.  `simulate` and `bell_amplitudes` are their R = 1
+cases; the shift-rule gradient of `variational.optimize` runs all 2K
+shifted circuits through them at once (`_cross_bell_dots`,
+`_cross_bell_rows`).
 
 Gate set: H, S = diag(1, -i), T = diag(1, e^{-i pi/4}), CNOT, and the
 rotations Ry(t), Rz(t) = exp(-i t sigma/2).
@@ -34,7 +42,7 @@ from functools import cache
 
 import numpy as np
 
-from .pauli import BellSamples, PauliString, pack_ints, unpack_zx
+from .pauli import PAULI_LETTERS, BellSamples, PauliString, pack_ints, unpack_zx, zx_axis_order
 
 DENSE_CAP = 12  # exact 4^N distributions get large quickly
 
@@ -47,13 +55,19 @@ _FIXED_GATES = {
 }
 
 
-def _ry(t: float) -> np.ndarray:
+def _ry(t) -> np.ndarray:
+    """Ry(t) as a 2x2 matrix, or a stack of them, shape (..., 2, 2), for an array of angles."""
     c, s = np.cos(t / 2), np.sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    u = np.empty(np.shape(t) + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1] = c, -s, s, c
+    return u
 
 
-def _rz(t: float) -> np.ndarray:
-    return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]], dtype=complex)
+def _rz(t) -> np.ndarray:
+    """Rz(t) as a 2x2 matrix, or a stack of them, shape (..., 2, 2), for an array of angles."""
+    u = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 1, 1] = np.exp(-1j * t / 2), np.exp(1j * t / 2)
+    return u
 
 
 _PARAM_GATES = {"ry": _ry, "rz": _rz}
@@ -156,40 +170,69 @@ class CircuitSpec:
 
 
 def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = amps.reshape(2 ** (q - 1), 2, 2 ** (n - q))
-    return np.einsum("ab,ibj->iaj", u, t).reshape(-1)
+    """Apply a one-qubit gate to every row of (R, 2^N) amplitudes.
+
+    `u` is one 2x2 matrix shared by all rows, or an (R, 2, 2) stack with
+    one matrix per row.
+    """
+    if u.ndim == 2:
+        t = amps.reshape(len(amps) * 2 ** (q - 1), 2, 2 ** (n - q))
+        return np.einsum("ab,ibj->iaj", u, t).reshape(amps.shape)
+    t = amps.reshape(len(amps), 2 ** (q - 1), 2, 2 ** (n - q))
+    return np.matmul(u[:, None], t).reshape(amps.shape)
 
 
 def _apply_cnot(amps: np.ndarray, c: int, t: int, n: int) -> np.ndarray:
-    out = amps.copy().reshape((2,) * n)
-    sel1 = [slice(None)] * n
-    sel1[c - 1] = 1
+    """Apply a CNOT to every row of (R, 2^N) amplitudes."""
+    out = amps.reshape((len(amps),) + (2,) * n).copy()
+    sel1 = [slice(None)] * (n + 1)
+    sel1[c] = 1
     lo, hi = list(sel1), list(sel1)
-    lo[t - 1], hi[t - 1] = 0, 1
+    lo[t], hi[t] = 0, 1
     out[tuple(lo)], out[tuple(hi)] = out[tuple(hi)].copy(), out[tuple(lo)].copy()
-    return out.reshape(-1)
+    return out.reshape(amps.shape)
 
 
-def simulate(circuit: CircuitSpec, initial: StateVector | None = None) -> StateVector:
-    """Apply the circuit's gates in order to |0...0> (or `initial`)."""
+def _simulate_rows(
+    circuit: CircuitSpec, thetas: np.ndarray, initial: StateVector | None = None
+) -> np.ndarray:
+    """Run the circuit once per row of the (R, K) parameter matrix `thetas`.
+
+    Returns the normalized (R, 2^N) amplitudes of the R output states, all
+    started from |0...0> (or `initial`).  A rotation whose angle is the
+    same on every row applies one shared 2x2 matrix; otherwise each row
+    gets its own.  Raises FloatingPointError if any row's norm drifts.
+    """
     n = circuit.n_qubits
     if initial is None:
         initial = zero_state(n)
     if initial.n_qubits != n:
         raise ValueError("initial state size does not match circuit")
-    amps = initial.amplitudes.copy()
+    if thetas.ndim != 2 or thetas.shape[1] != circuit.n_params:
+        raise ValueError(f"expected (R, {circuit.n_params}) parameters, got {thetas.shape}")
+    mats = {name: gate(thetas) for name, gate in _PARAM_GATES.items()}  # (R, K, 2, 2) each
+    shared = (thetas == thetas[:1]).all(axis=0)  # angle columns equal on every row
+    amps = np.repeat(initial.amplitudes[None], len(thetas), axis=0)
     for g in circuit.gates:
         if g.name == "cnot":
             amps = _apply_cnot(amps, g.qubits[0], g.qubits[1], n)
-        elif g.name in _FIXED_GATES:
-            amps = _apply_1q(amps, _FIXED_GATES[g.name], g.qubits[0], n)
+            continue
+        if g.name in _FIXED_GATES:
+            u = _FIXED_GATES[g.name]
         else:
-            u = _PARAM_GATES[g.name](circuit.params[g.param])
-            amps = _apply_1q(amps, u, g.qubits[0], n)
-    norm2 = float(np.vdot(amps, amps).real)
-    if not abs(norm2 - 1.0) <= 1e-6:
-        raise FloatingPointError(f"norm drifted to {norm2}")
-    return StateVector(n, amps / np.sqrt(norm2))
+            u = mats[g.name][0, g.param] if shared[g.param] else mats[g.name][:, g.param]
+        amps = _apply_1q(amps, u, g.qubits[0], n)
+    norm2 = np.array([np.vdot(row, row).real for row in amps])
+    drifted = ~(np.abs(norm2 - 1.0) <= 1e-6)  # `~(<=)` so that NaN counts as drifted
+    if drifted.any():
+        raise FloatingPointError(f"norm drifted to {norm2[drifted][0]}")
+    return amps / np.sqrt(norm2)[:, None]
+
+
+def simulate(circuit: CircuitSpec, initial: StateVector | None = None) -> StateVector:
+    """Apply the circuit's gates in order to |0...0> (or `initial`)."""
+    amps = _simulate_rows(circuit, circuit.params[None], initial)
+    return StateVector(circuit.n_qubits, amps[0])
 
 
 def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
@@ -299,11 +342,12 @@ def _xor_table(n: int) -> np.ndarray:
 @cache
 def _bell_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
     """2^-n/2 (-i)^{#Y(r)} as factors over the leading and trailing halves of r's digits."""
+    per_digit = [-1j if letter == "Y" else 1 for letter in PAULI_LETTERS]
     halves = []
     for k in (n // 2, n - n // 2):
         phase = np.ones(1, dtype=complex)
         for _ in range(k):
-            phase = np.kron(phase, [1, 1, 1, -1j])
+            phase = np.kron(phase, per_digit)
         halves.append(phase)
     halves[0] *= 2.0 ** (-n / 2)
     for phase in halves:
@@ -311,28 +355,47 @@ def _bell_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
     return halves[0][:, None], halves[1]
 
 
+_BLOCK_ENTRIES = 2**16  # complex entries of one gather + transform block of `_cross_bell_blocks`
+
+
+def _bell_transform(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Unscaled Bell amplitudes of each row of (R, 2^N) `rows` against `b`.
+
+    A CNOT from copy B onto copy A, then Hadamards on copy B: gathers
+    g[j, x, r] = rows[r, j XOR x] b[j] through a cached XOR table and
+    Walsh-Hadamard transforms the float view of g over j.  Returns the
+    transform as a flat float array whose axes run (x, r, re/im, z); the
+    amplitude of outcome (z, x) is 2^-N/2 (-i)^{#Y} times it.
+    """
+    g = np.take(np.ascontiguousarray(rows.T), _xor_table(n), axis=0)
+    g *= b[:, None, None]
+    gf = g.view(float).reshape(-1)
+    return _wht(gf, n, scratch=gf)
+
+
+def _outcome_digits(n: int) -> list[int]:
+    """Axes taking an (x_1..x_n, extra, z_1..z_n) view to outcome digits (z_1, x_1, ..., z_n, x_n).
+
+    The extra axis (re/im, or the row of a batch) is left for the caller to place.
+    """
+    return zx_axis_order(z_axes=range(n + 1, 2 * n + 1), x_axes=range(n))
+
+
 def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
     """Bell-basis amplitudes <Bell_r | a (x) b> as a 4^N complex vector.
 
-    A CNOT from copy B onto copy A, then Hadamards on copy B: gathers
-    g[j, x] = a[j XOR x] b[j] through a cached XOR table, Walsh-Hadamard
-    transforms the float view of g over j (which leaves the axes as
-    x, re/im, z), transposes them into the interleaved (z_q x_q) outcome
-    digits in one copy, and multiplies by 2^-N/2 (-i)^{#Y(r)}, one -i per
-    qubit whose digit is Y.
+    The single-row case of `_bell_transform`: transposes its (x, re/im, z)
+    axes into the interleaved (z_q x_q) outcome digits in one copy, and
+    multiplies by 2^-N/2 (-i)^{#Y(r)}, one -i per qubit whose digit is Y.
     """
     if a.n_qubits != b.n_qubits:
         raise ValueError("qubit-count mismatch")
     n = a.n_qubits
     if n > DENSE_CAP:
         raise ValueError(f"dense Bell distributions are capped at {DENSE_CAP} qubits")
-    g = np.take(a.amplitudes, _xor_table(n))
-    g *= b.amplitudes[:, None]
-    gf = g.view(float).reshape(-1)
-    f = _wht(gf, n, scratch=gf)
-    del g, gf  # frees the gather buffer unless it holds the result
+    f = _bell_transform(a.amplitudes[None], b.amplitudes, n)
     # float axes (x_1..x_n, re/im, z_1..z_n) -> (z_1, x_1, ..., z_n, x_n, re/im)
-    order = [ax for q in range(n) for ax in (n + 1 + q, q)] + [n]
+    order = _outcome_digits(n) + [n]
     out = np.empty(4**n, dtype=complex)
     np.copyto(out.view(float).reshape((2,) * (2 * n + 1)),
               f.reshape((2,) * (2 * n + 1)).transpose(order))
@@ -350,6 +413,56 @@ def cross_bell_distribution(a: StateVector, b: StateVector) -> BellDistribution:
     probs += np.square(amps.imag)
     assert probs.max() <= 2.0**-a.n_qubits + 1e-12
     return BellDistribution(a.n_qubits, probs)
+
+
+def _cross_bell_blocks(rows: np.ndarray, b: StateVector):
+    """Cross Bell distributions of every row of (R, 2^N) `rows` against |b>.
+
+    Yields (start, p) in row order, with p[x, i, z] the probability of
+    outcome (z, x) for row start + i, in blocks of about `_BLOCK_ENTRIES`
+    complex entries: one row at a time from N = 8 on, so memory stays
+    O(4^N) whatever R is.
+    """
+    n = b.n_qubits
+    if n > DENSE_CAP:
+        raise ValueError(f"dense Bell distributions are capped at {DENSE_CAP} qubits")
+    if rows.ndim != 2 or rows.shape[1] != 2**n:
+        raise ValueError("rows do not match the base state's size")
+    step = max(1, _BLOCK_ENTRIES // 4**n)
+    scaled = b.amplitudes * 2.0 ** (-n / 2)  # so the squared transform is the probability
+    for start in range(0, len(rows), step):
+        f = _bell_transform(rows[start : start + step], scaled, n)
+        f = np.square(f, out=f).reshape(2**n, -1, 2, 2**n)
+        p = f[:, :, 0] + f[:, :, 1]
+        assert p.max() <= 2.0**-n + 1e-12
+        yield start, p
+
+
+def _cross_bell_rows(rows: np.ndarray, b: StateVector):
+    """Yield the cross Bell distribution of each row of `rows` against |b>, in row order."""
+    n = b.n_qubits
+    view = (2,) * n + (-1,) + (2,) * n  # (x_1..x_n, row, z_1..z_n)
+    order = [n] + _outcome_digits(n)  # -> (row, z_1, x_1, ..., z_n, x_n)
+    for _, p in _cross_bell_blocks(rows, b):
+        probs = np.empty((p.shape[1], 4**n))
+        np.copyto(probs.reshape((-1,) + (2,) * (2 * n)), p.reshape(view).transpose(order))
+        for row in probs:
+            yield BellDistribution(n, row)
+
+
+def _cross_bell_dots(rows: np.ndarray, b: StateVector, h: np.ndarray) -> np.ndarray:
+    """P_r . h for the cross Bell distribution P_r of every row of `rows` against |b>.
+
+    `h` is a 4^N vector over outcomes; it is permuted once into the (x, z)
+    layout of `_cross_bell_blocks`, so no block is reordered.
+    """
+    n = b.n_qubits
+    digits = zx_axis_order(z_axes=range(n, 2 * n), x_axes=range(n))
+    h_xz = h.reshape((2,) * (2 * n)).transpose(np.argsort(digits)).reshape(2**n, 2**n)
+    dots = np.empty(len(rows))
+    for start, p in _cross_bell_blocks(rows, b):
+        dots[start : start + p.shape[1]] = np.einsum("xrz,xz->r", p, h_xz)
+    return dots
 
 
 def bell_distribution(state: StateVector) -> BellDistribution:

@@ -136,6 +136,78 @@ def test_cross_distribution():
     assert d.probabilities.sum() == pytest.approx(1.0)
 
 
+def per_state_gate_loop(circuit, initial=None):
+    """The one-state gate loop that the batched `_simulate_rows` replaced (reference copy)."""
+    ry = lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]])
+    rz = lambda t: np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
+    n = circuit.n_qubits
+    amps = (initial if initial is not None else zero_state(n)).amplitudes.astype(complex)
+    for g in circuit.gates:
+        if g.name == "cnot":
+            c, t = g.qubits
+            out = amps.copy().reshape((2,) * n)
+            sel1 = [slice(None)] * n
+            sel1[c - 1] = 1
+            lo, hi = list(sel1), list(sel1)
+            lo[t - 1], hi[t - 1] = 0, 1
+            out[tuple(lo)], out[tuple(hi)] = out[tuple(hi)].copy(), out[tuple(lo)].copy()
+            amps = out.reshape(-1)
+        else:
+            q = g.qubits[0]
+            if g.name in ("ry", "rz"):
+                u = {"ry": ry, "rz": rz}[g.name](circuit.params[g.param])
+            else:
+                u = sim._FIXED_GATES[g.name]
+            t = amps.reshape(2 ** (q - 1), 2, 2 ** (n - q))
+            amps = np.einsum("ab,ibj->iaj", u, t).reshape(-1)
+    return amps / np.linalg.norm(amps)
+
+
+def every_gate_circuit(n, rng):
+    """A shuffled random circuit with an Ry and an Rz on every qubit plus H, S, T and CNOTs."""
+    ops = [("ry", q) for q in range(1, n + 1)] + [("rz", q) for q in range(1, n + 1)]
+    ops += [(name, int(rng.integers(1, n + 1))) for name in ("h", "s", "t") for _ in range(n)]
+    if n > 1:
+        ops += [("cnot", int(q)) for q in rng.integers(0, n, size=n)]
+    circuit = CircuitSpec(n)
+    for i in rng.permutation(len(ops)):
+        name, q = ops[i]
+        if name == "cnot":
+            c, t = rng.choice(n, size=2, replace=False) + 1
+            circuit.add("cnot", int(c), int(t))
+        elif name in ("ry", "rz"):
+            circuit.add(name, q, angle=float(rng.uniform(0, 2 * np.pi)))
+        else:
+            circuit.add(name, q)
+    return circuit
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_rows_match_per_circuit(n):
+    # 2K = 4N shifted rows: at N = 6 they fill two blocks of _cross_bell_blocks
+    rng = np.random.default_rng(40 + n)
+    circ = every_gate_circuit(n, rng)
+    k_params = circ.n_params
+    for initial in (None, magic.sample_haar_state(n, rng)):
+        base = simulate(circ, initial)
+        assert np.max(np.abs(base.amplitudes - per_state_gate_loop(circ, initial))) <= 1e-12
+        shifted = [circ.shifted(k, sign * np.pi / 2) for k in range(k_params) for sign in (1, -1)]
+        rows = sim._simulate_rows(circ, np.array([c.params for c in shifted]), initial)
+        assert rows.shape == (2 * k_params, 2**n)
+        per_circuit = [simulate(c, initial) for c in shifted]
+        for row, state in zip(rows, per_circuit):
+            assert np.max(np.abs(row - state.amplitudes)) <= 1e-12
+        dists = [cross_bell_distribution(state, base).probabilities for state in per_circuit]
+        batched = list(sim._cross_bell_rows(rows, base))
+        assert len(batched) == len(dists)
+        for got, want in zip(batched, dists):
+            assert np.max(np.abs(got.probabilities - want)) <= 1e-12
+        h = rng.normal(size=4**n)
+        dots = sim._cross_bell_dots(rows, base, h)
+        assert np.max(np.abs(dots - np.array(dists) @ h)) <= 1e-12
+    assert n < 6 or 2 * k_params > sim._BLOCK_ENTRIES // 4**n
+
+
 def pair_kernel_bell_amplitudes(a, b):
     """The outer-product / 4x4 pair-kernel construction that bell_amplitudes replaced."""
     kernel = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1j, -1j, 0]]) / np.sqrt(2)

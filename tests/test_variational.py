@@ -155,8 +155,9 @@ def test_optimize_exact_single_qubit():
     assert len(state.history) == 250 and len(state.grad_norms) == 250
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 6])
 def test_optimize_exact_gradient_matches_shift_rule(n):
+    # at N = 6 the 2K = 48 shifted rows span three blocks of the batched transform
     circ = random_circuit(n, 2, np.random.default_rng(20 + n))
     state = var.optimize(circ, epochs=1)
     shift_rule = [var.grad_bell_magic_exact(circ, k) for k in range(circ.n_params)]
@@ -178,6 +179,18 @@ def test_optimize_sampled_mode_bit_identical_to_oracle(seed):
     assert state.history == history
     assert np.array_equal(state.theta, theta)
     assert state.grad_norms == grad_norms
+
+
+@pytest.mark.parametrize("n_samples", [None, 50])
+def test_optimize_parameter_free_circuit(n_samples):
+    circ = CircuitSpec(2).add("h", 1).add("t", 1)
+    state = var.optimize(circ, epochs=3, n_samples=n_samples, rng=np.random.default_rng(14))
+    assert state.theta.shape == (0,)
+    assert state.grad_norms == [0.0, 0.0, 0.0]
+    assert len(state.history) == 3
+    if n_samples is None:
+        b = magic.bell_magic_of_state(simulate(circ)).bell_magic
+        assert state.history == [b, b, b]
 
 
 def test_optimize_sampled_mode_runs():
