@@ -29,8 +29,7 @@ states: the gate loop `_simulate_rows` runs one circuit under R parameter
 rows on an (R, 2^N) array, and `_bell_transform` takes R rows against one
 shared copy-B state.  `simulate` and `bell_amplitudes` are their R = 1
 cases; the shift-rule gradient of `variational.optimize` runs all 2K
-shifted circuits through them at once (`_cross_bell_dots`,
-`_cross_bell_rows`).
+shifted circuits through them at once (`_cross_bell_dots`).
 
 Gate set: H, S = diag(1, -i), T = diag(1, e^{-i pi/4}), CNOT, and the
 rotations Ry(t), Rz(t) = exp(-i t sigma/2).
@@ -172,12 +171,12 @@ class CircuitSpec:
 def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
     """Apply a one-qubit gate to every row of (R, 2^N) amplitudes.
 
-    `u` is one 2x2 matrix shared by all rows, or an (R, 2, 2) stack with
-    one matrix per row.
+    `u` is a (1, 2, 2) matrix shared by all rows, or an (R, 2, 2) stack
+    with one matrix per row.
     """
-    if u.ndim == 2:
+    if len(u) == 1:
         t = amps.reshape(len(amps) * 2 ** (q - 1), 2, 2 ** (n - q))
-        return np.einsum("ab,ibj->iaj", u, t).reshape(amps.shape)
+        return np.einsum("ab,ibj->iaj", u[0], t).reshape(amps.shape)
     t = amps.reshape(len(amps), 2 ** (q - 1), 2, 2 ** (n - q))
     return np.matmul(u[:, None], t).reshape(amps.shape)
 
@@ -199,9 +198,9 @@ def _simulate_rows(
     """Run the circuit once per row of the (R, K) parameter matrix `thetas`.
 
     Returns the normalized (R, 2^N) amplitudes of the R output states, all
-    started from |0...0> (or `initial`).  A rotation whose angle is the
-    same on every row applies one shared 2x2 matrix; otherwise each row
-    gets its own.  Raises FloatingPointError if any row's norm drifts.
+    started from |0...0> (or `initial`).  A fixed gate applies one 2x2
+    matrix to all rows, a rotation one matrix per row (the same shared
+    path when R = 1).  Raises FloatingPointError if any row's norm drifts.
     """
     n = circuit.n_qubits
     if initial is None:
@@ -211,16 +210,15 @@ def _simulate_rows(
     if thetas.ndim != 2 or thetas.shape[1] != circuit.n_params:
         raise ValueError(f"expected (R, {circuit.n_params}) parameters, got {thetas.shape}")
     mats = {name: gate(thetas) for name, gate in _PARAM_GATES.items()}  # (R, K, 2, 2) each
-    shared = (thetas == thetas[:1]).all(axis=0)  # angle columns equal on every row
     amps = np.repeat(initial.amplitudes[None], len(thetas), axis=0)
     for g in circuit.gates:
         if g.name == "cnot":
             amps = _apply_cnot(amps, g.qubits[0], g.qubits[1], n)
             continue
         if g.name in _FIXED_GATES:
-            u = _FIXED_GATES[g.name]
+            u = _FIXED_GATES[g.name][None]
         else:
-            u = mats[g.name][0, g.param] if shared[g.param] else mats[g.name][:, g.param]
+            u = mats[g.name][:, g.param]
         amps = _apply_1q(amps, u, g.qubits[0], n)
     norm2 = np.array([np.vdot(row, row).real for row in amps])
     drifted = ~(np.abs(norm2 - 1.0) <= 1e-6)  # `~(<=)` so that NaN counts as drifted
@@ -355,7 +353,7 @@ def _bell_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
     return halves[0][:, None], halves[1]
 
 
-_BLOCK_ENTRIES = 2**16  # complex entries of one gather + transform block of `_cross_bell_blocks`
+_BLOCK_ENTRIES = 2**16  # complex entries of one gather + transform block of `_cross_bell_dots`
 
 
 def _bell_transform(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -373,14 +371,6 @@ def _bell_transform(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return _wht(gf, n, scratch=gf)
 
 
-def _outcome_digits(n: int) -> list[int]:
-    """Axes taking an (x_1..x_n, extra, z_1..z_n) view to outcome digits (z_1, x_1, ..., z_n, x_n).
-
-    The extra axis (re/im, or the row of a batch) is left for the caller to place.
-    """
-    return zx_axis_order(z_axes=range(n + 1, 2 * n + 1), x_axes=range(n))
-
-
 def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
     """Bell-basis amplitudes <Bell_r | a (x) b> as a 4^N complex vector.
 
@@ -395,7 +385,7 @@ def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
         raise ValueError(f"dense Bell distributions are capped at {DENSE_CAP} qubits")
     f = _bell_transform(a.amplitudes[None], b.amplitudes, n)
     # float axes (x_1..x_n, re/im, z_1..z_n) -> (z_1, x_1, ..., z_n, x_n, re/im)
-    order = _outcome_digits(n) + [n]
+    order = zx_axis_order(z_axes=range(n + 1, 2 * n + 1), x_axes=range(n)) + [n]
     out = np.empty(4**n, dtype=complex)
     np.copyto(out.view(float).reshape((2,) * (2 * n + 1)),
               f.reshape((2,) * (2 * n + 1)).transpose(order))
@@ -415,52 +405,30 @@ def cross_bell_distribution(a: StateVector, b: StateVector) -> BellDistribution:
     return BellDistribution(a.n_qubits, probs)
 
 
-def _cross_bell_blocks(rows: np.ndarray, b: StateVector):
-    """Cross Bell distributions of every row of (R, 2^N) `rows` against |b>.
+def _cross_bell_dots(rows: np.ndarray, b: StateVector, h: np.ndarray) -> np.ndarray:
+    """P_r . h for the cross Bell distribution P_r of every row of (R, 2^N) `rows` against |b>.
 
-    Yields (start, p) in row order, with p[x, i, z] the probability of
-    outcome (z, x) for row start + i, in blocks of about `_BLOCK_ENTRIES`
-    complex entries: one row at a time from N = 8 on, so memory stays
-    O(4^N) whatever R is.
+    `h` is a 4^N vector over outcomes; it is permuted once into the (x, z)
+    layout of the transform, so no block is reordered.  Rows go through in
+    blocks of about `_BLOCK_ENTRIES` complex entries, one row at a time
+    from N = 8 on, and each block is reduced against h at once, so memory
+    stays O(4^N) whatever R is.
     """
     n = b.n_qubits
     if n > DENSE_CAP:
         raise ValueError(f"dense Bell distributions are capped at {DENSE_CAP} qubits")
     if rows.ndim != 2 or rows.shape[1] != 2**n:
         raise ValueError("rows do not match the base state's size")
+    digits = zx_axis_order(z_axes=range(n, 2 * n), x_axes=range(n))
+    h_xz = h.reshape((2,) * (2 * n)).transpose(np.argsort(digits)).reshape(2**n, 2**n)
     step = max(1, _BLOCK_ENTRIES // 4**n)
     scaled = b.amplitudes * 2.0 ** (-n / 2)  # so the squared transform is the probability
+    dots = np.empty(len(rows))
     for start in range(0, len(rows), step):
         f = _bell_transform(rows[start : start + step], scaled, n)
         f = np.square(f, out=f).reshape(2**n, -1, 2, 2**n)
-        p = f[:, :, 0] + f[:, :, 1]
+        p = f[:, :, 0] + f[:, :, 1]  # p[x, i, z]: outcome (z, x) of row start + i
         assert p.max() <= 2.0**-n + 1e-12
-        yield start, p
-
-
-def _cross_bell_rows(rows: np.ndarray, b: StateVector):
-    """Yield the cross Bell distribution of each row of `rows` against |b>, in row order."""
-    n = b.n_qubits
-    view = (2,) * n + (-1,) + (2,) * n  # (x_1..x_n, row, z_1..z_n)
-    order = [n] + _outcome_digits(n)  # -> (row, z_1, x_1, ..., z_n, x_n)
-    for _, p in _cross_bell_blocks(rows, b):
-        probs = np.empty((p.shape[1], 4**n))
-        np.copyto(probs.reshape((-1,) + (2,) * (2 * n)), p.reshape(view).transpose(order))
-        for row in probs:
-            yield BellDistribution(n, row)
-
-
-def _cross_bell_dots(rows: np.ndarray, b: StateVector, h: np.ndarray) -> np.ndarray:
-    """P_r . h for the cross Bell distribution P_r of every row of `rows` against |b>.
-
-    `h` is a 4^N vector over outcomes; it is permuted once into the (x, z)
-    layout of `_cross_bell_blocks`, so no block is reordered.
-    """
-    n = b.n_qubits
-    digits = zx_axis_order(z_axes=range(n, 2 * n), x_axes=range(n))
-    h_xz = h.reshape((2,) * (2 * n)).transpose(np.argsort(digits)).reshape(2**n, 2**n)
-    dots = np.empty(len(rows))
-    for start, p in _cross_bell_blocks(rows, b):
         dots[start : start + p.shape[1]] = np.einsum("xrz,xz->r", p, h_xz)
     return dots
 

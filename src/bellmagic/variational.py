@@ -19,8 +19,9 @@ outcomes.  The sampled gradient estimates the same quantity from
 measurement samples of the three settings (base, plus-shift, minus-shift).
 
 An epoch of `optimize` simulates the 2K shifted circuits as one (2K, 2^N)
-batch and Bell-transforms them against the base state in one batched
-gather + Walsh-Hadamard pass, O(G K 2^N + K N 4^N) work for G gates.
+batch.  Exact training Bell-transforms them against the base state in one
+batched gather + Walsh-Hadamard pass, O(G K 2^N + K N 4^N) work for G
+gates; sampled training builds each row's cross distribution in turn.
 `grad_p_shift` and `grad_bell_magic_exact` keep the per-circuit rule, one
 parameter at a time, and serve as its oracle.
 """
@@ -36,8 +37,8 @@ from .pauli import as_samples, symplectic_rows
 from .simulator import (
     BellDistribution,
     CircuitSpec,
+    StateVector,
     _cross_bell_dots,
-    _cross_bell_rows,
     _simulate_rows,
     bell_distribution,
     cross_bell_distribution,
@@ -201,16 +202,17 @@ def optimize(
     """Adam ascent on Bell magic with shift-rule gradients (v = 1/2).
 
     Each epoch simulates the base circuit, takes its Bell distribution P,
-    and then runs all 2K shifted circuits (theta +- pi/2 e_k) as one batch:
-    one gate loop over a (2K, 2^N) array and one gather + Walsh-Hadamard
-    pass over them against the base state, in blocks of about 2^16 complex
-    entries.  n_samples = None uses exact gradients and exact per-epoch
-    magic: each block of cross distributions is reduced against the kernel
+    and then runs all 2K shifted circuits (theta +- pi/2 e_k) through one
+    gate loop over a (2K, 2^N) array.  n_samples = None uses exact
+    gradients and exact per-epoch magic: one gather + Walsh-Hadamard pass
+    over the rows against the base state, in blocks of about 2^16 complex
+    entries, reduces each block of cross distributions against the kernel
     h at once, d_k B = (P_+k - P_-k) . h, so an epoch costs O(G K 2^N) for
     the G gates plus O(K N 4^N) for the transforms, in O(4^N) memory.
     Otherwise each epoch spends n_samples per measurement setting (2K + 3
-    settings), drawn in the order base, then plus_k and minus_k for each k,
-    and the history records the sampled estimate.  A step that leaves a
+    settings), drawn in the order base, then plus_k and minus_k for each k
+    from that row's `cross_bell_distribution`, and the history records the
+    sampled estimate.  A step that leaves a
     parameter non-finite (a learning rate grown past the float range)
     raises FloatingPointError.
     """
@@ -233,11 +235,12 @@ def optimize(
             base = sample(p, 3 * n_samples, rng)
             b_hat, _ = estimate_bell_magic(base, n_resamples, rng)
             state.history.append(b_hat)
-            dists = _cross_bell_rows(shifted, base_state)  # plus_0, minus_0, plus_1, ...
             grad = np.empty(k_params)
-            for k, (plus, minus) in enumerate(zip(dists, dists)):
-                plus_outcomes = sample(plus, n_samples, rng)
-                minus_outcomes = sample(minus, n_samples, rng)
+            for k in range(k_params):  # rows plus_0, minus_0, plus_1, ...
+                plus = StateVector(circ.n_qubits, shifted[2 * k])
+                minus = StateVector(circ.n_qubits, shifted[2 * k + 1])
+                plus_outcomes = sample(cross_bell_distribution(plus, base_state), n_samples, rng)
+                minus_outcomes = sample(cross_bell_distribution(minus, base_state), n_samples, rng)
                 grad[k] = estimate_gradient(base, plus_outcomes, minus_outcomes, n_resamples, rng)
         state.grad_norms.append(float(np.linalg.norm(grad)))
         state.m = _BETA1 * state.m + (1 - _BETA1) * grad

@@ -184,7 +184,7 @@ def every_gate_circuit(n, rng):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_batched_rows_match_per_circuit(n):
-    # 2K = 4N shifted rows: at N = 6 they fill two blocks of _cross_bell_blocks
+    # 2K = 4N shifted rows: at N = 6 they fill two blocks of _cross_bell_dots
     rng = np.random.default_rng(40 + n)
     circ = every_gate_circuit(n, rng)
     k_params = circ.n_params
@@ -198,10 +198,6 @@ def test_batched_rows_match_per_circuit(n):
         for row, state in zip(rows, per_circuit):
             assert np.max(np.abs(row - state.amplitudes)) <= 1e-12
         dists = [cross_bell_distribution(state, base).probabilities for state in per_circuit]
-        batched = list(sim._cross_bell_rows(rows, base))
-        assert len(batched) == len(dists)
-        for got, want in zip(batched, dists):
-            assert np.max(np.abs(got.probabilities - want)) <= 1e-12
         h = rng.normal(size=4**n)
         dots = sim._cross_bell_dots(rows, base, h)
         assert np.max(np.abs(dots - np.array(dists) @ h)) <= 1e-12
