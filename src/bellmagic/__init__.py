@@ -18,7 +18,7 @@ from .magic import (
     sample_haar_state,
     stabilizer_renyi,
 )
-from .pauli import BellOutcome, BellSamples, PauliString, check_commute, symplectic_product, xor_add
+from .pauli import BellSamples, PauliString, check_commute, symplectic_product, xor_add
 from .simulator import (
     BellDistribution,
     CircuitSpec,

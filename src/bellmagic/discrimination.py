@@ -11,7 +11,7 @@ labelled runs, live in `experiments`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ STABILIZER, MAGICAL = -1, 1
 
 # the error formulas assume essentially all quadruples are inspected
 LARGE_RESAMPLE_FACTOR = 50
+
+TEST_FRACTION = 0.2  # share of the runs held out in each train/test split
 
 
 def classify(b_hat: float, threshold: float) -> int:
@@ -90,7 +92,6 @@ class LabeledRun:
     b_hat: float
     label: int
     n_outcomes: int
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.label not in (STABILIZER, MAGICAL):
@@ -138,7 +139,6 @@ def train_test_split_error(
     runs: list[LabeledRun],
     n_splits: int,
     rng: np.random.Generator,
-    test_fraction: float = 0.2,
 ) -> tuple[float, float]:
     """Mean train/test error of the learned threshold over random splits.
 
@@ -146,7 +146,7 @@ def train_test_split_error(
     every split does.
     """
     runs = list(runs)
-    n_test = max(1, int(round(test_fraction * len(runs))))
+    n_test = max(1, int(round(TEST_FRACTION * len(runs))))
     train_errs, test_errs = [], []
     for _ in range(n_splits):
         order = rng.permutation(len(runs))

@@ -14,20 +14,15 @@ feeds the mitigation formulas.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .magic import additive_magic, maximally_mixed_magic
-from .pauli import BellSamples, and_parity_rows, as_samples, symplectic_rows, unpack_zx
+from .pauli import BellSamples, and_parity_rows, symplectic_rows, unpack_zx
 
 DEFAULT_RESAMPLE_FACTOR = 10  # n_resamples = 10 * n_outcomes is near-optimal
-
-
-def _rng(rng: np.random.Generator | None) -> np.random.Generator:
-    return rng if rng is not None else np.random.default_rng()
 
 
 def _distinct_tuples(m: int, n_trials: int, width: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,7 +37,7 @@ def _distinct_tuples(m: int, n_trials: int, width: int, rng: np.random.Generator
 
 
 def estimate_bell_magic(
-    outcomes,
+    outcomes: BellSamples,
     n_resamples: int | None = None,
     rng: np.random.Generator | None = None,
     disjoint: bool = False,
@@ -55,11 +50,10 @@ def estimate_bell_magic(
     overlapping index pairs, matching the all-pairs assumption behind the
     closed-form misclassification laws.
     """
-    s = as_samples(outcomes)
-    m = len(s)
+    m = len(outcomes)
     if m < 1:
         raise ValueError("empty outcome list")
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     if disjoint:
         if m < 4:
             raise ValueError("disjoint mode needs at least 4 outcomes")
@@ -70,19 +64,18 @@ def estimate_bell_magic(
     else:
         n_r = DEFAULT_RESAMPLE_FACTOR * m if n_resamples is None else n_resamples
         quad = _distinct_tuples(m, n_r, 4, rng)
-    w = s.words
+    w = outcomes.words
     left = w[quad[:, 0]] ^ w[quad[:, 1]]
     right = w[quad[:, 2]] ^ w[quad[:, 3]]
     b_hat = 2.0 * float(symplectic_rows(left, right).mean())
     return b_hat, additive_magic(b_hat)
 
 
-def estimate_purity(outcomes) -> float:
+def estimate_purity(outcomes: BellSamples) -> float:
     """SWAP-test purity 1 - 2 P_odd from the per-pair AND parities."""
-    s = as_samples(outcomes)
-    if len(s) < 1:
+    if len(outcomes) < 1:
         raise ValueError("empty outcome list")
-    return 1.0 - 2.0 * float(and_parity_rows(s.words).mean())
+    return 1.0 - 2.0 * float(and_parity_rows(outcomes.words).mean())
 
 
 def estimate_depolarization(purity_hat: float, n_qubits: int) -> float:
@@ -99,20 +92,18 @@ def noisy_purity(p: float, n_qubits: int) -> float:
     return (1 - p) ** 2 + p * (2 - p) / 2**n_qubits
 
 
-def sum_prob_squared(outcomes) -> float:
+def sum_prob_squared(outcomes: BellSamples) -> float:
     """Unbiased collision estimate of sum_r P(r)^2."""
-    s = as_samples(outcomes)
-    m = len(s)
+    m = len(outcomes)
     if m < 2:
         raise ValueError("need at least two outcomes")
-    _, counts = np.unique(s.words, axis=0, return_counts=True)
+    _, counts = np.unique(outcomes.words, axis=0, return_counts=True)
     return float((counts * (counts - 1)).sum() / (m * (m - 1)))
 
 
-def empirical_distribution(outcomes, n_qubits: int) -> np.ndarray:
+def empirical_distribution(outcomes: BellSamples, n_qubits: int) -> np.ndarray:
     """Histogram of outcomes over all 4^N indices (dense; small N only)."""
-    s = as_samples(outcomes)
-    return np.bincount(s.indices(), minlength=4**n_qubits) / len(s)
+    return np.bincount(outcomes.indices(), minlength=4**n_qubits) / len(outcomes)
 
 
 @dataclass(frozen=True)
@@ -185,16 +176,15 @@ def _and_bit_fractions(samples: BellSamples) -> np.ndarray:
     return (z & x).mean(axis=0)
 
 
-def estimate_meyer_wallach(outcomes, p_hat: float = 0.0) -> tuple[float, float]:
+def estimate_meyer_wallach(outcomes: BellSamples, p_hat: float = 0.0) -> tuple[float, float]:
     """Raw and depolarizing-mitigated Meyer-Wallach measure from outcomes.
 
     Single-qubit purities come from the per-qubit SWAP-test parities,
     tr(rho_k^2) = 1 - 2 P_odd,k.
     """
-    s = as_samples(outcomes)
-    if s.n_qubits < 2:
+    if outcomes.n_qubits < 2:
         raise ValueError("Meyer-Wallach measure needs at least 2 qubits")
-    purities = 1.0 - 2.0 * _and_bit_fractions(s)
+    purities = 1.0 - 2.0 * _and_bit_fractions(outcomes)
     e_raw = 2.0 * (1.0 - float(purities.mean()))
     e_mtg = mitigate_meyer_wallach(e_raw, p_hat)
     return e_raw, e_mtg
@@ -213,7 +203,7 @@ def mitigate_meyer_wallach(e_noisy: float, p_hat: float) -> float:
 
 @dataclass
 class EstimationResult:
-    """Full per-run estimation record, JSON-serializable."""
+    """Full per-run estimation record."""
 
     n_qubits: int
     n_outcomes: int
@@ -226,30 +216,24 @@ class EstimationResult:
     b_mtg_approx: float | None
     std_plugin: float
     bootstrap_std: float | None = None
-    seed: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def estimate_magic(
-    outcomes,
+    outcomes: BellSamples,
     rng: np.random.Generator | None = None,
     n_resamples: int | None = None,
     n_bootstrap: int = 0,
-    seed: int | None = None,
 ) -> EstimationResult:
     """One-stop pipeline: B estimate, purity, depolarizing fit, mitigation."""
-    s = as_samples(outcomes)
-    rng = _rng(rng)
-    m = len(s)
+    rng = np.random.default_rng(rng)
+    m = len(outcomes)
     n_r = DEFAULT_RESAMPLE_FACTOR * m if n_resamples is None else n_resamples
-    b_hat, b_a_hat = estimate_bell_magic(s, n_r, rng)
-    purity_hat = estimate_purity(s)
-    p_hat = estimate_depolarization(purity_hat, s.n_qubits)
-    sum_sq = sum_prob_squared(s) if m >= 2 else 1.0
+    b_hat, b_a_hat = estimate_bell_magic(outcomes, n_r, rng)
+    purity_hat = estimate_purity(outcomes)
+    p_hat = estimate_depolarization(purity_hat, outcomes.n_qubits)
+    sum_sq = sum_prob_squared(outcomes) if m >= 2 else 1.0
     if p_hat < 1.0:
-        mtg = mitigate(b_hat, p_hat, sum_sq, s.n_qubits)
+        mtg = mitigate(b_hat, p_hat, sum_sq, outcomes.n_qubits)
         b_mtg_exact, b_mtg_approx = mtg.exact, mtg.approx
     else:
         b_mtg_exact = b_mtg_approx = None
@@ -258,14 +242,14 @@ def estimate_magic(
         vals = []
         for _ in range(n_bootstrap):
             pick = rng.integers(0, m, size=m)
-            res = BellSamples(s.n_qubits, s.words[pick])
+            res = BellSamples(outcomes.n_qubits, outcomes.words[pick])
             bb, _ = estimate_bell_magic(res, n_r, rng)
-            pp = estimate_depolarization(estimate_purity(res), s.n_qubits)
+            pp = estimate_depolarization(estimate_purity(res), outcomes.n_qubits)
             if pp < 1.0:
-                vals.append(mitigate(bb, pp, sum_prob_squared(res), s.n_qubits).exact)
+                vals.append(mitigate(bb, pp, sum_prob_squared(res), outcomes.n_qubits).exact)
         boot = float(np.std(vals)) if vals else None
     return EstimationResult(
-        n_qubits=s.n_qubits,
+        n_qubits=outcomes.n_qubits,
         n_outcomes=m,
         n_resamples=n_r,
         b_hat=b_hat,
@@ -276,5 +260,4 @@ def estimate_magic(
         b_mtg_approx=b_mtg_approx,
         std_plugin=std_bernoulli(min(b_hat, 2.0), m),
         bootstrap_std=boot,
-        seed=seed,
     )

@@ -264,7 +264,7 @@ def resampling_sweep(
 def _pe_grid_rep(args) -> list[int]:
     # fresh circuit and fresh i.i.d. samples per repetition; the N_Q grid is
     # evaluated on prefixes of one batch of max(N_Q) samples
-    (kind, n, na, phi, depth, nq_values, factor, replace, seed, _) = args
+    (kind, n, na, phi, depth, nq_values, seed, _) = args
     rng = np.random.default_rng(seed)
     if kind == "single":
         state = discrimination.single_magic_family(n, phi, depth)(rng)
@@ -275,7 +275,7 @@ def _pe_grid_rep(args) -> list[int]:
     for nq in nq_values:
         sub = BellSamples(n, samples.words[:nq])
         b_hat, _ = estimation.estimate_bell_magic(
-            sub, factor * nq, rng, with_replacement=replace
+            sub, discrimination.LARGE_RESAMPLE_FACTOR * nq, rng, with_replacement=kind == "many"
         )
         misses.append(int(discrimination.classify(b_hat, 0.0) == discrimination.STABILIZER))
     return misses
@@ -291,20 +291,16 @@ def error_probability_curve(
     seed: int,
     threads: int = 1,
     depth: int = 4,
-    with_replacement: bool | None = None,
 ) -> list[dict]:
     """Empirical misclassification probability vs theory per N_Q.
 
     The random-string law ('many' kind) is validated with with-replacement
-    resampling by default, since its derivation inspects all pairs of the
+    resampling, since its derivation inspects all pairs of the
     derived strings; distinct-index quadruples cannot see the
     all-pairs-anticommuting configuration, which doubles the miss rate.
     """
     nq_values = list(nq_values)
-    if with_replacement is None:
-        with_replacement = kind == "many"
-    fixed = (kind, n_qubits, n_magic, phi, depth, tuple(nq_values),
-             discrimination.LARGE_RESAMPLE_FACTOR, with_replacement)
+    fixed = (kind, n_qubits, n_magic, phi, depth, tuple(nq_values))
     misses = np.array(_run_reps(_pe_grid_rep, fixed, seed, repetitions, threads))
     rows = []
     for j, nq in enumerate(nq_values):
@@ -343,7 +339,7 @@ def threshold_learning_runs(
         _, samples = _bell_samples(state, p, n_outcomes, rng)
         res = estimation.estimate_magic(samples, rng)
         feature = res.b_mtg_exact if res.b_mtg_exact is not None else res.b_hat
-        return discrimination.LabeledRun(feature, label, n_outcomes, {"p": p})
+        return discrimination.LabeledRun(feature, label, n_outcomes)
 
     runs = []
     for _ in range(n_per_class):

@@ -23,7 +23,9 @@ popcount(a & swap_pairs(b)) mod 2 regardless of qubit order.
 Measurement-outcome batches are stored bit-packed in uint64 words
 (`BellSamples`), little-endian limbs of the same integer, so XOR,
 commutation checks and parity extractions stay O(N/64) numpy word
-operations per sample even for thousands of qubits.  This module is the
+operations per sample even for thousands of qubits.  `BellSamples` is the
+one outcome type: both samplers return it and every estimator reads its
+`words` directly.  This module is the
 only one that knows the bit layout: `pack_zx` turns boolean (M, N) z/x
 matrices into (M, W) words and `unpack_zx` turns words back into them;
 `pack_ints`/`unpack_int` convert between words and packed integers; and
@@ -122,14 +124,6 @@ class PauliString:
         return self.to_letters()
 
 
-class BellOutcome(PauliString):
-    """One two-copy Bell-measurement outcome.
-
-    Bit pair n holds (copy-A bit, copy-B bit) of qubit n in the (z, x)
-    slots, so outcomes XOR directly into Pauli strings.
-    """
-
-
 def _check_same_size(a: PauliString, b: PauliString) -> None:
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"qubit-count mismatch: {a.n_qubits} vs {b.n_qubits}")
@@ -215,8 +209,9 @@ def and_parity_rows(words: np.ndarray) -> np.ndarray:
 class BellSamples:
     """Batch of Bell-measurement outcomes, one packed row per sample.
 
-    Behaves as a sequence of `BellOutcome`; the `words` array is the fast
-    path used by the estimators.
+    Behaves as a sequence of `PauliString`s (bit pair n holds the copy-A
+    and copy-B bits of qubit n in the (z, x) slots, so outcomes XOR directly
+    into Pauli strings); the estimators read the `words` array.
     """
 
     def __init__(self, n_qubits: int, words: np.ndarray):
@@ -233,19 +228,11 @@ class BellSamples:
             raise ValueError("index form only supports up to 31 qubits")
         return cls(n_qubits, np.asarray(indices, dtype=np.uint64)[:, None])
 
-    @classmethod
-    def from_outcomes(cls, outcomes) -> "BellSamples":
-        outcomes = list(outcomes)
-        if not outcomes:
-            raise ValueError("empty outcome list")
-        n = outcomes[0].n_qubits
-        return cls(n, pack_ints(n, (o.bits for o in outcomes)))
-
     def __len__(self) -> int:
         return self.words.shape[0]
 
-    def __getitem__(self, i: int) -> BellOutcome:
-        return BellOutcome(self.n_qubits, unpack_int(self.words[i]))
+    def __getitem__(self, i: int) -> PauliString:
+        return PauliString(self.n_qubits, unpack_int(self.words[i]))
 
     def __iter__(self):
         for i in range(len(self)):
@@ -256,10 +243,3 @@ class BellSamples:
         if self.n_qubits > _MAX_INDEX_QUBITS:
             raise ValueError("outcomes of more than 31 qubits have no int64 index form")
         return self.words[:, 0].astype(np.int64)
-
-
-def as_samples(outcomes) -> BellSamples:
-    """Coerce a BellSamples or an iterable of outcomes to BellSamples."""
-    if isinstance(outcomes, BellSamples):
-        return outcomes
-    return BellSamples.from_outcomes(outcomes)

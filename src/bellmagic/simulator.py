@@ -491,7 +491,10 @@ def _pair_projector(digit: int) -> np.ndarray:
     return out / 4.0
 
 
-def mixed_bell_distribution(rho: np.ndarray, cap: int = 5) -> BellDistribution:
+_MIXED_CAP = 5  # qubits; the projector construction holds 16^N entries
+
+
+def mixed_bell_distribution(rho: np.ndarray) -> BellDistribution:
     """Two-copy Bell distribution of a density matrix, via explicit projectors.
 
     Deliberately the slow reference construction; the fast pure-state path is
@@ -502,8 +505,8 @@ def mixed_bell_distribution(rho: np.ndarray, cap: int = 5) -> BellDistribution:
     n = int(np.log2(dim))
     if rho.shape != (dim, dim) or 2**n != dim:
         raise ValueError("density matrix must be 2^N x 2^N")
-    if n > cap:
-        raise ValueError(f"dense two-copy work is capped at {cap} qubits")
+    if n > _MIXED_CAP:
+        raise ValueError(f"dense two-copy work is capped at {_MIXED_CAP} qubits")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-9:

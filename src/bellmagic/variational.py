@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import _distinct_tuples, estimate_bell_magic, estimate_purity
-from .magic import _pair_swapped, bell_magic_exact, fwht, q_distribution, xor_convolve
-from .pauli import as_samples, symplectic_rows
+from .magic import _pair_swapped, bell_magic_exact, fwht
+from .pauli import BellSamples, symplectic_rows
 from .simulator import (
     BellDistribution,
     CircuitSpec,
@@ -76,9 +76,10 @@ def grad_p_shift(circuit: CircuitSpec, k: int, v: float = 0.5) -> np.ndarray:
 
 
 def _gradient_kernel(p: BellDistribution) -> np.ndarray:
-    # dB = <dP, h>: B is quadratic in Q = P*P and XOR convolution is self-adjoint
-    qhat_j = _pair_swapped(fwht(q_distribution(p)), p.n_qubits)
-    return -4.0 * xor_convolve(p.probabilities, qhat_j)
+    # dB = <dP, h>: B is quadratic in Q = P*P and XOR convolution is self-adjoint;
+    # Qhat = Phat^2, so h = -4 W(Phat . W(J Phat^2)) / 4^N takes three transforms
+    phat = fwht(p.probabilities)
+    return -4.0 / len(phat) * fwht(phat * fwht(_pair_swapped(phat * phat, p.n_qubits)))
 
 
 def grad_bell_magic_exact(circuit: CircuitSpec, k: int, v: float = 0.5) -> float:
@@ -88,18 +89,21 @@ def grad_bell_magic_exact(circuit: CircuitSpec, k: int, v: float = 0.5) -> float
     return float(np.dot(d, _gradient_kernel(p)))
 
 
-def gradient_finite_difference(circuit: CircuitSpec, k: int, step: float = 1e-5) -> float:
+_FD_STEP = 1e-5  # finite-difference step of the gradient oracle
+
+
+def gradient_finite_difference(circuit: CircuitSpec, k: int) -> float:
     """Central finite difference of exact Bell magic; test oracle."""
     _check_param(circuit, k)
-    bp = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, step))))
-    bm = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, -step))))
-    return (bp.bell_magic - bm.bell_magic) / (2 * step)
+    bp = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, _FD_STEP))))
+    bm = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, -_FD_STEP))))
+    return (bp.bell_magic - bm.bell_magic) / (2 * _FD_STEP)
 
 
 def estimate_gradient(
-    base_outcomes,
-    plus_outcomes,
-    minus_outcomes,
+    base_outcomes: BellSamples,
+    plus_outcomes: BellSamples,
+    minus_outcomes: BellSamples,
     n_resamples: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
@@ -110,21 +114,19 @@ def estimate_gradient(
     from the plus/minus cross-copy settings; the same shifted sample index is
     reused in both half-estimates of a trial.
     """
-    base = as_samples(base_outcomes)
-    plus = as_samples(plus_outcomes)
-    minus = as_samples(minus_outcomes)
-    if len(plus) != len(minus):
+    if len(plus_outcomes) != len(minus_outcomes):
         raise ValueError("plus/minus settings need equally many samples")
-    if len(base) < 3:
+    if len(base_outcomes) < 3:
         raise ValueError("need at least three base samples")
-    rng = rng if rng is not None else np.random.default_rng()
-    n_r = 10 * len(plus) if n_resamples is None else n_resamples
-    triples = _distinct_tuples(len(base), n_r, 3, rng)
-    ms = rng.integers(0, len(plus), size=n_r)
-    left = base.words[triples[:, 0]] ^ base.words[triples[:, 1]]
-    third = base.words[triples[:, 2]]
-    vals_plus = 2.0 * symplectic_rows(left, third ^ plus.words[ms])
-    vals_minus = 2.0 * symplectic_rows(left, third ^ minus.words[ms])
+    rng = np.random.default_rng(rng)
+    n_r = 10 * len(plus_outcomes) if n_resamples is None else n_resamples
+    triples = _distinct_tuples(len(base_outcomes), n_r, 3, rng)
+    ms = rng.integers(0, len(plus_outcomes), size=n_r)
+    base = base_outcomes.words
+    left = base[triples[:, 0]] ^ base[triples[:, 1]]
+    third = base[triples[:, 2]]
+    vals_plus = 2.0 * symplectic_rows(left, third ^ plus_outcomes.words[ms])
+    vals_minus = 2.0 * symplectic_rows(left, third ^ minus_outcomes.words[ms])
     return 4.0 * float(vals_plus.mean() - vals_minus.mean())
 
 
@@ -145,7 +147,7 @@ def qfim_diagonal(
     if n_samples is None:
         fidelity = abs(overlap(base, shifted)) ** 2
     else:
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = np.random.default_rng(rng)
         samples = sample(cross_bell_distribution(shifted, base), n_samples, rng)
         fidelity = estimate_purity(samples)
     return 2.0 * (1.0 - fidelity)
@@ -172,12 +174,13 @@ class TrainState:
         return max(self.history) if self.history else -np.inf
 
 
-def near_stabilizer_params(
-    n_params: int, rng: np.random.Generator, amplitude: float = 0.05
-) -> np.ndarray:
+_NEAR_STABILIZER_NOISE = 0.05  # half-width of the uniform noise on each angle
+
+
+def near_stabilizer_params(n_params: int, rng: np.random.Generator) -> np.ndarray:
     """Multiples of pi/2 plus small uniform noise; close to a stabilizer state."""
     return (np.pi / 2) * rng.integers(0, 4, size=n_params) + rng.uniform(
-        -amplitude, amplitude, size=n_params
+        -_NEAR_STABILIZER_NOISE, _NEAR_STABILIZER_NOISE, size=n_params
     )
 
 
@@ -195,7 +198,6 @@ def optimize(
     epochs: int,
     learning_rate: float = 0.1,
     n_samples: int | None = None,
-    n_resamples: int | None = None,
     rng: np.random.Generator | None = None,
     lr_decay: float = 1.0,
 ) -> TrainState:
@@ -218,7 +220,7 @@ def optimize(
     """
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
-    rng = rng if rng is not None else np.random.default_rng()
+    rng = np.random.default_rng(rng)
     k_params = circuit.n_params
     state = TrainState(theta=circuit.params.copy(), m=np.zeros(k_params), v=np.zeros(k_params))
     lr = learning_rate
@@ -233,7 +235,7 @@ def optimize(
             grad = dots[0::2] - dots[1::2]
         else:
             base = sample(p, 3 * n_samples, rng)
-            b_hat, _ = estimate_bell_magic(base, n_resamples, rng)
+            b_hat, _ = estimate_bell_magic(base, rng=rng)
             state.history.append(b_hat)
             grad = np.empty(k_params)
             for k in range(k_params):  # rows plus_0, minus_0, plus_1, ...
@@ -241,7 +243,7 @@ def optimize(
                 minus = StateVector(circ.n_qubits, shifted[2 * k + 1])
                 plus_outcomes = sample(cross_bell_distribution(plus, base_state), n_samples, rng)
                 minus_outcomes = sample(cross_bell_distribution(minus, base_state), n_samples, rng)
-                grad[k] = estimate_gradient(base, plus_outcomes, minus_outcomes, n_resamples, rng)
+                grad[k] = estimate_gradient(base, plus_outcomes, minus_outcomes, rng=rng)
         state.grad_norms.append(float(np.linalg.norm(grad)))
         state.m = _BETA1 * state.m + (1 - _BETA1) * grad
         state.v = _BETA2 * state.v + (1 - _BETA2) * grad**2
@@ -266,7 +268,7 @@ def maximize_magic(
     lr_decay: float = 1.0,
 ) -> TrainState:
     """Near-stabilizer-initialized run of the layered ansatz."""
-    rng = rng if rng is not None else np.random.default_rng()
+    rng = np.random.default_rng(rng)
     theta0 = near_stabilizer_params(2 * n_qubits * depth, rng)
     circuit = hardware_efficient_ansatz(n_qubits, depth, theta0)
     return optimize(circuit, epochs, learning_rate, n_samples=n_samples, rng=rng,

@@ -1,13 +1,14 @@
 """CLI contract: subcommands, config merging, determinism, exit codes."""
 import csv
 import json
+import math
 import shlex
 import warnings
 from pathlib import Path
 
 import pytest
 
-from bellmagic import cli
+from bellmagic import cli, experiments
 from bellmagic.cli import main
 
 
@@ -253,6 +254,50 @@ def test_entangle(tmp_path):
     row = read_csv(out)[0]
     assert float(row["e_exact"]) == pytest.approx(1.0)
     assert abs(float(row["e_raw"]) - 1.0) < 0.1
+
+
+def test_entangle_saturated_p_hat(tmp_path):
+    # at p = 1 this seed's SWAP parities put p_hat at 1: mitigation has no
+    # inverse there, so e_mtg is nan and the run still succeeds
+    out = tmp_path / "ent.csv"
+    assert run(["entangle", "--family", "ghz", "--n", "2", "--p", "1", "--nq", "100",
+                "--seed", "0", "--threads", "1", "--out", str(out)]) == 0
+    (row,) = read_csv(out)
+    assert float(row["p_hat"]) == 1.0
+    assert math.isnan(float(row["e_mtg"]))
+
+
+def _sweep(tmp_path, args):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", *args, "--n", "3", "--na", "1", "--reps", "4", "--seed", "9",
+                "--threads", "1", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "sweep.csv.summary.json").read_text())
+    return read_csv(out), summary
+
+
+def test_sweep_error_vs_nq(tmp_path):
+    rows, summary = _sweep(tmp_path, ["--experiment", "error-vs-nq", "--p-grid", "0,0.05",
+                                      "--nq-grid", "50,200"])
+    assert list(rows[0]) == ["n", "na", "p", "nq", "nr", "mean_abs_error", "seed"]
+    assert [(r["p"], r["nq"], r["nr"]) for r in rows] == [
+        ("0.0", "50", "500"), ("0.0", "200", "2000"),
+        ("0.05", "50", "500"), ("0.05", "200", "2000"),
+    ]
+    slopes = summary["loglog_slopes_vs_nq"]
+    assert list(slopes) == ["0.0", "0.05"]
+    for p, slope in slopes.items():
+        sub = [r for r in rows if r["p"] == p]
+        assert slope == experiments.loglog_slope(
+            [int(r["nq"]) for r in sub], [float(r["mean_abs_error"]) for r in sub])
+
+
+def test_sweep_error_vs_p(tmp_path):
+    rows, summary = _sweep(tmp_path, ["--experiment", "error-vs-p", "--p-grid", "0,0.05,0.1",
+                                      "--nq", "200"])
+    assert list(rows[0]) == ["n", "na", "p", "nq", "mean_abs_error", "seed"]
+    assert [r["p"] for r in rows] == ["0.0", "0.05", "0.1"]
+    assert summary["slope_vs_one_minus_p"] == experiments.loglog_slope(
+        [1 - float(r["p"]) for r in rows], [float(r["mean_abs_error"]) for r in rows])
 
 
 def test_sweep_resampling(tmp_path):

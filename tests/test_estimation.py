@@ -1,10 +1,9 @@
 """Estimator statistics, purity, depolarization fit and mitigation algebra."""
-import json
-
 import numpy as np
 import pytest
 
 from bellmagic import estimation as est, magic, simulator as sim, states
+from bellmagic.pauli import BellSamples
 from bellmagic.simulator import NoiseModel, bell_distribution, noisy_bell_distribution, sample
 from bellmagic.stabilizer import bell_sample_stabilizer, random_clifford
 
@@ -244,16 +243,27 @@ def test_estimate_magic_pipeline():
     state = sim.simulate(sim.magic_input_circuit(3, 1, np.pi / 4, 3, rng))
     dn = noisy_bell_distribution(bell_distribution(state), NoiseModel(0.1))
     s = sample(dn, 5000, rng)
-    res = est.estimate_magic(s, rng, n_bootstrap=50, seed=123)
+    res = est.estimate_magic(s, rng, n_bootstrap=50)
     assert res.n_outcomes == 5000 and res.n_resamples == 50_000
     assert 0 < res.p_hat < 0.2
     assert res.b_mtg_exact is not None
     assert abs(res.b_mtg_exact - 0.5) < 0.15
     assert res.bootstrap_std is not None and res.bootstrap_std > 0
-    parsed = json.loads(res.to_json())
-    assert parsed["seed"] == 123
+
+
+def test_estimate_magic_saturated_p_hat():
+    # all-Y outcomes: every SWAP parity is odd, purity -1, so p_hat = 1 and
+    # neither mitigation nor the bootstrap has a value to report
+    s = BellSamples.from_indices(1, np.full(50, 3))
+    res = est.estimate_magic(s, np.random.default_rng(0), n_bootstrap=20)
+    assert res.purity_hat == -1.0 and res.p_hat == 1.0
+    assert res.b_mtg_exact is None and res.b_mtg_approx is None
+    assert res.bootstrap_std is None
 
 
 def test_empty_outcomes_rejected():
-    with pytest.raises(ValueError):
-        est.estimate_bell_magic([], rng=np.random.default_rng(0))
+    empty = BellSamples(3, np.zeros((0, 1), dtype=np.uint64))
+    for estimator in (est.estimate_bell_magic, est.estimate_purity, est.sum_prob_squared,
+                      est.estimate_magic):
+        with pytest.raises(ValueError):
+            estimator(empty)

@@ -143,6 +143,7 @@ def test_samples_pack_roundtrip():
         s = BellSamples(n, pauli.pack_ints(n, vals))
         assert [o.bits for o in s] == vals
         assert all(o.n_qubits == n for o in s)
+        assert s[0] == PauliString(n, vals[0])  # dataclass equality also checks the type
 
 
 @given(hs.integers(33, 200).flatmap(
@@ -210,11 +211,3 @@ def test_and_parity_rows():
     vals = [P("YII").bits, P("YYI").bits, P("YYY").bits, P("XZI").bits]
     words = pauli.pack_ints(n, vals)
     assert list(pauli.and_parity_rows(words)) == [1, 0, 1, 0]
-
-
-def test_as_samples_from_outcome_list():
-    outs = [pauli.BellOutcome(2, 5), pauli.BellOutcome(2, 0)]
-    s = pauli.as_samples(outs)
-    assert len(s) == 2 and s[0].bits == 5
-    with pytest.raises(ValueError):
-        BellSamples.from_outcomes([])
