@@ -31,7 +31,6 @@ from .simulator import (
     magic_input_circuit,
     mixed_bell_distribution,
     noisy_bell_distribution,
-    pauli_expectation,
     sample,
     simulate,
 )

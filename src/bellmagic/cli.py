@@ -270,8 +270,9 @@ _SUBCOMMANDS = {
         "stabilizer vs magical state discrimination",
         "curve CSV columns: kind, n, phi, na, nq, reps, p_error, "
         "p_error_theory, binom_std, seed; learn CSV columns: nq, n, p, "
-        "n_per_class, train_error, test_error, seed (threshold and errors "
-        "also land in the JSON summary)",
+        "n_per_class, train_error, test_error, seed; learn --runs-csv CSV columns: "
+        "b_hat, label, n_outcomes, seed (the runs read back, seed from --seed; "
+        "threshold and errors also land in the JSON summary)",
         ("mode", "kind", "n", "d", "phi", "na", "nq_grid", "reps", "p", "per_class",
          "splits", "runs_csv"), {"n": 8, "reps": 200}),
     "train": Subcommand(
@@ -286,8 +287,11 @@ _SUBCOMMANDS = {
         ("family", "n", "d", "nt", "na", "phi", "p", "nq", "reps"), {}, {"n": (2, DENSE_CAP)}),
     "sweep": Subcommand(
         "estimation-error sweeps over N_Q, p or N_R",
-        "CSV columns: n, na, p, nq [, nr, mode], mean_abs_error "
-        "[, std_error], seed; fitted slopes land in the JSON summary",
+        "error-vs-nq CSV columns: n, na, p, nq, nr, mean_abs_error, seed; "
+        "error-vs-p CSV columns: n, na, p, nq, mean_abs_error, seed; "
+        "resampling CSV columns: n, na, nq, nr, mode, mean_abs_error, std_error, seed. "
+        "Fitted log-log slopes land in the JSON summary, null where the fit has "
+        "fewer than two distinct x values or an x or error that is not above 0",
         # a grid N_R has no "0 = 10*nq" default
         ("experiment", "n", "d", "na", "nq", "nq_grid", "p_grid", "nr_grid", "reps"), {},
         {"nr": _AT_LEAST_1}),
@@ -385,6 +389,13 @@ def _check_values(args: argparse.Namespace) -> None:
     many_curve = args.mode == "curve" and args.kind == "many"
     implied = {"sweep": "magic-input", "discriminate": "magic-input" if many_curve else None}
     _check_family(implied.get(args.command, args.family), args)
+    # outcome counts below what an estimator needs
+    if args.command == "discriminate" and many_curve and min(args.nq_grid) < 2:
+        raise UsageError(f"the many-magic curve needs nq-grid entries of at least 2, "
+                         f"got {min(args.nq_grid)}")
+    if (args.command == "sweep" and args.experiment == "resampling"
+            and "disjoint" in args.nr_grid and args.nq < 4):
+        raise UsageError(f"disjoint quadruples need nq of at least 4, got {args.nq}")
 
 
 def _check_family(family: str | None, args: argparse.Namespace) -> None:

@@ -58,12 +58,10 @@ def estimate_bell_magic(
         if m < 4:
             raise ValueError("disjoint mode needs at least 4 outcomes")
         quad = rng.permutation(m)[: 4 * (m // 4)].reshape(-1, 4)
-    elif m <= 3 or with_replacement:
-        n_r = DEFAULT_RESAMPLE_FACTOR * m if n_resamples is None else n_resamples
-        quad = rng.integers(0, m, size=(n_r, 4))
     else:
         n_r = DEFAULT_RESAMPLE_FACTOR * m if n_resamples is None else n_resamples
-        quad = _distinct_tuples(m, n_r, 4, rng)
+        replace = m <= 3 or with_replacement
+        quad = rng.integers(0, m, size=(n_r, 4)) if replace else _distinct_tuples(m, n_r, 4, rng)
     w = outcomes.words
     left = w[quad[:, 0]] ^ w[quad[:, 1]]
     right = w[quad[:, 2]] ^ w[quad[:, 3]]
@@ -239,14 +237,12 @@ def estimate_magic(
         b_mtg_exact = b_mtg_approx = None
     boot = None
     if n_bootstrap > 0 and p_hat < 1.0:
-        vals = []
+        vals = []  # each draw re-runs this pipeline on m outcomes picked with replacement
         for _ in range(n_bootstrap):
-            pick = rng.integers(0, m, size=m)
-            res = BellSamples(outcomes.n_qubits, outcomes.words[pick])
-            bb, _ = estimate_bell_magic(res, n_r, rng)
-            pp = estimate_depolarization(estimate_purity(res), outcomes.n_qubits)
-            if pp < 1.0:
-                vals.append(mitigate(bb, pp, sum_prob_squared(res), outcomes.n_qubits).exact)
+            draw = BellSamples(outcomes.n_qubits, outcomes.words[rng.integers(0, m, size=m)])
+            b_mtg = estimate_magic(draw, rng, n_r).b_mtg_exact
+            if b_mtg is not None:
+                vals.append(b_mtg)
         boot = float(np.std(vals)) if vals else None
     return EstimationResult(
         n_qubits=outcomes.n_qubits,

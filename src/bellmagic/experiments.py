@@ -188,7 +188,8 @@ def error_vs_samples_sweep(
         n_qubits, n_magic, p_values, nq_values, repetitions, seed, threads, depth
     )
     return [
-        {"n": n_qubits, "na": n_magic, "p": p, "nq": nq, "nr": 10 * nq,
+        {"n": n_qubits, "na": n_magic, "p": p, "nq": nq,
+         "nr": estimation.DEFAULT_RESAMPLE_FACTOR * nq,
          "mean_abs_error": float(mean_err[i, j]), "seed": seed}
         for i, p in enumerate(p_values)
         for j, nq in enumerate(nq_values)
@@ -205,19 +206,26 @@ def error_vs_noise_sweep(
     threads: int = 1,
     depth: int = 4,
 ) -> list[dict]:
-    """Mean mitigated error per p at fixed N_Q; slope vs log(1-p) is about -8."""
-    mean_err = mitigated_error_grid(
+    """Mean mitigated error per p at fixed N_Q; slope vs log(1-p) is about -8.
+
+    The N_Q = n_outcomes column of `error_vs_samples_sweep`, without its `nr`.
+    """
+    rows = error_vs_samples_sweep(
         n_qubits, n_magic, p_values, [n_outcomes], repetitions, seed, threads, depth
     )
-    return [
-        {"n": n_qubits, "na": n_magic, "p": p, "nq": n_outcomes,
-         "mean_abs_error": float(mean_err[i, 0]), "seed": seed}
-        for i, p in enumerate(p_values)
-    ]
+    return [{k: v for k, v in r.items() if k != "nr"} for r in rows]
 
 
-def loglog_slope(x, y) -> float:
-    return float(np.polyfit(np.log(np.asarray(x, float)), np.log(np.asarray(y, float)), 1)[0])
+def loglog_slope(x, y) -> float | None:
+    """Least-squares slope of log y against log x.
+
+    None unless there are two distinct x values and every x and y is above
+    0: a line through one point, or through log 0, has no slope.
+    """
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    if len(np.unique(x)) < 2 or not (x > 0).all() or not (y > 0).all():
+        return None
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def _resample_rep(args) -> float:

@@ -41,7 +41,7 @@ from functools import cache
 
 import numpy as np
 
-from .pauli import PAULI_LETTERS, BellSamples, PauliString, pack_ints, unpack_zx, zx_axis_order
+from .pauli import PAULI_LETTERS, BellSamples, PauliString, zx_axis_order
 
 DENSE_CAP = 12  # exact 4^N distributions get large quickly
 
@@ -181,15 +181,13 @@ def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
     return np.matmul(u[:, None], t).reshape(amps.shape)
 
 
-def _apply_cnot(amps: np.ndarray, c: int, t: int, n: int) -> np.ndarray:
-    """Apply a CNOT to every row of (R, 2^N) amplitudes."""
-    out = amps.reshape((len(amps),) + (2,) * n).copy()
-    sel1 = [slice(None)] * (n + 1)
-    sel1[c] = 1
-    lo, hi = list(sel1), list(sel1)
-    lo[t], hi[t] = 0, 1
-    out[tuple(lo)], out[tuple(hi)] = out[tuple(hi)].copy(), out[tuple(lo)].copy()
-    return out.reshape(amps.shape)
+@cache
+def _cnot_permutation(c: int, t: int, n: int) -> np.ndarray:
+    """Index gather of a CNOT: amplitude j comes from j with bit t flipped where bit c is 1."""
+    j = np.arange(2**n)
+    perm = j ^ (((j >> (n - c)) & 1) << (n - t))
+    perm.setflags(write=False)
+    return perm
 
 
 def _simulate_rows(
@@ -213,7 +211,7 @@ def _simulate_rows(
     amps = np.repeat(initial.amplitudes[None], len(thetas), axis=0)
     for g in circuit.gates:
         if g.name == "cnot":
-            amps = _apply_cnot(amps, g.qubits[0], g.qubits[1], n)
+            amps = np.take(amps, _cnot_permutation(g.qubits[0], g.qubits[1], n), axis=1)
             continue
         if g.name in _FIXED_GATES:
             u = _FIXED_GATES[g.name][None]
@@ -231,30 +229,6 @@ def simulate(circuit: CircuitSpec, initial: StateVector | None = None) -> StateV
     """Apply the circuit's gates in order to |0...0> (or `initial`)."""
     amps = _simulate_rows(circuit, circuit.params[None], initial)
     return StateVector(circuit.n_qubits, amps[0])
-
-
-def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
-    """sigma_p |psi> with the standard phases i^{#Y} (-1)^{z.b}."""
-    if p.n_qubits != state.n_qubits:
-        raise ValueError("qubit-count mismatch")
-    n = state.n_qubits
-    idx = np.arange(2**n, dtype=np.uint64)
-    # per-qubit z/x masks as N-bit integers (qubit 1 = MSB)
-    z, x = unpack_zx(pack_ints(n, [p.bits]), n)
-    place = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
-    zm, xm = place[z[0]].sum(), place[x[0]].sum()
-    signs = np.where(np.bitwise_count(idx & zm) & 1, -1.0, 1.0)
-    global_phase = 1j ** (p.y_count() % 4)
-    out = np.empty_like(state.amplitudes)
-    out[idx ^ xm] = global_phase * signs * state.amplitudes
-    return StateVector(n, out)
-
-
-def pauli_expectation(state: StateVector, p: PauliString) -> float:
-    """Real expectation value <psi|sigma_p|psi>."""
-    val = complex(np.vdot(state.amplitudes, apply_pauli(state, p).amplitudes))
-    assert abs(val.imag) < 1e-9
-    return val.real
 
 
 @dataclass(frozen=True)

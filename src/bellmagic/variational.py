@@ -31,7 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import _distinct_tuples, estimate_bell_magic, estimate_purity
+from .estimation import (
+    DEFAULT_RESAMPLE_FACTOR, _distinct_tuples, estimate_bell_magic, estimate_purity,
+)
 from .magic import _pair_swapped, bell_magic_exact, fwht
 from .pauli import BellSamples, symplectic_rows
 from .simulator import (
@@ -119,7 +121,7 @@ def estimate_gradient(
     if len(base_outcomes) < 3:
         raise ValueError("need at least three base samples")
     rng = np.random.default_rng(rng)
-    n_r = 10 * len(plus_outcomes) if n_resamples is None else n_resamples
+    n_r = DEFAULT_RESAMPLE_FACTOR * len(plus_outcomes) if n_resamples is None else n_resamples
     triples = _distinct_tuples(len(base_outcomes), n_r, 3, rng)
     ms = rng.integers(0, len(plus_outcomes), size=n_r)
     base = base_outcomes.words

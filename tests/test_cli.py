@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -316,3 +317,95 @@ def test_stdout_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("rep,family,n,")
     assert len(lines) == 2
+
+
+def test_magic_bootstrap_one_outcome(tmp_path):
+    # one outcome per repetition: the bootstrap draws take the point
+    # estimate's fallback for sum P^2, so the run succeeds
+    out = tmp_path / "one.csv"
+    assert run(["magic", "--family", "plus-product", "--n", "2", "--nq", "1",
+                "--bootstrap", "3", "--threads", "1", "--seed", "0", "--out", str(out)]) == 0
+    (row,) = read_csv(out)
+    assert float(row["bootstrap_std"]) == 0.0
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("args, key", [
+    # a single N_Q: one point, no line
+    (["--experiment", "error-vs-nq", "--na", "1", "--nq-grid", "1", "--p-grid", "0"],
+     "loglog_slopes_vs_nq"),
+    # a noiseless stabilizer input is estimated without error: log 0
+    (["--experiment", "error-vs-nq", "--na", "0", "--nq-grid", "10,20", "--p-grid", "0"],
+     "loglog_slopes_vs_nq"),
+    (["--experiment", "error-vs-p", "--na", "1", "--p-grid", "0.1"], "slope_vs_one_minus_p"),
+])
+def test_sweep_slope_null_without_a_line(tmp_path, args, key):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", *args, "--n", "2", "--reps", "2", "--seed", "0", "--threads", "1",
+                "--out", str(out)]) == 0
+    slope = _strict_json(tmp_path / "sweep.csv.summary.json")[key]
+    assert slope in (None, {"0.0": None})
+
+
+def test_loglog_slope_rule():
+    assert experiments.loglog_slope([1, 10], [1, 0.1]) == pytest.approx(-1.0)
+    for x, y in (([5], [0.1]), ([5, 5], [0.1, 0.2]), ([1, 10], [0.1, 0.0]),
+                 ([0, 10], [0.1, 0.2]), ([1, 10], [0.1, float("nan")])):
+        assert experiments.loglog_slope(x, y) is None, (x, y)
+
+
+@pytest.mark.parametrize("argv", [
+    # p_error_random needs two outcomes
+    ["discriminate", "--mode", "curve", "--kind", "many", "--n", "3", "--na", "1",
+     "--nq-grid", "1,5"],
+    # disjoint quadruples need four outcomes
+    ["sweep", "--experiment", "resampling", "--n", "2", "--na", "1", "--nq", "3",
+     "--nr-grid", "disjoint"],
+])
+def test_too_few_outcomes_exit_2(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--threads", "1"]) == 2
+
+
+def _epilog_columns(epilog):
+    """{label: columns} from the epilog's '<label> CSV columns: a, b (note), c' clauses."""
+    text = re.sub(r" \([^)]*\)", "", epilog)
+    return {label.strip(): cols.split(", ")
+            for label, cols in re.findall(r"([\w -]*?)\s*CSV columns: ([\w, ]+)", text)}
+
+
+def test_epilogs_list_the_csv_columns(tmp_path):
+    runs = tmp_path / "runs.csv"
+    runs.write_text("b_hat,label,n_outcomes\n0.0,-1,100\n0.5,1,100\n")
+    small = {
+        ("magic", ""): ["magic", "--n", "1", "--nq", "10"],
+        ("discriminate", "curve"): ["discriminate", "--mode", "curve", "--n", "2", "--d", "1",
+                                    "--nq-grid", "5", "--reps", "2"],
+        ("discriminate", "learn"): ["discriminate", "--mode", "learn", "--n", "2", "--d", "2",
+                                    "--p", "0.1", "--per-class", "6", "--splits", "3",
+                                    "--nq-grid", "50", "--seed", "2"],
+        ("discriminate", "learn --runs-csv"): ["discriminate", "--mode", "learn",
+                                               "--runs-csv", str(runs)],
+        ("train", ""): ["train", "--n", "1", "--d", "1", "--epochs", "2"],
+        ("entangle", ""): ["entangle", "--family", "ghz", "--n", "2", "--nq", "10"],
+        ("sweep", "error-vs-nq"): ["sweep", "--experiment", "error-vs-nq", "--n", "2",
+                                   "--na", "1", "--nq-grid", "10", "--p-grid", "0"],
+        ("sweep", "error-vs-p"): ["sweep", "--experiment", "error-vs-p", "--n", "2",
+                                  "--na", "1", "--nq", "10", "--p-grid", "0"],
+        ("sweep", "resampling"): ["sweep", "--experiment", "resampling", "--n", "2",
+                                  "--na", "1", "--nq", "10", "--nr-grid", "disjoint"],
+    }
+    documented = {(name, label): cols for name, spec in cli._SUBCOMMANDS.items()
+                  for label, cols in _epilog_columns(spec.epilog).items()}
+    assert set(documented) == set(small)
+    out = tmp_path / "out.csv"
+    for key, argv in small.items():
+        assert run(argv + ["--threads", "1", "--out", str(out)]) == 0, key
+        with open(out) as f:
+            assert next(csv.reader(f)) == documented[key], key

@@ -261,6 +261,43 @@ def test_estimate_magic_saturated_p_hat():
     assert res.bootstrap_std is None
 
 
+def _oracle_bootstrap_std(outcomes, n_resamples, n_bootstrap, rng):
+    """The bootstrap loop that re-running `estimate_magic` replaced (reference copy)."""
+    m, n = len(outcomes), outcomes.n_qubits
+    vals = []
+    for _ in range(n_bootstrap):
+        res = BellSamples(n, outcomes.words[rng.integers(0, m, size=m)])
+        bb, _ = est.estimate_bell_magic(res, n_resamples, rng)
+        pp = est.estimate_depolarization(est.estimate_purity(res), n)
+        if pp < 1.0:
+            vals.append(est.mitigate(bb, pp, est.sum_prob_squared(res), n).exact)
+    return float(np.std(vals)) if vals else None
+
+
+def test_bootstrap_matches_hand_loop():
+    # the draws take the old loop's RNG calls in the same order, so the std is bit-identical
+    for n, p, nq, seed in ((1, 0.0, 30, 0), (2, 0.2, 200, 1), (3, 0.1, 500, 2)):
+        rng = np.random.default_rng(seed)
+        dn = noisy_bell_distribution(bell_distribution(magic.sample_haar_state(n, rng)),
+                                     NoiseModel(p))
+        s = sample(dn, nq, rng)
+        n_r = est.DEFAULT_RESAMPLE_FACTOR * nq
+        res = est.estimate_magic(s, np.random.default_rng(seed), n_bootstrap=25)
+        ref_rng = np.random.default_rng(seed)
+        est.estimate_bell_magic(s, n_r, ref_rng)  # the point estimate draws first
+        assert res.bootstrap_std is not None
+        assert res.bootstrap_std == _oracle_bootstrap_std(s, n_r, 25, ref_rng)
+
+
+def test_estimate_magic_one_outcome_bootstrap():
+    # one outcome has no collision estimate of sum P^2; every bootstrap draw
+    # takes the point estimate's fallback of 1 instead of raising
+    s = BellSamples.from_indices(2, np.array([0]))
+    res = est.estimate_magic(s, np.random.default_rng(0), n_bootstrap=3)
+    assert res.p_hat == 0.0 and res.b_mtg_exact == 0.0
+    assert res.bootstrap_std == 0.0
+
+
 def test_empty_outcomes_rejected():
     empty = BellSamples(3, np.zeros((0, 1), dtype=np.uint64))
     for estimator in (est.estimate_bell_magic, est.estimate_purity, est.sum_prob_squared,

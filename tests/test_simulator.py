@@ -15,11 +15,12 @@ from bellmagic.simulator import (
     cross_bell_distribution,
     mixed_bell_distribution,
     noisy_bell_distribution,
-    pauli_expectation,
     sample,
     simulate,
     zero_state,
 )
+
+from oracles import pauli_expectation
 
 CHI2_5SIGMA = stats.norm.sf(5.0)  # one-sided 5-sigma tail probability
 
