@@ -14,6 +14,14 @@ XOR combinations of their rows, and one byte of random picks indexes it.
 M samples cost M * ceil(N/8) * W word XORs plus 32 * N * W to build the
 tables, with no (M, N) bit matrix product.
 
+`random_clifford` applies a whole layer of gates at once, in the style of
+Aaronson and Gottesman (quant-ph/0406196): the tableau is transposed and
+bit-packed so that each qubit's z and x bits of all N generators are
+ceil(N/64) uint64 words, the layer's S and H gates become masked word
+operations on every qubit row together, and its CNOT chain an XOR prefix scan
+down the qubits.  That is O(depth * N * ceil(N/64)) word operations, plus
+O(N^2) to unpack into the boolean tableau.
+
 The gate conventions match `simulator` (S = diag(1, -i), so X -> -Y).
 """
 from __future__ import annotations
@@ -132,21 +140,14 @@ class StabilizerTableau:
 
     def generator(self, i: int) -> tuple[int, PauliString]:
         """Generator i as (sign in {+1,-1}, PauliString)."""
+        if not 0 <= i < self.n_qubits:
+            raise IndexError(f"generator index {i} out of range")
         words = pack_zx(self.z[i : i + 1], self.x[i : i + 1])
         return (-1 if self.signs[i] else 1), PauliString(self.n_qubits, unpack_int(words[0]))
 
     def generator_words(self) -> np.ndarray:
         """The N generators as (N, W) packed words, signs dropped."""
         return pack_zx(self.z, self.x)
-
-    def is_valid(self) -> bool:
-        """Generators pairwise commute and are independent over GF(2)."""
-        zi, xi = self.z.astype(np.uint8), self.x.astype(np.uint8)
-        sym = (zi @ xi.T + xi @ zi.T) % 2
-        if np.any(sym):
-            return False
-        mat = np.concatenate([zi, xi], axis=1)
-        return len(_gf2_eliminate(mat, mat.shape[1])) == self.n_qubits
 
     def to_text(self) -> str:
         """One generator per line, sign then letters."""
@@ -157,30 +158,88 @@ class StabilizerTableau:
         return "\n".join(lines)
 
 
+def _unpack_columns(words: np.ndarray, r: int) -> np.ndarray:
+    """(C, W) uint64 rows of r-bit sets as the (r, C) boolean matrix; bit j of row c is [j, c]."""
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, count=r, bitorder="little").view(bool).T.copy()
+
+
+def _masks(flags: np.ndarray) -> np.ndarray:
+    """Per-qubit 0/1 flags as (N, 1) all-zero / all-one uint64 row masks."""
+    return np.where(flags, ~np.uint64(0), np.uint64(0))[:, None]
+
+
+def _s_power(z: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Apply S^p, p in 0..3 per qubit, to packed rows in place; return the sign flips.
+
+    S^p = S^(p & 1) S^(2 (p >> 1)), and S^2 = Z flips the sign of every X or Y.
+    """
+    odd, two = _masks(p & 1), _masks(p >> 1)
+    flips = np.bitwise_xor.reduce(x & (two ^ (odd & ~z)), axis=0)
+    z ^= x & odd
+    return flips
+
+
+def _layered_tableau(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z, x and signs of |0...0> after layers of S^a H^h S^b words and CNOT chains.
+
+    draws is (depth, N, 3) of per-qubit (a, h, b).  The tableau is worked on
+    transposed and bit-packed: row q of z and x holds qubit q's bits of all N
+    generators, bit j for generator j, and the signs are one such row.  Every
+    gate of a layer then acts on whole rows at once, and each sign update is
+    an XOR reduction over qubits.
+    """
+    n = draws.shape[1]
+    q = np.arange(n)
+    z = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    z[q, q >> 6] = np.uint64(1) << (q & 63).astype(np.uint64)  # generator q is Z_q
+    x, signs = np.zeros_like(z), np.zeros_like(z[0])
+    for a, h, b in draws.transpose(0, 2, 1):
+        signs ^= _s_power(z, x, a)
+        hm = _masks(h)  # H flips Y, then swaps z and x
+        signs ^= np.bitwise_xor.reduce(z & x & hm, axis=0)
+        swap = (z ^ x) & hm
+        z ^= swap
+        x ^= swap
+        signs ^= _s_power(z, x, b)
+        # CNOT(q, q+1) for q = 1..N-1 in order: control q has by then taken
+        # the XOR of the x rows of qubits 1..q, while every z row read is original
+        x_acc = np.bitwise_xor.accumulate(x, axis=0)
+        signs ^= np.bitwise_xor.reduce(x_acc[:-1] & z[1:] & ~(x[1:] ^ z[:-1]), axis=0)
+        z[:-1] ^= z[1:]
+        x = x_acc
+    return _unpack_columns(z, n), _unpack_columns(x, n), _unpack_columns(signs, n)
+
+
 def random_clifford(
     n_qubits: int, depth: int, rng: np.random.Generator
 ) -> tuple[StabilizerTableau, CircuitSpec]:
-    """Random layered Clifford circuit: per-qubit H/S words plus CNOT chains.
+    """Random layered Clifford circuit: per-qubit S^a H^h S^b words plus CNOT chains.
 
-    Not uniform over the Clifford group; Bell magic is Clifford-invariant so
-    the sampled magic values do not depend on the circuit distribution.
+    Each layer gives qubit q the word S^a, H if h, S^b with a, b uniform in
+    0..3 and h a fair bit, drawn in that order qubit by qubit, and then
+    CNOT(q, q+1) for q = 1..N-1.  Not uniform over the Clifford group; Bell
+    magic is Clifford-invariant so the sampled magic values do not depend on
+    the circuit distribution.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     tab = StabilizerTableau(n_qubits)
-    circuit = CircuitSpec(n_qubits)
-    for _ in range(depth):
-        for q in range(1, n_qubits + 1):
-            word = ["s"] * int(rng.integers(0, 4))
-            if rng.integers(0, 2):
-                word.append("h")
-            word += ["s"] * int(rng.integers(0, 4))
-            for name in word:
-                circuit.add(name, q)
-        for q in range(1, n_qubits):
-            circuit.add("cnot", q, q + 1)
-    tab.apply_circuit(circuit)
-    return tab, circuit
+    # range 4 (and 2) draws are the top bits of one 32-bit word each, so one
+    # call consumes the stream exactly as the scalar a, h, b draws would
+    draws = rng.integers(0, 4, size=(depth, n_qubits, 3))
+    draws[..., 1] >>= 1
+    tab.z, tab.x, tab.signs = _layered_tableau(draws)
+    qubits = range(1, n_qubits + 1)
+    s_gates = [Gate("s", (q,)) for q in qubits]
+    h_gates = [Gate("h", (q,)) for q in qubits]
+    chain = [Gate("cnot", (q, q + 1)) for q in qubits[:-1]]
+    gates = []
+    for layer in draws.tolist():
+        for s, h, (a, has_h, b) in zip(s_gates, h_gates, layer):
+            gates += [s] * a + [h] * has_h + [s] * b
+        gates += chain
+    return tab, CircuitSpec(n_qubits, gates)
 
 
 def conjugation_offset(tableau: StabilizerTableau) -> PauliString:

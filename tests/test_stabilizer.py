@@ -6,7 +6,7 @@ from scipy import stats
 from bellmagic import estimation, magic, simulator as sim, stabilizer as st
 from bellmagic.pauli import BellSamples, PauliString, symplectic_rows, unpack_int, words_per_string
 
-from oracles import apply_pauli, pauli_expectation
+from oracles import apply_pauli, pauli_expectation, random_clifford_gatewise, tableau_is_valid
 
 
 def _oracle_pack_zx(z, x, n_qubits):
@@ -73,13 +73,16 @@ def test_long_random_circuit_preserves_invariants():
             tab.cnot(int(c), int(t))
         else:
             getattr(tab, g)(int(rng.integers(1, 6)))
-    assert tab.is_valid()
+    assert tableau_is_valid(tab)
 
 
 def test_gate_errors():
     tab = st.StabilizerTableau(2)
     with pytest.raises(IndexError):
         tab.h(3)
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match=f"generator index {i}"):
+            tab.generator(i)
     with pytest.raises(IndexError):
         tab.cnot(1, 1)
     with pytest.raises(ValueError):
@@ -95,6 +98,42 @@ def test_signs_match_dense_simulator():
         for i in range(n):
             sign, p = tab.generator(i)
             assert pauli_expectation(state, p) == pytest.approx(sign, abs=1e-9)
+
+
+def _assert_same_clifford(n, depth, seed):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_tab, ref_circ = random_clifford_gatewise(n, depth, ref_rng)
+    tab, circ = st.random_clifford(n, depth, rng)
+    assert np.array_equal(tab.z, ref_tab.z)
+    assert np.array_equal(tab.x, ref_tab.x)
+    assert np.array_equal(tab.signs, ref_tab.signs)
+    assert circ.gates == ref_circ.gates
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+    replay = st.StabilizerTableau(n)
+    replay.apply_circuit(circ)
+    assert np.array_equal(replay.z, tab.z) and np.array_equal(replay.x, tab.x)
+    assert np.array_equal(replay.signs, tab.signs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_random_clifford_matches_gatewise_oracle(n, depth):
+    # 64-bit word boundaries of the packed generator planes; n = 1 has no CNOT chain
+    for seed in range(3):
+        _assert_same_clifford(n, depth, 1000 * n + seed)
+
+
+def test_random_clifford_matches_gatewise_oracle_large():
+    _assert_same_clifford(1500, 3, 1)
+
+
+@pytest.mark.parametrize("n, depth", [(3, 0), (3, -1), (0, 2), (-2, 2)])
+def test_random_clifford_rejects_sizes_before_drawing(n, depth):
+    rng = np.random.default_rng(12)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        st.random_clifford(n, depth, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_random_clifford_has_zero_magic():
