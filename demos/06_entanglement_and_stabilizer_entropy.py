@@ -32,7 +32,7 @@ clean = sim.bell_distribution(state)
 noisy = sim.noisy_bell_distribution(clean, sim.NoiseModel(0.1))
 samples = sim.sample(noisy, 100_000, rng)
 p_hat = est.estimate_depolarization(est.estimate_purity(samples), 2)
-emp = est.empirical_distribution(samples, 2)
+emp = est.empirical_distribution(samples)
 fixed = est.mitigate_probabilities(emp, p_hat, 2)
 m2_true, _ = magic.stabilizer_renyi(clean)
 m2_noisy = -np.log2(4 * float((emp**2).sum()))

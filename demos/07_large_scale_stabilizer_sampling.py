@@ -30,7 +30,7 @@ for n in (50, 300, 1500, 3000):
           f"   B_hat = {b_hat}   purity = {est.estimate_purity(samples)}")
 
 print(f"\nstructure check at N = {n}: pairwise XORs of outcomes all commute")
-w = st.bell_sample_stabilizer(tab, 400, rng).words
+w = samples.words[:400]
 xors = w[:200] ^ w[200:]
 print(f"  non-commuting XOR pairs found: {int(symplectic_rows(xors, np.roll(xors, 7, axis=0)).sum())}")
 

@@ -8,7 +8,6 @@ maximization, all built on two-copy Bell measurements.
 from .magic import (
     MagicValue,
     additive_magic,
-    bell_magic_brute,
     bell_magic_exact,
     bell_magic_of_state,
     meyer_wallach,
@@ -18,7 +17,7 @@ from .magic import (
     sample_haar_state,
     stabilizer_renyi,
 )
-from .pauli import BellSamples, PauliString, check_commute, symplectic_product, xor_add
+from .pauli import BellSamples, PauliString, xor_add
 from .simulator import (
     BellDistribution,
     CircuitSpec,
@@ -29,7 +28,6 @@ from .simulator import (
     cross_bell_distribution,
     hardware_efficient_ansatz,
     magic_input_circuit,
-    mixed_bell_distribution,
     noisy_bell_distribution,
     sample,
     simulate,
@@ -51,8 +49,6 @@ from .discrimination import classify, learn_threshold, p_error_random, p_error_s
 from .variational import (
     TrainState,
     estimate_gradient,
-    grad_bell_magic_exact,
-    grad_p_shift,
     maximize_magic,
     optimize,
     qfim_diagonal,

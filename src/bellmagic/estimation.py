@@ -25,6 +25,15 @@ from .pauli import BellSamples, and_parity_rows, symplectic_rows, unpack_zx
 DEFAULT_RESAMPLE_FACTOR = 10  # n_resamples = 10 * n_outcomes is near-optimal
 
 
+def _resample_count(n_resamples: int | None, n_outcomes: int) -> int:
+    """The given trial count, checked to be at least 1, or 10 trials per outcome for None."""
+    if n_resamples is None:
+        return DEFAULT_RESAMPLE_FACTOR * n_outcomes
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
+    return n_resamples
+
+
 def _distinct_tuples(m: int, n_trials: int, width: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform ordered `width`-tuples of distinct indices in [0, m), by rejection."""
     idx = rng.integers(0, m, size=(n_trials, width))
@@ -45,6 +54,8 @@ def estimate_bell_magic(
 ) -> tuple[float, float]:
     """Resampling estimate of (B, B_a) from Bell-measurement outcomes.
 
+    Averages `n_resamples` quadruples (at least 1; 10 per outcome by
+    default), or with `disjoint` every outcome once in m // 4 quadruples.
     `with_replacement` drops the distinct-index constraint on the quadruples
     (always the case for 3 or fewer outcomes); it lets the resampler probe
     overlapping index pairs, matching the all-pairs assumption behind the
@@ -59,7 +70,7 @@ def estimate_bell_magic(
             raise ValueError("disjoint mode needs at least 4 outcomes")
         quad = rng.permutation(m)[: 4 * (m // 4)].reshape(-1, 4)
     else:
-        n_r = DEFAULT_RESAMPLE_FACTOR * m if n_resamples is None else n_resamples
+        n_r = _resample_count(n_resamples, m)
         replace = m <= 3 or with_replacement
         quad = rng.integers(0, m, size=(n_r, 4)) if replace else _distinct_tuples(m, n_r, 4, rng)
     w = outcomes.words
@@ -99,9 +110,9 @@ def sum_prob_squared(outcomes: BellSamples) -> float:
     return float((counts * (counts - 1)).sum() / (m * (m - 1)))
 
 
-def empirical_distribution(outcomes: BellSamples, n_qubits: int) -> np.ndarray:
+def empirical_distribution(outcomes: BellSamples) -> np.ndarray:
     """Histogram of outcomes over all 4^N indices (dense; small N only)."""
-    return np.bincount(outcomes.indices(), minlength=4**n_qubits) / len(outcomes)
+    return np.bincount(outcomes.indices(), minlength=4**outcomes.n_qubits) / len(outcomes)
 
 
 @dataclass(frozen=True)
@@ -225,7 +236,7 @@ def estimate_magic(
     """One-stop pipeline: B estimate, purity, depolarizing fit, mitigation."""
     rng = np.random.default_rng(rng)
     m = len(outcomes)
-    n_r = DEFAULT_RESAMPLE_FACTOR * m if n_resamples is None else n_resamples
+    n_r = _resample_count(n_resamples, m)
     b_hat, b_a_hat = estimate_bell_magic(outcomes, n_r, rng)
     purity_hat = estimate_purity(outcomes)
     p_hat = estimate_depolarization(purity_hat, outcomes.n_qubits)

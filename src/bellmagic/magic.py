@@ -12,8 +12,8 @@ anticommutation indicator is itself a character evaluated at the pair-swapped
 index, giving B = 1 - sum_n Q(n) Qhat(J n) with J the (z, x) bit swap.
 The transform is blocked: each memory pass applies a 16 x 16 Hadamard
 matrix to four index bits as one GEMM (`simulator._wht`), and J is an axis
-transpose of the (2, 2)^N view.  The O(16^N) double loop is retained as the
-verification oracle.
+transpose of the (2, 2)^N view.  The O(16^N) double loop that the tests
+check it against lives in `tests/oracles.py`.
 
 All logarithms are base 2, so the additive quantities count injected
 T-states: B_a(|T>^k tensored into any Clifford circuit) = k.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import swap_pair_words, zx_axis_order
+from .pauli import zx_axis_order
 from .simulator import BellDistribution, StateVector, _wht, bell_distribution
 
 _ADDITIVE_OVERFLOW = 1e-15
@@ -52,11 +52,6 @@ def xor_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c = fwht(fa)
     c /= len(a)
     return c
-
-
-def pair_swap_permutation(n_qubits: int) -> np.ndarray:
-    """Index permutation J r swapping the (z, x) bits of every pair; oracle for `_pair_swapped`."""
-    return swap_pair_words(np.arange(4**n_qubits, dtype=np.uint64)[:, None])[:, 0]
 
 
 def _pair_swapped(v: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -90,18 +85,6 @@ def bell_magic_exact(dist: BellDistribution) -> MagicValue:
     """Exact Bell magic of a distribution via the fast transform path."""
     q = q_distribution(dist)
     b = max(1.0 - float(np.dot(q, _pair_swapped(fwht(q), dist.n_qubits))), 0.0)
-    return MagicValue(b, additive_magic(b))
-
-
-def bell_magic_brute(dist: BellDistribution) -> MagicValue:
-    """O(16^N) double-loop evaluation; the oracle for the fast path (N <= 3)."""
-    if dist.n_qubits > 3:
-        raise ValueError("brute-force oracle is limited to 3 qubits")
-    q = q_distribution(dist)
-    idx = np.arange(4**dist.n_qubits, dtype=np.uint64)
-    j = pair_swap_permutation(dist.n_qubits)
-    anti = np.bitwise_count(idx[:, None] & j[None, :]) & 1
-    b = float(q @ (2 * anti) @ q)
     return MagicValue(b, additive_magic(b))
 
 

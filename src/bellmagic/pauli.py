@@ -87,17 +87,6 @@ class PauliString:
     def identity(cls, n_qubits: int) -> "PauliString":
         return cls(n_qubits, 0)
 
-    @classmethod
-    def from_letters(cls, letters: str) -> "PauliString":
-        """Parse a string over {I,X,Y,Z}, qubit 1 leftmost."""
-        bits = 0
-        for c in letters.upper():
-            try:
-                bits = 4 * bits + PAULI_LETTERS.index(c)
-            except ValueError:
-                raise ValueError(f"invalid Pauli letter {c!r}") from None
-        return cls(len(letters), bits)
-
     def to_letters(self) -> str:
         """Render as letters over {I,X,Y,Z}, qubit 1 leftmost."""
         return "".join(PAULI_LETTERS[self.digit(n)] for n in range(1, self.n_qubits + 1))
@@ -105,17 +94,6 @@ class PauliString:
     def digit(self, n: int) -> int:
         """Per-qubit value 2*z + x for qubit n (1-based)."""
         return (self.bits >> (2 * (self.n_qubits - n))) & 3
-
-    def weight(self) -> int:
-        """Number of non-identity tensor factors."""
-        return int.bit_count((self.bits | (self.bits >> 1)) & _x_mask(self.n_qubits))
-
-    def y_count(self) -> int:
-        """Number of Y tensor factors."""
-        return int.bit_count(self.bits & (self.bits >> 1) & _x_mask(self.n_qubits))
-
-    def is_identity(self) -> bool:
-        return self.bits == 0
 
     def __xor__(self, other: "PauliString") -> "PauliString":
         return xor_add(self, other)
@@ -139,11 +117,6 @@ def symplectic_product(a: PauliString, b: PauliString) -> int:
     """GF(2) symplectic form; 1 iff the two strings anticommute."""
     _check_same_size(a, b)
     return int.bit_count(a.bits & swap_pairs(b.bits)) & 1
-
-
-def check_commute(r: PauliString, q: PauliString) -> int:
-    """Infinity norm of the commutator: 0 if they commute, else 2."""
-    return 2 * symplectic_product(r, q)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ Both kernels carry a leading row axis, so one pass serves a batch of
 states: the gate loop `_simulate_rows` runs one circuit under R parameter
 rows on an (R, 2^N) array, and `_bell_transform` takes R rows against one
 shared copy-B state.  `simulate` and `bell_amplitudes` are their R = 1
-cases; the shift-rule gradient of `variational.optimize` runs all 2K
+cases; the shift-rule gradient `variational._exact_gradient` runs all 2K
 shifted circuits through them at once (`_cross_bell_dots`).
 
 Gate set: H, S = diag(1, -i), T = diag(1, e^{-i pi/4}), CNOT, and the
@@ -41,7 +41,7 @@ from functools import cache
 
 import numpy as np
 
-from .pauli import PAULI_LETTERS, BellSamples, PauliString, zx_axis_order
+from .pauli import PAULI_LETTERS, BellSamples, zx_axis_order
 
 DENSE_CAP = 12  # exact 4^N distributions get large quickly
 
@@ -438,73 +438,6 @@ def sample(dist: BellDistribution, n_samples: int, rng: np.random.Generator) -> 
     cdf[-1] = 1.0
     idx = np.searchsorted(cdf, rng.random(n_samples), side="right")
     return BellSamples.from_indices(dist.n_qubits, idx)
-
-
-# single-pair Bell projectors in their Pauli decomposition
-# 1/4 (II + Ex XX + Ey YY + Ez ZZ); base signs (+, -, +) for the |Phi+>
-# projector, conjugation by sigma_r flips the sign of anticommuting axes
-_P2 = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def _pair_projector(digit: int) -> np.ndarray:
-    base = {"x": 1.0, "y": -1.0, "z": 1.0}
-    anti = {  # axes anticommuting with each label digit (0=I,1=X,2=Z,3=Y)
-        0: set(),
-        1: {"y", "z"},
-        2: {"x", "y"},
-        3: {"x", "z"},
-    }[digit]
-    out = np.eye(4, dtype=complex)
-    for ax, m in _P2.items():
-        sign = -base[ax] if ax in anti else base[ax]
-        out += sign * np.kron(m, m)
-    return out / 4.0
-
-
-_MIXED_CAP = 5  # qubits; the projector construction holds 16^N entries
-
-
-def mixed_bell_distribution(rho: np.ndarray) -> BellDistribution:
-    """Two-copy Bell distribution of a density matrix, via explicit projectors.
-
-    Deliberately the slow reference construction; the fast pure-state path is
-    cross-validated against it in the tests.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    n = int(np.log2(dim))
-    if rho.shape != (dim, dim) or 2**n != dim:
-        raise ValueError("density matrix must be 2^N x 2^N")
-    if n > _MIXED_CAP:
-        raise ValueError(f"dense two-copy work is capped at {_MIXED_CAP} qubits")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise ValueError("density matrix trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-9:
-        raise ValueError("density matrix is not positive semidefinite")
-
-    # reorder rho (x) rho from (A1..An B1..Bn) to pairwise (A1 B1 A2 B2 ...)
-    w = np.kron(rho, rho).reshape((2,) * (4 * n))
-    perm = []
-    for i in range(n):
-        perm += [i, n + i]
-    perm_full = perm + [2 * n + p for p in perm]
-    w = w.transpose(perm_full).reshape(4**n, 4**n)
-
-    pair_proj = [_pair_projector(d) for d in range(4)]
-    probs = np.empty(4**n)
-    for r in range(4**n):
-        label = PauliString(n, r)
-        op = np.ones((1, 1), dtype=complex)
-        for q in range(1, n + 1):
-            op = np.kron(op, pair_proj[label.digit(q)])
-        probs[r] = np.einsum("ij,ji->", w, op).real
-    return BellDistribution(n, probs)
 
 
 # ---------------------------------------------------------------------------

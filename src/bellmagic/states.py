@@ -6,20 +6,9 @@ import numpy as np
 from .simulator import StateVector
 
 
-def basis_state(n_qubits: int, index: int) -> StateVector:
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 def plus_state(n_qubits: int = 1) -> StateVector:
     dim = 2**n_qubits
     return StateVector(n_qubits, np.full(dim, 1 / np.sqrt(dim), dtype=complex))
-
-
-def a_state(phi: float) -> StateVector:
-    """cos(phi/2)|0> + sin(phi/2)|1>; phi = pi/4 has the magic of |T>."""
-    return StateVector(1, np.array([np.cos(phi / 2), np.sin(phi / 2)], dtype=complex))
 
 
 def t_state() -> StateVector:

@@ -7,8 +7,9 @@ rotation angle is an exact difference of two cross-copy distributions,
                    - P_x(theta - pi/(4v) e_k, theta)(r)],
 
 where P_x(a, b) is the Bell distribution measured across |psi(a)> and
-|psi(b)>.  B is quadratic in Q = P * P (XOR self-convolution), so by the
-product rule the exact gradient is linear in d_k P,
+|psi(b)>; the library uses v = 1/2, a shift of pi/2.  B is quadratic in
+Q = P * P (XOR self-convolution), so by the product rule the exact
+gradient is linear in d_k P,
 
     d_k B = <d_k P, h>,   h = -4 P * (Qhat o J),
 
@@ -18,12 +19,13 @@ per epoch and each parameter then costs one inner product over 4^N
 outcomes.  The sampled gradient estimates the same quantity from
 measurement samples of the three settings (base, plus-shift, minus-shift).
 
-An epoch of `optimize` simulates the 2K shifted circuits as one (2K, 2^N)
-batch.  Exact training Bell-transforms them against the base state in one
-batched gather + Walsh-Hadamard pass, O(G K 2^N + K N 4^N) work for G
-gates; sampled training builds each row's cross distribution in turn.
-`grad_p_shift` and `grad_bell_magic_exact` keep the per-circuit rule, one
-parameter at a time, and serve as its oracle.
+`_exact_gradient` is the one exact path: it simulates the 2K circuits
+shifted by +-pi/2 as one (2K, 2^N) batch and Bell-transforms them against
+the base state in one batched gather + Walsh-Hadamard pass, O(G K 2^N +
+K N 4^N) work for G gates.  Exact training and the trainability experiment
+both call it; sampled training simulates the same batch and builds each
+row's cross distribution in turn.  The per-parameter shift rule and the
+finite difference it is checked against live in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -31,9 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (
-    DEFAULT_RESAMPLE_FACTOR, _distinct_tuples, estimate_bell_magic, estimate_purity,
-)
+from .estimation import _distinct_tuples, _resample_count, estimate_bell_magic, estimate_purity
 from .magic import _pair_swapped, bell_magic_exact, fwht
 from .pauli import BellSamples, symplectic_rows
 from .simulator import (
@@ -57,26 +57,6 @@ def _check_param(circuit: CircuitSpec, k: int) -> None:
         raise IndexError(f"parameter index {k} out of range")
 
 
-def grad_p_shift(circuit: CircuitSpec, k: int, v: float = 0.5) -> np.ndarray:
-    """Exact d_k P(r) over all 4^N outcomes via the two-copy shift rule.
-
-    The cross distribution is sinusoidal in the shifted copy's angle, so the
-    two-point rule with shift pi/(4v) carries coefficient 1/sin(pi/(4v)) for
-    half-angle rotation generators; at the default v = 1/2 this is the usual
-    factor 2v = 1.  Needs v > 1/4 so the shift stays below a half period.
-    """
-    _check_param(circuit, k)
-    if v <= 0.25:
-        raise ValueError("shift scale v must exceed 1/4")
-    shift = np.pi / (4 * v)
-    base = simulate(circuit)
-    plus = simulate(circuit.shifted(k, shift))
-    minus = simulate(circuit.shifted(k, -shift))
-    p_plus = cross_bell_distribution(plus, base).probabilities
-    p_minus = cross_bell_distribution(minus, base).probabilities
-    return (p_plus - p_minus) / np.sin(shift)
-
-
 def _gradient_kernel(p: BellDistribution) -> np.ndarray:
     # dB = <dP, h>: B is quadratic in Q = P*P and XOR convolution is self-adjoint;
     # Qhat = Phat^2, so h = -4 W(Phat . W(J Phat^2)) / 4^N takes three transforms
@@ -84,22 +64,22 @@ def _gradient_kernel(p: BellDistribution) -> np.ndarray:
     return -4.0 / len(phat) * fwht(phat * fwht(_pair_swapped(phat * phat, p.n_qubits)))
 
 
-def grad_bell_magic_exact(circuit: CircuitSpec, k: int, v: float = 0.5) -> float:
-    """Exact gradient of Bell magic for parameter k."""
-    d = grad_p_shift(circuit, k, v)
-    p = bell_distribution(simulate(circuit))
-    return float(np.dot(d, _gradient_kernel(p)))
+def _exact_gradient(
+    circuit: CircuitSpec, base_state: StateVector, p: BellDistribution
+) -> np.ndarray:
+    """All K components of the exact Bell-magic gradient by the two-copy shift rule.
 
-
-_FD_STEP = 1e-5  # finite-difference step of the gradient oracle
-
-
-def gradient_finite_difference(circuit: CircuitSpec, k: int) -> float:
-    """Central finite difference of exact Bell magic; test oracle."""
-    _check_param(circuit, k)
-    bp = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, _FD_STEP))))
-    bm = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, -_FD_STEP))))
-    return (bp.bell_magic - bm.bell_magic) / (2 * _FD_STEP)
+    `base_state` is `simulate(circuit)` and `p` its Bell distribution, which
+    both callers hold already.  The 2K circuits shifted by +-pi/2 run through
+    one gate loop over a (2K, 2^N) array; one gather + Walsh-Hadamard pass
+    over those rows against the base state, in blocks of about 2^16 complex
+    entries, reduces each block of cross distributions against the kernel h
+    at once, d_k B = (P_+k - P_-k) . h.  That costs O(G K 2^N) for the G
+    gates plus O(K N 4^N) for the transforms, in O(4^N) memory.
+    """
+    shifted = _simulate_rows(circuit, _shifted_rows(circuit.params, np.pi / 2))
+    dots = _cross_bell_dots(shifted, base_state, _gradient_kernel(p))
+    return dots[0::2] - dots[1::2]
 
 
 def estimate_gradient(
@@ -121,7 +101,7 @@ def estimate_gradient(
     if len(base_outcomes) < 3:
         raise ValueError("need at least three base samples")
     rng = np.random.default_rng(rng)
-    n_r = DEFAULT_RESAMPLE_FACTOR * len(plus_outcomes) if n_resamples is None else n_resamples
+    n_r = _resample_count(n_resamples, len(plus_outcomes))
     triples = _distinct_tuples(len(base_outcomes), n_r, 3, rng)
     ms = rng.integers(0, len(plus_outcomes), size=n_r)
     base = base_outcomes.words
@@ -208,17 +188,12 @@ def optimize(
     Each epoch simulates the base circuit, takes its Bell distribution P,
     and then runs all 2K shifted circuits (theta +- pi/2 e_k) through one
     gate loop over a (2K, 2^N) array.  n_samples = None uses exact
-    gradients and exact per-epoch magic: one gather + Walsh-Hadamard pass
-    over the rows against the base state, in blocks of about 2^16 complex
-    entries, reduces each block of cross distributions against the kernel
-    h at once, d_k B = (P_+k - P_-k) . h, so an epoch costs O(G K 2^N) for
-    the G gates plus O(K N 4^N) for the transforms, in O(4^N) memory.
-    Otherwise each epoch spends n_samples per measurement setting (2K + 3
-    settings), drawn in the order base, then plus_k and minus_k for each k
-    from that row's `cross_bell_distribution`, and the history records the
-    sampled estimate.  A step that leaves a
-    parameter non-finite (a learning rate grown past the float range)
-    raises FloatingPointError.
+    per-epoch magic and `_exact_gradient`.  Otherwise each epoch spends
+    n_samples per measurement setting (2K + 3 settings), drawn in the order
+    base, then plus_k and minus_k for each k from that row's
+    `cross_bell_distribution`, and the history records the sampled
+    estimate.  A step that leaves a parameter non-finite (a learning rate
+    grown past the float range) raises FloatingPointError.
     """
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
@@ -230,15 +205,14 @@ def optimize(
         circ = circuit.with_params(state.theta)
         base_state = simulate(circ)
         p = bell_distribution(base_state)
-        shifted = _simulate_rows(circ, _shifted_rows(state.theta, np.pi / 2))
         if n_samples is None:
             state.history.append(bell_magic_exact(p).bell_magic)
-            dots = _cross_bell_dots(shifted, base_state, _gradient_kernel(p))
-            grad = dots[0::2] - dots[1::2]
+            grad = _exact_gradient(circ, base_state, p)
         else:
             base = sample(p, 3 * n_samples, rng)
             b_hat, _ = estimate_bell_magic(base, rng=rng)
             state.history.append(b_hat)
+            shifted = _simulate_rows(circ, _shifted_rows(state.theta, np.pi / 2))
             grad = np.empty(k_params)
             for k in range(k_params):  # rows plus_0, minus_0, plus_1, ...
                 plus = StateVector(circ.n_qubits, shifted[2 * k])
@@ -305,7 +279,8 @@ def trainability_experiment(
     for i in range(n_draws):
         theta = rng.uniform(0, 2 * np.pi)
         circuit = clifford_dressed_rotation(n_qubits, theta, depth, rng)
-        grads[i] = grad_bell_magic_exact(circuit, 0)
+        base = simulate(circuit)
+        grads[i] = _exact_gradient(circuit, base, bell_distribution(base))[0]
     var = float(np.var(grads))
     centered = (grads - grads.mean()) ** 2
     se = float(np.sqrt(max(np.var(centered), 0.0) / n_draws))

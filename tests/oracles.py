@@ -1,17 +1,49 @@
-"""Reference implementations for the stabilizer and simulator tests.
+"""Reference implementations that the library does not use, and one test helper.
 
-`pauli_expectation` reads <psi|sigma_p|psi> off one explicit application of
-sigma_p, independently of the Bell-transform path behind
-`simulator.pauli_expectation_table`.  `random_clifford_gatewise` draws the
-layered circuit one scalar at a time and applies it gate by gate, the
-reference for the packed whole-layer `stabilizer.random_clifford`.
-`tableau_is_valid` checks the tableau invariants by dense GF(2) algebra.
+`bell_magic_brute` evaluates the O(16^N) double sum of Bell magic for
+N <= 3, with `pair_swap_permutation` as the explicit index permutation J;
+the oracle for the Walsh-Hadamard path of `magic.bell_magic_exact`.
+`mixed_bell_distribution` builds the two-copy Bell distribution of a
+density matrix from explicit projectors (O(16^N), N <= 5); the fast
+pure-state path is checked against it.  `grad_p_shift` applies the paper's
+two-copy shift rule one parameter at a time, with three `simulate` calls
+and two Bell transforms per parameter, and `grad_bell_magic_exact` reduces
+it against the gradient kernel; together with the central finite
+difference `gradient_finite_difference` they are the oracles for the
+batched `variational._exact_gradient`.  `pauli_expectation` reads
+<psi|sigma_p|psi> off one explicit application of sigma_p, independently
+of the Bell-transform path behind `simulator.pauli_expectation_table`.
+`random_clifford_gatewise` draws the layered circuit one scalar at a time
+and applies it gate by gate, the reference for the packed whole-layer
+`stabilizer.random_clifford`.  `tableau_is_valid` checks the tableau
+invariants by dense GF(2) algebra.  `from_letters` parses readable Pauli
+literals such as "XZY" for the tests.
 """
 import numpy as np
 
-from bellmagic.pauli import PauliString, pack_ints, unpack_zx
-from bellmagic.simulator import CircuitSpec, StateVector
+from bellmagic.magic import MagicValue, additive_magic, bell_magic_exact, q_distribution
+from bellmagic.pauli import PAULI_LETTERS, PauliString, pack_ints, swap_pair_words, unpack_zx
+from bellmagic.simulator import (
+    BellDistribution,
+    CircuitSpec,
+    StateVector,
+    bell_distribution,
+    cross_bell_distribution,
+    simulate,
+)
 from bellmagic.stabilizer import StabilizerTableau, _gf2_eliminate
+from bellmagic.variational import _check_param, _gradient_kernel
+
+
+def from_letters(letters: str) -> PauliString:
+    """Parse a string over {I,X,Y,Z}, qubit 1 leftmost."""
+    bits = 0
+    for c in letters.upper():
+        try:
+            bits = 4 * bits + PAULI_LETTERS.index(c)
+        except ValueError:
+            raise ValueError(f"invalid Pauli letter {c!r}") from None
+    return PauliString(len(letters), bits)
 
 
 def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
@@ -25,7 +57,7 @@ def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
     place = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
     zm, xm = place[z[0]].sum(), place[x[0]].sum()
     signs = np.where(np.bitwise_count(idx & zm) & 1, -1.0, 1.0)
-    global_phase = 1j ** (p.y_count() % 4)
+    global_phase = 1j ** (int(np.sum(z[0] & x[0])) % 4)
     out = np.empty_like(state.amplitudes)
     out[idx ^ xm] = global_phase * signs * state.amplitudes
     return StateVector(n, out)
@@ -68,3 +100,125 @@ def tableau_is_valid(tab: StabilizerTableau) -> bool:
         return False
     mat = np.concatenate([zi, xi], axis=1)
     return len(_gf2_eliminate(mat, mat.shape[1])) == tab.n_qubits
+
+
+def pair_swap_permutation(n_qubits: int) -> np.ndarray:
+    """Index permutation J r swapping the (z, x) bits of every pair; oracle for `_pair_swapped`."""
+    return swap_pair_words(np.arange(4**n_qubits, dtype=np.uint64)[:, None])[:, 0]
+
+
+def bell_magic_brute(dist: BellDistribution) -> MagicValue:
+    """O(16^N) double-loop evaluation; the oracle for the fast path (N <= 3)."""
+    if dist.n_qubits > 3:
+        raise ValueError("brute-force oracle is limited to 3 qubits")
+    q = q_distribution(dist)
+    idx = np.arange(4**dist.n_qubits, dtype=np.uint64)
+    j = pair_swap_permutation(dist.n_qubits)
+    anti = np.bitwise_count(idx[:, None] & j[None, :]) & 1
+    b = float(q @ (2 * anti) @ q)
+    return MagicValue(b, additive_magic(b))
+
+
+# single-pair Bell projectors in their Pauli decomposition
+# 1/4 (II + Ex XX + Ey YY + Ez ZZ); base signs (+, -, +) for the |Phi+>
+# projector, conjugation by sigma_r flips the sign of anticommuting axes
+_P2 = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _pair_projector(digit: int) -> np.ndarray:
+    base = {"x": 1.0, "y": -1.0, "z": 1.0}
+    anti = {  # axes anticommuting with each label digit (0=I,1=X,2=Z,3=Y)
+        0: set(),
+        1: {"y", "z"},
+        2: {"x", "y"},
+        3: {"x", "z"},
+    }[digit]
+    out = np.eye(4, dtype=complex)
+    for ax, m in _P2.items():
+        sign = -base[ax] if ax in anti else base[ax]
+        out += sign * np.kron(m, m)
+    return out / 4.0
+
+
+_MIXED_CAP = 5  # qubits; the projector construction holds 16^N entries
+
+
+def mixed_bell_distribution(rho: np.ndarray) -> BellDistribution:
+    """Two-copy Bell distribution of a density matrix, via explicit projectors.
+
+    Deliberately the slow reference construction; the fast pure-state path is
+    cross-validated against it in the tests.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    n = int(np.log2(dim))
+    if rho.shape != (dim, dim) or 2**n != dim:
+        raise ValueError("density matrix must be 2^N x 2^N")
+    if n > _MIXED_CAP:
+        raise ValueError(f"dense two-copy work is capped at {_MIXED_CAP} qubits")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-9:
+        raise ValueError("density matrix trace is not 1")
+    if np.linalg.eigvalsh(rho).min() < -1e-9:
+        raise ValueError("density matrix is not positive semidefinite")
+
+    # reorder rho (x) rho from (A1..An B1..Bn) to pairwise (A1 B1 A2 B2 ...)
+    w = np.kron(rho, rho).reshape((2,) * (4 * n))
+    perm = []
+    for i in range(n):
+        perm += [i, n + i]
+    perm_full = perm + [2 * n + p for p in perm]
+    w = w.transpose(perm_full).reshape(4**n, 4**n)
+
+    pair_proj = [_pair_projector(d) for d in range(4)]
+    probs = np.empty(4**n)
+    for r in range(4**n):
+        label = PauliString(n, r)
+        op = np.ones((1, 1), dtype=complex)
+        for q in range(1, n + 1):
+            op = np.kron(op, pair_proj[label.digit(q)])
+        probs[r] = np.einsum("ij,ji->", w, op).real
+    return BellDistribution(n, probs)
+
+
+def grad_p_shift(circuit: CircuitSpec, k: int, v: float = 0.5) -> np.ndarray:
+    """Exact d_k P(r) over all 4^N outcomes via the two-copy shift rule.
+
+    The cross distribution is sinusoidal in the shifted copy's angle, so the
+    two-point rule with shift pi/(4v) carries coefficient 1/sin(pi/(4v)) for
+    half-angle rotation generators; at the default v = 1/2 this is the usual
+    factor 2v = 1.  Needs v > 1/4 so the shift stays below a half period.
+    """
+    _check_param(circuit, k)
+    if v <= 0.25:
+        raise ValueError("shift scale v must exceed 1/4")
+    shift = np.pi / (4 * v)
+    base = simulate(circuit)
+    plus = simulate(circuit.shifted(k, shift))
+    minus = simulate(circuit.shifted(k, -shift))
+    p_plus = cross_bell_distribution(plus, base).probabilities
+    p_minus = cross_bell_distribution(minus, base).probabilities
+    return (p_plus - p_minus) / np.sin(shift)
+
+
+def grad_bell_magic_exact(circuit: CircuitSpec, k: int, v: float = 0.5) -> float:
+    """Exact gradient of Bell magic for parameter k."""
+    d = grad_p_shift(circuit, k, v)
+    p = bell_distribution(simulate(circuit))
+    return float(np.dot(d, _gradient_kernel(p)))
+
+
+_FD_STEP = 1e-5  # finite-difference step of the gradient oracle
+
+
+def gradient_finite_difference(circuit: CircuitSpec, k: int) -> float:
+    """Central finite difference of exact Bell magic; test oracle."""
+    _check_param(circuit, k)
+    bp = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, _FD_STEP))))
+    bm = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, -_FD_STEP))))
+    return (bp.bell_magic - bm.bell_magic) / (2 * _FD_STEP)

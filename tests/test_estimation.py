@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from bellmagic import estimation as est, magic, simulator as sim, states
+from bellmagic import estimation as est, magic, simulator as sim, states, variational
 from bellmagic.pauli import BellSamples
 from bellmagic.simulator import NoiseModel, bell_distribution, noisy_bell_distribution, sample
 from bellmagic.stabilizer import bell_sample_stabilizer, random_clifford
@@ -185,7 +185,7 @@ def test_mitigate_probabilities():
     same = est.mitigate_probabilities(d0.probabilities, 0.0, 2)
     assert np.allclose(same, d0.probabilities)
     # clipping under sampling noise still renormalizes
-    emp = est.empirical_distribution(sample(dn, 500, rng), 2)
+    emp = est.empirical_distribution(sample(dn, 500, rng))
     out = est.mitigate_probabilities(emp, p, 2)
     assert out.min() >= 0 and out.sum() == pytest.approx(1.0)
 
@@ -304,3 +304,26 @@ def test_empty_outcomes_rejected():
                       est.estimate_magic):
         with pytest.raises(ValueError):
             estimator(empty)
+
+
+def test_empirical_distribution_covers_all_outcomes():
+    for n in (1, 2, 3):
+        s = BellSamples.from_indices(n, np.array([0, 4**n - 1, 0]))
+        emp = est.empirical_distribution(s)
+        assert emp.shape == (4**n,)
+        assert emp[0] == pytest.approx(2 / 3) and emp[-1] == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("n_resamples", [0, -1])
+def test_resample_count_below_one_rejected(n_resamples):
+    rng = np.random.default_rng(12)
+    s = sample(bell_distribution(states.t_state()), 20, rng)
+    with pytest.raises(ValueError, match="n_resamples"):
+        est.estimate_bell_magic(s, n_resamples, rng)
+    with pytest.raises(ValueError, match="n_resamples"):
+        est.estimate_magic(s, rng, n_resamples=n_resamples)
+    with pytest.raises(ValueError, match="n_resamples"):
+        variational.estimate_gradient(s, s, s, n_resamples, rng)
+    # the disjoint mode draws no resampling trials, so the count is not read
+    b_hat, _ = est.estimate_bell_magic(s, n_resamples, rng, disjoint=True)
+    assert 0.0 <= b_hat <= 2.0

@@ -5,7 +5,6 @@ import pytest
 from bellmagic import magic, simulator as sim, states
 from bellmagic.magic import (
     additive_magic,
-    bell_magic_brute,
     bell_magic_exact,
     bell_magic_of_state,
     fwht,
@@ -18,7 +17,9 @@ from bellmagic.magic import (
     stabilizer_renyi,
     xor_convolve,
 )
-from bellmagic.simulator import BellDistribution, bell_distribution, mixed_bell_distribution
+from bellmagic.simulator import BellDistribution, bell_distribution
+
+from oracles import bell_magic_brute, mixed_bell_distribution, pair_swap_permutation
 
 R_ANGLE = np.arccos(1 / np.sqrt(3))
 
@@ -53,7 +54,7 @@ def stack_bell_magic(dist):
     """bell_magic_exact as it was: four stacked transforms and an index gather."""
     fp = stack_fwht(dist.probabilities)
     q = stack_fwht(fp * fp) / len(fp)
-    return 1.0 - float(np.dot(q, stack_fwht(q)[magic.pair_swap_permutation(dist.n_qubits)]))
+    return 1.0 - float(np.dot(q, stack_fwht(q)[pair_swap_permutation(dist.n_qubits)]))
 
 
 def test_fwht_matches_stack_butterfly():
@@ -85,7 +86,7 @@ def test_pair_swap_transpose_matches_index_permutation():
     rng = np.random.default_rng(12)
     for n in range(1, 6):
         v = rng.normal(size=4**n)
-        assert np.array_equal(magic._pair_swapped(v, n), v[magic.pair_swap_permutation(n)])
+        assert np.array_equal(magic._pair_swapped(v, n), v[pair_swap_permutation(n)])
 
 
 def test_bell_magic_exact_matches_stacked_transform_form():
@@ -248,7 +249,7 @@ def test_bound_holds_on_random_pure_states():
 
 def test_small_angle_expansion():
     for phi in (0.01, 0.03, 0.05):
-        b = bell_magic_of_state(states.a_state(phi)).bell_magic
+        b = bell_magic_of_state(states.product_state([phi], [0.0])).bell_magic
         assert abs(b - 2 * phi**2) <= 10 * phi**4
 
 

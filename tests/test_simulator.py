@@ -13,20 +13,19 @@ from bellmagic.simulator import (
     bell_distribution,
     conjugate,
     cross_bell_distribution,
-    mixed_bell_distribution,
     noisy_bell_distribution,
     sample,
     simulate,
     zero_state,
 )
 
-from oracles import pauli_expectation
+from oracles import from_letters, mixed_bell_distribution, pauli_expectation
 
 CHI2_5SIGMA = stats.norm.sf(5.0)  # one-sided 5-sigma tail probability
 
 
 def idx(letters: str) -> int:
-    return PauliString.from_letters(letters).bits
+    return from_letters(letters).bits
 
 
 def test_basic_gates():
@@ -67,9 +66,9 @@ def test_conjugate():
 
 
 def test_pauli_expectation_examples():
-    assert pauli_expectation(zero_state(1), PauliString.from_letters("Z")) == pytest.approx(1)
-    assert pauli_expectation(zero_state(1), PauliString.from_letters("X")) == pytest.approx(0)
-    assert pauli_expectation(states.t_state(), PauliString.from_letters("X")) == pytest.approx(
+    assert pauli_expectation(zero_state(1), from_letters("Z")) == pytest.approx(1)
+    assert pauli_expectation(zero_state(1), from_letters("X")) == pytest.approx(0)
+    assert pauli_expectation(states.t_state(), from_letters("X")) == pytest.approx(
         1 / np.sqrt(2)
     )
 
@@ -121,7 +120,8 @@ def test_pure_state_invariants():
         nonzero = int((p > 1e-12).sum())
         assert 2**n <= nonzero <= 4**n
         # purity-1 constraint: odd AND-parity outcomes carry no probability
-        odd = np.array([PauliString(n, r).y_count() % 2 for r in range(4**n)], dtype=bool)
+        odd = np.array([PauliString(n, r).to_letters().count("Y") % 2 for r in range(4**n)],
+                       dtype=bool)
         assert p[odd].sum() < 1e-9
 
 
@@ -131,7 +131,7 @@ def test_cross_distribution():
     assert np.allclose(
         cross_bell_distribution(psi, psi).probabilities, bell_distribution(psi).probabilities
     )
-    d = cross_bell_distribution(zero_state(1), states.basis_state(1, 1))
+    d = cross_bell_distribution(zero_state(1), StateVector(1, [0, 1]))
     assert d.probabilities[idx("X")] == pytest.approx(0.5)
     assert d.probabilities[idx("Y")] == pytest.approx(0.5)
     assert d.probabilities.sum() == pytest.approx(1.0)

@@ -169,7 +169,7 @@ def test_single_qubit_orbit_is_stabilizer():
 
 def test_conjugation_offset_zero_state():
     tab = st.StabilizerTableau(3)
-    assert st.conjugation_offset(tab).is_identity()
+    assert st.conjugation_offset(tab) == PauliString.identity(3)
 
 
 def test_conjugation_offset_plus_i():
