@@ -52,11 +52,24 @@ def test_symplectic_examples():
     assert symplectic_product(P("X"), P("Z")) == 1
     assert symplectic_product(P("III"), P("XYZ")) == 0
     assert symplectic_product(P("XX"), P("ZZ")) == 0
-    # against dense matrices: the commutator norm is 2 exactly when the strings anticommute
-    assert symplectic_product(P("XY"), P("YX")) == 0 == commutator_norm("XY", "YX")
+
+
+# The commutator norm [A, B] is 2 exactly when the strings anticommute, so
+# 2 * symplectic_product is checked against dense matrices.
+def test_check_commute_examples():
+    assert 2 * symplectic_product(P("X"), P("Z")) == 2
+    assert 2 * symplectic_product(P("Y"), P("Y")) == 0
+    assert 2 * symplectic_product(P("XY"), P("YX")) == 0
+    assert commutator_norm("XY", "YX") == 0
+
+
+def test_check_commute_matches_dense_single_qubit():
     for a in "IXZY":
         for b in "IXZY":
             assert 2 * symplectic_product(P(a), P(b)) == pytest.approx(commutator_norm(a, b))
+
+
+def test_check_commute_matches_dense_two_qubit():
     rng = np.random.default_rng(2)
     letters = "IXZY"
     for _ in range(40):
