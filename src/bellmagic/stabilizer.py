@@ -1,11 +1,11 @@
 """Stabilizer states as generator tableaux, with scalable Bell-outcome sampling.
 
 A tableau holds N generator Pauli strings as boolean z/x matrices plus sign
-bits.  Bell sampling exploits the coset structure of the two-copy outcome
-distribution of a stabilizer state: outcomes are exactly t XOR g where t
-ranges over the group's bit-span and sigma_g maps |psi> to +-|psi*>, each
-with probability 2^-N.  Sampling therefore never builds the 4^N
-distribution and scales to thousands of qubits.
+bits, and a conjugation offset g, sigma_g|psi> = +-|psi*>.  Bell sampling
+exploits the coset structure of the two-copy outcome distribution of a
+stabilizer state: outcomes are exactly t XOR g where t ranges over the
+group's bit-span, each with probability 2^-N.  Sampling therefore never
+builds the 4^N distribution and scales to thousands of qubits.
 
 The sampler packs the N generator rows once (`pauli.pack_zx`) into the
 `BellSamples` uint64 layout, W = ceil(2N/64) words each, and XORs them with the method of Four
@@ -16,11 +16,12 @@ tables, with no (M, N) bit matrix product.
 
 `random_clifford` applies a whole layer of gates at once, in the style of
 Aaronson and Gottesman (quant-ph/0406196): the tableau is transposed and
-bit-packed so that each qubit's z and x bits of all N generators are
-ceil(N/64) uint64 words, the layer's S and H gates become masked word
-operations on every qubit row together, and its CNOT chain an XOR prefix scan
-down the qubits.  That is O(depth * N * ceil(N/64)) word operations, plus
-O(N^2) to unpack into the boolean tableau.
+bit-packed so that each qubit's z and x bits of all N generators, and of
+the offset g as one more column, are ceil((N+1)/64) uint64 words, the
+layer's S and H gates become masked word operations on every qubit row
+together, and its CNOT chain an XOR prefix scan down the qubits.  That is
+O(depth * N * ceil(N/64)) word operations, plus O(N^2) to unpack into the
+boolean tableau; g needs no linear solve.
 
 The gate conventions match `simulator` (S = diag(1, -i), so X -> -Y).
 """
@@ -55,43 +56,12 @@ def _xor_picked_rows(rows: np.ndarray, picks: np.ndarray, offset: np.ndarray) ->
     return out
 
 
-def _gf2_eliminate(m: np.ndarray, n_pivot_cols: int) -> list[int]:
-    """Gauss-Jordan elimination of the uint8 0/1 matrix m over GF(2), in place.
-
-    Pivots are taken left to right among the first n_pivot_cols columns, the
-    first nonzero row at or below the next pivot row being swapped up; the
-    pivot row is XORed into every other row with a 1 in its column at once.
-    Returns the pivot columns, one per pivot row.
-    """
-    pivots = []
-    for c in range(n_pivot_cols):
-        r = len(pivots)
-        if r == m.shape[0]:
-            break
-        hit = np.flatnonzero(m[r:, c])
-        if hit.size == 0:
-            continue
-        if hit[0]:
-            m[[r, r + hit[0]]] = m[[r + hit[0], r]]
-        others = np.flatnonzero(m[:, c])
-        m[others[others != r]] ^= m[r]
-        pivots.append(c)
-    return pivots
-
-
-def _gf2_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One solution of mat @ v = rhs over GF(2); free variables set to 0."""
-    m = np.concatenate([mat, rhs[:, None]], axis=1).astype(np.uint8)
-    pivots = _gf2_eliminate(m, mat.shape[1])
-    if np.any(m[len(pivots):, -1]):
-        raise AssertionError("inconsistent GF(2) system for a valid tableau")
-    v = np.zeros(mat.shape[1], dtype=np.uint8)
-    v[pivots] = m[: len(pivots), -1]
-    return v
-
-
 class StabilizerTableau:
-    """Generator tableau of an N-qubit stabilizer state, starting from |0...0>."""
+    """Generator tableau of an N-qubit stabilizer state, starting from |0...0>.
+
+    `offset` is a conjugation offset g of the state, sigma_g|psi> = +-|psi*>;
+    |0...0> is real, so it starts as the identity.
+    """
 
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
@@ -100,43 +70,7 @@ class StabilizerTableau:
         self.z = np.eye(n_qubits, dtype=bool)
         self.x = np.zeros((n_qubits, n_qubits), dtype=bool)
         self.signs = np.zeros(n_qubits, dtype=bool)
-
-    def _col(self, q: int) -> int:
-        if not 1 <= q <= self.n_qubits:
-            raise IndexError(f"qubit index {q} out of range")
-        return q - 1
-
-    def h(self, q: int) -> None:
-        c = self._col(q)
-        self.signs ^= self.z[:, c] & self.x[:, c]
-        self.z[:, c], self.x[:, c] = self.x[:, c].copy(), self.z[:, c].copy()
-
-    def s(self, q: int) -> None:
-        c = self._col(q)
-        self.signs ^= self.x[:, c] & ~self.z[:, c]
-        self.z[:, c] ^= self.x[:, c]
-
-    def cnot(self, control: int, target: int) -> None:
-        cc, ct = self._col(control), self._col(target)
-        if cc == ct:
-            raise IndexError("control and target coincide")
-        self.signs ^= self.x[:, cc] & self.z[:, ct] & ~(self.x[:, ct] ^ self.z[:, cc])
-        self.x[:, ct] ^= self.x[:, cc]
-        self.z[:, cc] ^= self.z[:, ct]
-
-    def apply_gate(self, gate: Gate) -> None:
-        if gate.name == "h":
-            self.h(gate.qubits[0])
-        elif gate.name == "s":
-            self.s(gate.qubits[0])
-        elif gate.name == "cnot":
-            self.cnot(*gate.qubits)
-        else:
-            raise ValueError(f"gate {gate.name!r} is not a tableau Clifford gate")
-
-    def apply_circuit(self, circuit: CircuitSpec) -> None:
-        for g in circuit.gates:
-            self.apply_gate(g)
+        self.offset = PauliString.identity(n_qubits)
 
     def generator(self, i: int) -> tuple[int, PauliString]:
         """Generator i as (sign in {+1,-1}, PauliString)."""
@@ -169,46 +103,59 @@ def _masks(flags: np.ndarray) -> np.ndarray:
     return np.where(flags, ~np.uint64(0), np.uint64(0))[:, None]
 
 
-def _s_power(z: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _s_power(z: np.ndarray, x: np.ndarray, p: np.ndarray, offset_bit: np.ndarray) -> np.ndarray:
     """Apply S^p, p in 0..3 per qubit, to packed rows in place; return the sign flips.
 
     S^p = S^(p & 1) S^(2 (p >> 1)), and S^2 = Z flips the sign of every X or Y.
+    The conjugate of S^p is S^p Z^p, so every odd p also XORs Z_q into the
+    offset column that `offset_bit` selects.
     """
     odd, two = _masks(p & 1), _masks(p >> 1)
     flips = np.bitwise_xor.reduce(x & (two ^ (odd & ~z)), axis=0)
-    z ^= x & odd
+    z ^= (x ^ offset_bit) & odd
     return flips
 
 
-def _layered_tableau(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z, x and signs of |0...0> after layers of S^a H^h S^b words and CNOT chains.
+def _layered_tableau(draws: np.ndarray) -> StabilizerTableau:
+    """The tableau of |0...0> after layers of S^a H^h S^b words and CNOT chains.
 
     draws is (depth, N, 3) of per-qubit (a, h, b).  The tableau is worked on
     transposed and bit-packed: row q of z and x holds qubit q's bits of all N
     generators, bit j for generator j, and the signs are one such row.  Every
     gate of a layer then acts on whole rows at once, and each sign update is
     an XOR reduction over qubits.
+
+    Bit N carries the conjugation offset g.  After a gate G the offset of the
+    new state is conj(G) sigma_g G^dagger: plain conjugation for the real H
+    and CNOT, and Z_q times it for S on qubit q.  So g rides through the
+    layers like a generator, with no linear solve, and its sign is dropped.
     """
     n = draws.shape[1]
     q = np.arange(n)
-    z = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    z = np.zeros((n, -(-(n + 1) // 64)), dtype=np.uint64)
     z[q, q >> 6] = np.uint64(1) << (q & 63).astype(np.uint64)  # generator q is Z_q
     x, signs = np.zeros_like(z), np.zeros_like(z[0])
+    offset_bit = np.zeros_like(signs)  # g starts as the identity: |0...0> is real
+    offset_bit[n >> 6] = np.uint64(1) << np.uint64(n & 63)
     for a, h, b in draws.transpose(0, 2, 1):
-        signs ^= _s_power(z, x, a)
+        signs ^= _s_power(z, x, a, offset_bit)
         hm = _masks(h)  # H flips Y, then swaps z and x
         signs ^= np.bitwise_xor.reduce(z & x & hm, axis=0)
         swap = (z ^ x) & hm
         z ^= swap
         x ^= swap
-        signs ^= _s_power(z, x, b)
+        signs ^= _s_power(z, x, b, offset_bit)
         # CNOT(q, q+1) for q = 1..N-1 in order: control q has by then taken
         # the XOR of the x rows of qubits 1..q, while every z row read is original
         x_acc = np.bitwise_xor.accumulate(x, axis=0)
         signs ^= np.bitwise_xor.reduce(x_acc[:-1] & z[1:] & ~(x[1:] ^ z[:-1]), axis=0)
         z[:-1] ^= z[1:]
         x = x_acc
-    return _unpack_columns(z, n), _unpack_columns(x, n), _unpack_columns(signs, n)
+    tab = StabilizerTableau(n)
+    z, x = _unpack_columns(z, n + 1), _unpack_columns(x, n + 1)
+    tab.z, tab.x, tab.signs = z[:n], x[:n], _unpack_columns(signs, n)
+    tab.offset = PauliString(n, unpack_int(pack_zx(z[n:], x[n:])[0]))
+    return tab
 
 
 def random_clifford(
@@ -222,14 +169,15 @@ def random_clifford(
     magic is Clifford-invariant so the sampled magic values do not depend on
     the circuit distribution.
     """
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be positive")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    tab = StabilizerTableau(n_qubits)
     # range 4 (and 2) draws are the top bits of one 32-bit word each, so one
     # call consumes the stream exactly as the scalar a, h, b draws would
     draws = rng.integers(0, 4, size=(depth, n_qubits, 3))
     draws[..., 1] >>= 1
-    tab.z, tab.x, tab.signs = _layered_tableau(draws)
+    tab = _layered_tableau(draws)
     qubits = range(1, n_qubits + 1)
     s_gates = [Gate("s", (q,)) for q in qubits]
     h_gates = [Gate("h", (q,)) for q in qubits]
@@ -243,19 +191,13 @@ def random_clifford(
 
 
 def conjugation_offset(tableau: StabilizerTableau) -> PauliString:
-    """A Pauli g with sigma_g|psi> = +-|psi*>.
+    """A Pauli g with sigma_g|psi> = +-|psi*>, as tracked while the tableau was built.
 
     Complex conjugation flips the sign of every generator with an odd number
-    of Y letters; g must anticommute with exactly those generators, a linear
-    system over GF(2).  Solutions differ by stabilizer elements and any one
-    is valid.
+    of Y letters, and g anticommutes with exactly those generators.  Offsets
+    differ by stabilizer elements and any one is valid.
     """
-    n = tableau.n_qubits
-    y_parity = (tableau.z & tableau.x).sum(axis=1) % 2
-    # row i = pair-swapped generator i, so mat @ (z|x) is the symplectic form
-    mat = np.concatenate([tableau.x, tableau.z], axis=1).astype(np.uint8)
-    v = _gf2_solve(mat, y_parity.astype(np.uint8))
-    return PauliString(n, unpack_int(pack_zx(v[None, :n], v[None, n:])[0]))
+    return tableau.offset
 
 
 def bell_sample_stabilizer(

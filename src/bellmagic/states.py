@@ -42,10 +42,6 @@ def product_state(thetas, phis) -> StateVector:
     return StateVector(len(thetas), amps)
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
-
-
 # Pure states of (near-)maximal Bell magic for 2-4 qubits, stored verbatim
 # as amplitude vectors; the 3-qubit one is the Hoggar state.
 _MAX2 = np.array([1, 1, 1, 1j]) / 2

@@ -98,6 +98,8 @@ def estimate_gradient(
     """
     if len(plus_outcomes) != len(minus_outcomes):
         raise ValueError("plus/minus settings need equally many samples")
+    if len(plus_outcomes) < 1:
+        raise ValueError("plus/minus settings need at least one sample each")
     if len(base_outcomes) < 3:
         raise ValueError("need at least three base samples")
     rng = np.random.default_rng(rng)

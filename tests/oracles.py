@@ -14,24 +14,37 @@ batched `variational._exact_gradient`.  `pauli_expectation` reads
 <psi|sigma_p|psi> off one explicit application of sigma_p, independently
 of the Bell-transform path behind `simulator.pauli_expectation_table`.
 `random_clifford_gatewise` draws the layered circuit one scalar at a time
-and applies it gate by gate, the reference for the packed whole-layer
-`stabilizer.random_clifford`.  `tableau_is_valid` checks the tableau
-invariants by dense GF(2) algebra.  `from_letters` parses readable Pauli
-literals such as "XZY" for the tests.
+and applies it gate by gate (`tableau_h`, `tableau_s`, `tableau_cnot`,
+`apply_tableau_gate`, `apply_tableau_circuit`), the reference for the packed
+whole-layer `stabilizer.random_clifford`.  `conjugation_offset_gf2` solves
+for a conjugation offset by Gauss-Jordan elimination over GF(2)
+(`_gf2_eliminate`), the reference for the offset the library tracks through
+the layers; the gate-by-gate tableaux take their offset from it.
+`tableau_is_valid` checks the tableau invariants by the same elimination.
+`from_letters` parses readable Pauli literals such as "XZY" for the tests.
 """
 import numpy as np
 
 from bellmagic.magic import MagicValue, additive_magic, bell_magic_exact, q_distribution
-from bellmagic.pauli import PAULI_LETTERS, PauliString, pack_ints, swap_pair_words, unpack_zx
+from bellmagic.pauli import (
+    PAULI_LETTERS,
+    PauliString,
+    pack_ints,
+    pack_zx,
+    swap_pair_words,
+    unpack_int,
+    unpack_zx,
+)
 from bellmagic.simulator import (
     BellDistribution,
     CircuitSpec,
+    Gate,
     StateVector,
     bell_distribution,
     cross_bell_distribution,
     simulate,
 )
-from bellmagic.stabilizer import StabilizerTableau, _gf2_eliminate
+from bellmagic.stabilizer import StabilizerTableau
 from bellmagic.variational import _check_param, _gradient_kernel
 
 
@@ -70,6 +83,52 @@ def pauli_expectation(state: StateVector, p: PauliString) -> float:
     return val.real
 
 
+def _tableau_col(tab: StabilizerTableau, q: int) -> int:
+    if not 1 <= q <= tab.n_qubits:
+        raise IndexError(f"qubit index {q} out of range")
+    return q - 1
+
+
+def tableau_h(tab: StabilizerTableau, q: int) -> None:
+    c = _tableau_col(tab, q)
+    tab.signs ^= tab.z[:, c] & tab.x[:, c]
+    tab.z[:, c], tab.x[:, c] = tab.x[:, c].copy(), tab.z[:, c].copy()
+
+
+def tableau_s(tab: StabilizerTableau, q: int) -> None:
+    c = _tableau_col(tab, q)
+    tab.signs ^= tab.x[:, c] & ~tab.z[:, c]
+    tab.z[:, c] ^= tab.x[:, c]
+
+
+def tableau_cnot(tab: StabilizerTableau, control: int, target: int) -> None:
+    cc, ct = _tableau_col(tab, control), _tableau_col(tab, target)
+    if cc == ct:
+        raise IndexError("control and target coincide")
+    tab.signs ^= tab.x[:, cc] & tab.z[:, ct] & ~(tab.x[:, ct] ^ tab.z[:, cc])
+    tab.x[:, ct] ^= tab.x[:, cc]
+    tab.z[:, cc] ^= tab.z[:, ct]
+
+
+def apply_tableau_gate(tab: StabilizerTableau, gate: Gate) -> None:
+    """One h, s or cnot gate on the generators; `tab.offset` is left as it was."""
+    if gate.name == "h":
+        tableau_h(tab, gate.qubits[0])
+    elif gate.name == "s":
+        tableau_s(tab, gate.qubits[0])
+    elif gate.name == "cnot":
+        tableau_cnot(tab, *gate.qubits)
+    else:
+        raise ValueError(f"gate {gate.name!r} is not a tableau Clifford gate")
+
+
+def apply_tableau_circuit(tab: StabilizerTableau, circuit: CircuitSpec) -> None:
+    """The circuit gate by gate, then the offset solved afresh by `conjugation_offset_gf2`."""
+    for g in circuit.gates:
+        apply_tableau_gate(tab, g)
+    tab.offset = conjugation_offset_gf2(tab)
+
+
 def random_clifford_gatewise(
     n_qubits: int, depth: int, rng: np.random.Generator
 ) -> tuple[StabilizerTableau, CircuitSpec]:
@@ -88,8 +147,51 @@ def random_clifford_gatewise(
                 circuit.add(name, q)
         for q in range(1, n_qubits):
             circuit.add("cnot", q, q + 1)
-    tab.apply_circuit(circuit)
+    apply_tableau_circuit(tab, circuit)
     return tab, circuit
+
+
+def _gf2_eliminate(m: np.ndarray, n_pivot_cols: int) -> list[int]:
+    """Gauss-Jordan elimination of the uint8 0/1 matrix m over GF(2), in place.
+
+    Pivots are taken left to right among the first n_pivot_cols columns, the
+    first nonzero row at or below the next pivot row being swapped up; the
+    pivot row is XORed into every other row with a 1 in its column at once.
+    Returns the pivot columns, one per pivot row.
+    """
+    pivots = []
+    for c in range(n_pivot_cols):
+        r = len(pivots)
+        if r == m.shape[0]:
+            break
+        hit = np.flatnonzero(m[r:, c])
+        if hit.size == 0:
+            continue
+        if hit[0]:
+            m[[r, r + hit[0]]] = m[[r + hit[0], r]]
+        others = np.flatnonzero(m[:, c])
+        m[others[others != r]] ^= m[r]
+        pivots.append(c)
+    return pivots
+
+
+def conjugation_offset_gf2(tab: StabilizerTableau) -> PauliString:
+    """A Pauli g with sigma_g|psi> = +-|psi*>, solved from the generators alone.
+
+    g must anticommute with exactly the generators that have an odd number of
+    Y letters, a linear system over GF(2); free variables are set to 0.
+    """
+    n = tab.n_qubits
+    y_parity = (tab.z & tab.x).sum(axis=1) % 2
+    # row i = pair-swapped generator i, so the first 2N columns against (z|x)
+    # are the symplectic form
+    m = np.concatenate([tab.x, tab.z, y_parity[:, None]], axis=1).astype(np.uint8)
+    pivots = _gf2_eliminate(m, 2 * n)
+    if np.any(m[len(pivots):, -1]):
+        raise AssertionError("inconsistent GF(2) system for a valid tableau")
+    v = np.zeros(2 * n, dtype=bool)
+    v[pivots] = m[: len(pivots), -1]
+    return PauliString(n, unpack_int(pack_zx(v[None, :n], v[None, n:])[0]))
 
 
 def tableau_is_valid(tab: StabilizerTableau) -> bool:

@@ -3,10 +3,28 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bellmagic import estimation, magic, simulator as sim, stabilizer as st
-from bellmagic.pauli import BellSamples, PauliString, symplectic_rows, unpack_int, words_per_string
+from bellmagic import estimation, magic, simulator as sim, stabilizer as st, states
+from bellmagic.pauli import (
+    BellSamples,
+    PauliString,
+    pack_ints,
+    symplectic_rows,
+    unpack_int,
+    words_per_string,
+)
 
-from oracles import apply_pauli, pauli_expectation, random_clifford_gatewise, tableau_is_valid
+from oracles import (
+    apply_pauli,
+    apply_tableau_circuit,
+    apply_tableau_gate,
+    conjugation_offset_gf2,
+    pauli_expectation,
+    random_clifford_gatewise,
+    tableau_cnot,
+    tableau_h,
+    tableau_is_valid,
+    tableau_s,
+)
 
 
 def _oracle_pack_zx(z, x, n_qubits):
@@ -47,7 +65,7 @@ def _oracle_bell_sample(tableau, n_samples, rng):
 
 def test_h_on_zero():
     tab = st.StabilizerTableau(1)
-    tab.h(1)
+    tableau_h(tab, 1)
     sign, p = tab.generator(0)
     assert sign == 1 and p.to_letters() == "X"
 
@@ -55,9 +73,9 @@ def test_h_on_zero():
 def test_s_twice_is_z_action():
     # S^2|+> = Z|+> = |->, stabilized by -X
     tab = st.StabilizerTableau(1)
-    tab.h(1)
-    tab.s(1)
-    tab.s(1)
+    tableau_h(tab, 1)
+    tableau_s(tab, 1)
+    tableau_s(tab, 1)
     sign, p = tab.generator(0)
     assert sign == -1 and p.to_letters() == "X"
 
@@ -70,23 +88,23 @@ def test_long_random_circuit_preserves_invariants():
         g = names[rng.integers(0, 3)]
         if g == "cnot":
             c, t = rng.choice(5, size=2, replace=False) + 1
-            tab.cnot(int(c), int(t))
+            tableau_cnot(tab, int(c), int(t))
         else:
-            getattr(tab, g)(int(rng.integers(1, 6)))
+            {"h": tableau_h, "s": tableau_s}[g](tab, int(rng.integers(1, 6)))
     assert tableau_is_valid(tab)
 
 
 def test_gate_errors():
     tab = st.StabilizerTableau(2)
     with pytest.raises(IndexError):
-        tab.h(3)
+        tableau_h(tab, 3)
     for i in (-1, 2):
         with pytest.raises(IndexError, match=f"generator index {i}"):
             tab.generator(i)
     with pytest.raises(IndexError):
-        tab.cnot(1, 1)
+        tableau_cnot(tab, 1, 1)
     with pytest.raises(ValueError):
-        tab.apply_gate(sim.Gate("ry", (1,), 0))
+        apply_tableau_gate(tab, sim.Gate("ry", (1,), 0))
 
 
 def test_signs_match_dense_simulator():
@@ -110,7 +128,7 @@ def _assert_same_clifford(n, depth, seed):
     assert circ.gates == ref_circ.gates
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
     replay = st.StabilizerTableau(n)
-    replay.apply_circuit(circ)
+    apply_tableau_circuit(replay, circ)
     assert np.array_equal(replay.z, tab.z) and np.array_equal(replay.x, tab.x)
     assert np.array_equal(replay.signs, tab.signs)
 
@@ -168,18 +186,18 @@ def test_single_qubit_orbit_is_stabilizer():
 
 
 def test_conjugation_offset_zero_state():
-    tab = st.StabilizerTableau(3)
-    assert st.conjugation_offset(tab) == PauliString.identity(3)
+    for n in (1, 3, 64):
+        tab = st.StabilizerTableau(n)
+        assert tab.offset == st.conjugation_offset(tab) == PauliString.identity(n)
 
 
 def test_conjugation_offset_plus_i():
-    # S|+> has stabilizer +Y; valid offsets map it to |-i>
-    tab = st.StabilizerTableau(1)
-    tab.h(1)
-    tab.s(1)
-    circ = sim.CircuitSpec(1).add("h", 1).add("s", 1)
-    state = sim.simulate(circ)
+    # S|+> = |-i> has stabilizer -Y; valid offsets map it to |+i>
+    tab = st._layered_tableau(np.array([[[0, 1, 1]]]))
+    assert tab.to_text() == "-Y"
+    state = sim.simulate(sim.CircuitSpec(1).add("h", 1).add("s", 1))
     g = st.conjugation_offset(tab)
+    assert g.to_letters() == "Z"  # H keeps the identity, the odd S power multiplies in Z
     mapped = apply_pauli(state, g).amplitudes
     target = np.conj(state.amplitudes)
     assert abs(np.vdot(mapped, target)) == pytest.approx(1.0, abs=1e-9)
@@ -194,6 +212,43 @@ def test_conjugation_offset_dense_oracle():
         g = st.conjugation_offset(tab)
         mapped = apply_pauli(state, g).amplitudes
         assert abs(np.vdot(mapped, np.conj(state.amplitudes))) == pytest.approx(1.0, abs=1e-9)
+
+
+def _assert_offsets_differ_by_stabilizer(n, depth, seed):
+    tab, _ = st.random_clifford(n, depth, np.random.default_rng(seed))
+    words = tab.generator_words()
+    g = st.conjugation_offset(tab).bits
+    # g anticommutes with exactly the generators of odd Y-parity
+    y_odd = (tab.z & tab.x).sum(axis=1) % 2 == 1
+    assert np.array_equal(symplectic_rows(words, np.repeat(pack_ints(n, [g]), n, axis=0)), y_odd)
+    t = np.repeat(pack_ints(n, [g ^ conjugation_offset_gf2(tab).bits]), n, axis=0)
+    assert not symplectic_rows(words, t).any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_tracked_offset_differs_from_gf2_by_stabilizer(n, depth):
+    # the offset column is bit N of the packed planes, so at n = 64 it opens a second word
+    for seed in range(3):
+        _assert_offsets_differ_by_stabilizer(n, depth, 2000 * n + seed)
+
+
+def test_tracked_offset_differs_from_gf2_by_stabilizer_large():
+    _assert_offsets_differ_by_stabilizer(1500, 3, 2)
+
+
+def test_tracked_offset_maps_circuit_to_its_conjugate():
+    # sigma_g C = conj(C) up to phase, on any input: checked on product states
+    rng = np.random.default_rng(11)
+    for n in range(1, 5):
+        for _ in range(25):
+            tab, circ = st.random_clifford(n, int(rng.integers(1, 5)), rng)
+            thetas, phis = rng.uniform(0, 2 * np.pi, size=(2, n))
+            out = sim.simulate(circ, states.product_state(thetas, phis))
+            out = apply_pauli(out, st.conjugation_offset(tab)).amplitudes
+            # conj(C)|phi> = conj(C conj(phi)), and conj(phi) negates the phases
+            conj_out = np.conj(sim.simulate(circ, states.product_state(thetas, -phis)).amplitudes)
+            assert abs(np.vdot(out, conj_out)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sampler_outcomes_commute_pairwise():
@@ -283,5 +338,5 @@ def test_generator_words_match_generators(n):
 
 def test_to_text():
     tab = st.StabilizerTableau(2)
-    tab.h(1)
+    tableau_h(tab, 1)
     assert tab.to_text() == "+XI\n+IZ"

@@ -4,7 +4,9 @@ import pytest
 
 from bellmagic import magic, simulator as sim, variational as var
 from bellmagic.estimation import estimate_bell_magic
+from bellmagic.pauli import BellSamples
 from bellmagic.simulator import CircuitSpec, bell_distribution, cross_bell_distribution, sample, simulate
+from bellmagic.states import t_state
 
 from oracles import grad_bell_magic_exact, grad_p_shift, gradient_finite_difference
 
@@ -145,6 +147,14 @@ def test_estimate_gradient_symmetry_and_determinism():
     g1 = var.estimate_gradient(base, shifted, shifted, 1000, np.random.default_rng(6))
     g2 = var.estimate_gradient(base, shifted, shifted, 1000, np.random.default_rng(6))
     assert g1 == g2
+
+
+@pytest.mark.parametrize("n_resamples", [None, 5])
+def test_estimate_gradient_rejects_empty_shifted_batches(n_resamples):
+    base = sample(bell_distribution(t_state()), 20, np.random.default_rng(12))
+    empty = BellSamples(1, np.zeros((0, 1), dtype=np.uint64))
+    with pytest.raises(ValueError, match="plus/minus"):
+        var.estimate_gradient(base, empty, empty, n_resamples, np.random.default_rng(13))
 
 
 def test_qfim_diagonal():
