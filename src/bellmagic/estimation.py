@@ -88,17 +88,20 @@ def estimate_purity(outcomes: BellSamples) -> float:
 
 
 def estimate_depolarization(purity_hat: float, n_qubits: int) -> float:
-    """Depolarizing probability from a purity estimate (clamped to [0, 1])."""
-    d = 2**n_qubits
+    """Depolarizing probability from a purity estimate (clamped to [0, 1]).
+
+    Written in x = 2^-N rather than d = 2^N, so that it stays finite at any N.
+    """
+    x = 2.0**-n_qubits
     purity_hat = min(purity_hat, 1.0)
-    if purity_hat <= 1.0 / d:
+    if purity_hat <= x:
         return 1.0
-    return 1.0 - math.sqrt((d - 1) * (d * purity_hat - 1)) / (d - 1)
+    return 1.0 - math.sqrt((1 - x) * (purity_hat - x)) / (1 - x)
 
 
 def noisy_purity(p: float, n_qubits: int) -> float:
     """tr(rho^2) of a pure state after depolarizing with probability p."""
-    return (1 - p) ** 2 + p * (2 - p) / 2**n_qubits
+    return (1 - p) ** 2 + p * (2 - p) * 2.0**-n_qubits
 
 
 def sum_prob_squared(outcomes: BellSamples) -> float:
@@ -139,10 +142,9 @@ def mitigate(
     """
     if not 0.0 <= p_hat < 1.0:
         raise ValueError("mitigation needs a depolarizing estimate in [0, 1)")
-    dim = 4**n_qubits
     p_quad = 1.0 - (1.0 - p_hat) ** 4  # any of the four copies depolarized
     b_mixed = maximally_mixed_magic(n_qubits)
-    b_cross = 1.0 - (sum_p_dp_sq - p_quad / dim) / (1.0 - p_quad)
+    b_cross = 1.0 - (sum_p_dp_sq - p_quad * 4.0**-n_qubits) / (1.0 - p_quad)
     exact = (b_noisy - p_quad**2 * b_mixed - 2 * p_quad * (1 - p_quad) * b_cross) / (
         (1 - p_quad) ** 2
     )

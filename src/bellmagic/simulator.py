@@ -32,7 +32,9 @@ cases; the shift-rule gradient `variational._exact_gradient` runs all 2K
 shifted circuits through them at once (`_cross_bell_dots`).
 
 Gate set: H, S = diag(1, -i), T = diag(1, e^{-i pi/4}), CNOT, and the
-rotations Ry(t), Rz(t) = exp(-i t sigma/2).
+rotations Ry(t), Rz(t) = exp(-i t sigma/2).  A circuit's parameter vector
+holds one angle per rotation in gate order: the k-th rotation of
+`circuit.gates` takes `params[k]`.
 """
 from __future__ import annotations
 
@@ -111,36 +113,33 @@ def overlap(a: StateVector, b: StateVector) -> complex:
 class Gate:
     name: str
     qubits: tuple[int, ...]
-    param: int | None = None  # index into the circuit parameter vector
 
 
-def _check_gates(gates, n_qubits: int) -> list[int]:
-    """Check names, qubit ranges and rotation parameter indices; return those indices."""
-    seen = []
+def _check_gates(gates, n_qubits: int) -> int:
+    """Check gate names and qubit ranges; return the number of rotations."""
+    rotations = 0
     for g in gates:
-        if g.name not in _FIXED_GATES and g.name not in _PARAM_GATES and g.name != "cnot":
+        if g.name in _PARAM_GATES:
+            rotations += 1
+        elif g.name not in _FIXED_GATES and g.name != "cnot":
             raise ValueError(f"unknown gate {g.name!r}")
         for q in g.qubits:
             if not 1 <= q <= n_qubits:
                 raise ValueError(f"qubit index {q} out of range")
-        if g.name in _PARAM_GATES:
-            if g.param is None:
-                raise ValueError(f"{g.name} gate needs a parameter index")
-            seen.append(g.param)
-    return seen
+    return rotations
 
 
 @dataclass
 class CircuitSpec:
-    """Ordered gate list with a parameter vector for the rotation gates."""
+    """Ordered gate list with one angle per rotation: the k-th rotation takes `params[k]`."""
 
     n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: list[Gate]
     params: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
-        if sorted(_check_gates(self.gates, self.n_qubits)) != list(range(len(self.params))):
+        if _check_gates(self.gates, self.n_qubits) != len(self.params):
             raise ValueError("parameter count does not match parameterized-gate count")
 
     @property
@@ -151,21 +150,12 @@ class CircuitSpec:
         return replace(self, params=np.asarray(params, dtype=float))
 
     def shifted(self, k: int, delta: float) -> "CircuitSpec":
+        """The circuit with `delta` added to parameter k, 0 <= k < n_params."""
+        if not 0 <= k < self.n_params:
+            raise IndexError(f"parameter index {k} out of range")
         theta = self.params.copy()
         theta[k] += delta
         return self.with_params(theta)
-
-    def add(self, name: str, *qubits: int, angle: float | None = None) -> "CircuitSpec":
-        """Append a gate; rotation angles are appended to the parameter vector."""
-        rotation = name in _PARAM_GATES
-        if rotation and angle is None:
-            raise ValueError("rotation gate needs an angle")
-        gate = Gate(name, tuple(qubits), len(self.params) if rotation else None)
-        _check_gates([gate], self.n_qubits)
-        if rotation:
-            self.params = np.append(self.params, angle)
-        self.gates.append(gate)
-        return self
 
 
 def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -209,6 +199,7 @@ def _simulate_rows(
         raise ValueError(f"expected (R, {circuit.n_params}) parameters, got {thetas.shape}")
     mats = {name: gate(thetas) for name, gate in _PARAM_GATES.items()}  # (R, K, 2, 2) each
     amps = np.repeat(initial.amplitudes[None], len(thetas), axis=0)
+    k = 0  # parameter of the next rotation
     for g in circuit.gates:
         if g.name == "cnot":
             amps = np.take(amps, _cnot_permutation(g.qubits[0], g.qubits[1], n), axis=1)
@@ -216,7 +207,8 @@ def _simulate_rows(
         if g.name in _FIXED_GATES:
             u = _FIXED_GATES[g.name][None]
         else:
-            u = mats[g.name][:, g.param]
+            u = mats[g.name][:, k]
+            k += 1
         amps = _apply_1q(amps, u, g.qubits[0], n)
     norm2 = np.array([np.vdot(row, row).real for row in amps])
     drifted = ~(np.abs(norm2 - 1.0) <= 1e-6)  # `~(<=)` so that NaN counts as drifted
@@ -303,15 +295,6 @@ def _wht(v: np.ndarray, nbits: int, scratch: np.ndarray | None = None) -> np.nda
 
 
 @cache
-def _xor_table(n: int) -> np.ndarray:
-    """table[j, x] = j XOR x over n-bit indices (n <= DENSE_CAP fits uint16)."""
-    j = np.arange(2**n, dtype=np.uint16)
-    table = j[:, None] ^ j[None, :]
-    table.setflags(write=False)
-    return table
-
-
-@cache
 def _bell_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
     """2^-n/2 (-i)^{#Y(r)} as factors over the leading and trailing halves of r's digits."""
     per_digit = [-1j if letter == "Y" else 1 for letter in PAULI_LETTERS]
@@ -334,12 +317,13 @@ def _bell_transform(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Unscaled Bell amplitudes of each row of (R, 2^N) `rows` against `b`.
 
     A CNOT from copy B onto copy A, then Hadamards on copy B: gathers
-    g[j, x, r] = rows[r, j XOR x] b[j] through a cached XOR table and
-    Walsh-Hadamard transforms the float view of g over j.  Returns the
+    g[j, x, r] = rows[r, j XOR x] b[j] through a j XOR x index built per call
+    and Walsh-Hadamard transforms the float view of g over j.  Returns the
     transform as a flat float array whose axes run (x, r, re/im, z); the
     amplitude of outcome (z, x) is 2^-N/2 (-i)^{#Y} times it.
     """
-    g = np.take(np.ascontiguousarray(rows.T), _xor_table(n), axis=0)
+    j = np.arange(2**n, dtype=np.uint16)  # n <= DENSE_CAP fits uint16
+    g = np.take(np.ascontiguousarray(rows.T), j[:, None] ^ j, axis=0)
     g *= b[:, None, None]
     gf = g.view(float).reshape(-1)
     return _wht(gf, n, scratch=gf)
@@ -444,21 +428,26 @@ def sample(dist: BellDistribution, n_samples: int, rng: np.random.Generator) -> 
 # Circuit builders
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
+
+
+def _ansatz_gates(n_qubits: int, depth: int) -> list[Gate]:
+    """`depth` layers of an Ry row, an Rz row and a CNOT chain: 2 N depth rotations."""
+    _check_depth(depth)
+    qubits = range(1, n_qubits + 1)
+    layer = [Gate("ry", (q,)) for q in qubits] + [Gate("rz", (q,)) for q in qubits]
+    layer += [Gate("cnot", (q, q + 1)) for q in qubits[:-1]]
+    return layer * depth
+
+
 def hardware_efficient_ansatz(n_qubits: int, depth: int, params) -> CircuitSpec:
     """Layers of per-qubit Ry then Rz rotations followed by a CNOT chain."""
+    gates = _ansatz_gates(n_qubits, depth)
     params = np.asarray(params, dtype=float)
     if params.shape != (2 * n_qubits * depth,):
         raise ValueError(f"expected {2 * n_qubits * depth} parameters, got {params.shape}")
-    gates, k = [], 0
-    for _ in range(depth):
-        for q in range(1, n_qubits + 1):
-            gates.append(Gate("ry", (q,), k))
-            k += 1
-        for q in range(1, n_qubits + 1):
-            gates.append(Gate("rz", (q,), k))
-            k += 1
-        for q in range(1, n_qubits):
-            gates.append(Gate("cnot", (q, q + 1)))
     return CircuitSpec(n_qubits, gates, params)
 
 
@@ -466,6 +455,7 @@ def clifford_plus_t_params(
     n_qubits: int, depth: int, n_tgates: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Random multiples of pi/2 with n_tgates positions shifted by pi/4."""
+    _check_depth(depth)
     k = 2 * n_qubits * depth
     if not 0 <= n_tgates <= k:
         raise ValueError("T-gate count out of range")
@@ -484,20 +474,14 @@ def magic_input_circuit(
 ) -> CircuitSpec:
     """Magic-angle inputs on random qubits followed by a random layered Clifford.
 
-    Prepares cos(phi/2)|0> + sin(phi/2)|1> on n_magic randomly chosen qubits
-    and applies `depth` layers of random pi/2-multiple rotations plus CNOT
-    chains, which are all Clifford.
+    Prepares cos(phi/2)|0> + sin(phi/2)|1> with Ry(phi) on n_magic randomly
+    chosen qubits, then runs `hardware_efficient_ansatz`'s `depth` layers at
+    random multiples of pi/2, which are all Clifford.
     """
     if not 0 <= n_magic <= n_qubits:
         raise ValueError("magic-state count out of range")
-    circuit = CircuitSpec(n_qubits)
-    for q in sorted(rng.choice(n_qubits, size=n_magic, replace=False) + 1):
-        circuit.add("ry", int(q), angle=phi)
-    for _ in range(depth):
-        for q in range(1, n_qubits + 1):
-            circuit.add("ry", q, angle=(np.pi / 2) * int(rng.integers(0, 4)))
-        for q in range(1, n_qubits + 1):
-            circuit.add("rz", q, angle=(np.pi / 2) * int(rng.integers(0, 4)))
-        for q in range(1, n_qubits):
-            circuit.add("cnot", q, q + 1)
-    return circuit
+    layers = _ansatz_gates(n_qubits, depth)
+    inputs = sorted(rng.choice(n_qubits, size=n_magic, replace=False) + 1)
+    angles = (np.pi / 2) * rng.integers(0, 4, size=2 * n_qubits * depth)
+    gates = [Gate("ry", (int(q),)) for q in inputs] + layers
+    return CircuitSpec(n_qubits, gates, np.concatenate([np.full(n_magic, phi), angles]))

@@ -39,6 +39,7 @@ from .pauli import BellSamples, symplectic_rows
 from .simulator import (
     BellDistribution,
     CircuitSpec,
+    Gate,
     StateVector,
     _cross_bell_dots,
     _simulate_rows,
@@ -50,11 +51,6 @@ from .simulator import (
     simulate,
 )
 from .stabilizer import random_clifford
-
-
-def _check_param(circuit: CircuitSpec, k: int) -> None:
-    if not 0 <= k < circuit.n_params:
-        raise IndexError(f"parameter index {k} out of range")
 
 
 def _gradient_kernel(p: BellDistribution) -> np.ndarray:
@@ -125,9 +121,8 @@ def qfim_diagonal(
     With `n_samples` the overlap is estimated from the SWAP-test parity of
     cross-copy Bell samples instead of the exact inner product.
     """
-    _check_param(circuit, k)
-    base = simulate(circuit)
     shifted = simulate(circuit.shifted(k, np.pi / 2))
+    base = simulate(circuit)
     if n_samples is None:
         fidelity = abs(overlap(base, shifted)) ** 2
     else:
@@ -258,11 +253,7 @@ def clifford_dressed_rotation(
 ) -> CircuitSpec:
     """One Ry(theta) on qubit 1 followed by a random layered Clifford."""
     _, clifford = random_clifford(n_qubits, depth, rng)
-    circuit = CircuitSpec(n_qubits)
-    circuit.add("ry", 1, angle=theta)
-    for g in clifford.gates:
-        circuit.gates.append(g)
-    return circuit
+    return CircuitSpec(n_qubits, [Gate("ry", (1,))] + clifford.gates, [theta])
 
 
 def trainability_experiment(

@@ -13,9 +13,12 @@ difference `gradient_finite_difference` they are the oracles for the
 batched `variational._exact_gradient`.  `pauli_expectation` reads
 <psi|sigma_p|psi> off one explicit application of sigma_p, independently
 of the Bell-transform path behind `simulator.pauli_expectation_table`.
-`random_clifford_gatewise` draws the layered circuit one scalar at a time
-and applies it gate by gate (`tableau_h`, `tableau_s`, `tableau_cnot`,
-`apply_tableau_gate`, `apply_tableau_circuit`), the reference for the packed
+`magic_input_circuit_gatewise` draws the magic-input circuit's angles one
+scalar at a time, the reference for the layer-built
+`simulator.magic_input_circuit`.  `random_clifford_gatewise` draws the
+layered circuit one scalar at a time and applies it gate by gate
+(`tableau_h`, `tableau_s`, `tableau_cnot`, `apply_tableau_gate`,
+`apply_tableau_circuit`), the reference for the packed
 whole-layer `stabilizer.random_clifford`.  `conjugation_offset_gf2` solves
 for a conjugation offset by Gauss-Jordan elimination over GF(2)
 (`_gf2_eliminate`), the reference for the offset the library tracks through
@@ -45,7 +48,7 @@ from bellmagic.simulator import (
     simulate,
 )
 from bellmagic.stabilizer import StabilizerTableau
-from bellmagic.variational import _check_param, _gradient_kernel
+from bellmagic.variational import _gradient_kernel
 
 
 def from_letters(letters: str) -> PauliString:
@@ -136,19 +139,37 @@ def random_clifford_gatewise(
     if depth < 1:
         raise ValueError("depth must be at least 1")
     tab = StabilizerTableau(n_qubits)
-    circuit = CircuitSpec(n_qubits)
+    gates = []
     for _ in range(depth):
         for q in range(1, n_qubits + 1):
             word = ["s"] * int(rng.integers(0, 4))
             if rng.integers(0, 2):
                 word.append("h")
             word += ["s"] * int(rng.integers(0, 4))
-            for name in word:
-                circuit.add(name, q)
-        for q in range(1, n_qubits):
-            circuit.add("cnot", q, q + 1)
+            gates += [Gate(name, (q,)) for name in word]
+        gates += [Gate("cnot", (q, q + 1)) for q in range(1, n_qubits)]
+    circuit = CircuitSpec(n_qubits, gates)
     apply_tableau_circuit(tab, circuit)
     return tab, circuit
+
+
+def magic_input_circuit_gatewise(
+    n_qubits: int, n_magic: int, phi: float, depth: int, rng: np.random.Generator
+) -> CircuitSpec:
+    """Magic-input circuit by scalar draws, one gate and one angle at a time."""
+    if not 0 <= n_magic <= n_qubits:
+        raise ValueError("magic-state count out of range")
+    gates, params = [], []
+    for q in sorted(rng.choice(n_qubits, size=n_magic, replace=False) + 1):
+        gates.append(Gate("ry", (int(q),)))
+        params.append(phi)
+    for _ in range(depth):
+        for name in ("ry", "rz"):
+            for q in range(1, n_qubits + 1):
+                gates.append(Gate(name, (q,)))
+                params.append((np.pi / 2) * int(rng.integers(0, 4)))
+        gates += [Gate("cnot", (q, q + 1)) for q in range(1, n_qubits)]
+    return CircuitSpec(n_qubits, gates, params)
 
 
 def _gf2_eliminate(m: np.ndarray, n_pivot_cols: int) -> list[int]:
@@ -296,7 +317,6 @@ def grad_p_shift(circuit: CircuitSpec, k: int, v: float = 0.5) -> np.ndarray:
     half-angle rotation generators; at the default v = 1/2 this is the usual
     factor 2v = 1.  Needs v > 1/4 so the shift stays below a half period.
     """
-    _check_param(circuit, k)
     if v <= 0.25:
         raise ValueError("shift scale v must exceed 1/4")
     shift = np.pi / (4 * v)
@@ -320,7 +340,6 @@ _FD_STEP = 1e-5  # finite-difference step of the gradient oracle
 
 def gradient_finite_difference(circuit: CircuitSpec, k: int) -> float:
     """Central finite difference of exact Bell magic; test oracle."""
-    _check_param(circuit, k)
     bp = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, _FD_STEP))))
     bm = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, -_FD_STEP))))
     return (bp.bell_magic - bm.bell_magic) / (2 * _FD_STEP)

@@ -92,3 +92,38 @@ def test_oracles_are_not_in_the_library():
     leaked = sorted(f"{mod.__name__}.{name}" for mod in modules for name in defined
                     if hasattr(mod, name))
     assert not leaked, f"oracles importable from the library: {leaked}"
+
+
+SETTABLE_VALUES_CEILING = 330  # raising it needs a CHANGES.md line saying why
+
+
+def _settable_values() -> int:
+    """Every parameter of public module-level functions and of public methods
+    (names without a leading underscore, plus `__init__`) of public classes,
+    with `self`/`cls` excluded and `*args`/`**kwargs` counted, plus the
+    annotated fields of public classes, over `src/bellmagic/*.py`."""
+    def n_params(f):
+        a = f.args
+        names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        names += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        return sum(name not in ("self", "cls") for name in names)
+
+    total = 0
+    for path in sorted((ROOT / "src" / "bellmagic").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                total += n_params(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and (
+                            not item.name.startswith("_") or item.name == "__init__"):
+                        total += n_params(item)
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        total += 1
+    return total
+
+
+def test_settable_values_do_not_grow():
+    count = _settable_values()
+    assert count <= SETTABLE_VALUES_CEILING, (
+        f"{count} settable values, ceiling {SETTABLE_VALUES_CEILING}")

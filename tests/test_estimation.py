@@ -1,4 +1,6 @@
 """Estimator statistics, purity, depolarization fit and mitigation algebra."""
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,37 @@ def test_depolarization_fit():
     pur = est.noisy_purity(0.1, 3)
     assert pur == pytest.approx(0.833750, abs=1e-6)
     assert est.estimate_depolarization(pur, 3) == pytest.approx(0.1, abs=1e-12)
+
+
+def _oracle_depolarization(purity_hat, n_qubits):
+    """The integer-d form that the powers-of-two form replaced (reference copy)."""
+    d = 2**n_qubits
+    purity_hat = min(purity_hat, 1.0)
+    if purity_hat <= 1.0 / d:
+        return 1.0
+    return 1.0 - math.sqrt((d - 1) * (d * purity_hat - 1)) / (d - 1)
+
+
+def test_depolarization_matches_integer_formula():
+    # scaling by a power of two commutes with rounding, so the forms agree bit for bit
+    rng = np.random.default_rng(21)
+    for n in range(1, 61):
+        x = 2.0**-n
+        purities = [x, x * (1 + 2**-52), 1.0, 1.5, 0.0, *rng.uniform(0, 1, 50),
+                    *(x * rng.uniform(0.5, 4, 20))]
+        for pur in purities:
+            assert est.estimate_depolarization(pur, n) == _oracle_depolarization(pur, n)
+
+
+def test_estimate_magic_at_1500_qubits():
+    # 2^N and 4^N overflow a float from N = 1024 and 512 on; the estimate must not
+    rng = np.random.default_rng(22)
+    tab, _ = random_clifford(1500, 2, rng)
+    res = est.estimate_magic(bell_sample_stabilizer(tab, 200, rng), rng, n_bootstrap=3)
+    assert res.p_hat == 0.0
+    assert res.b_mtg_exact == 0.0 and res.b_mtg_approx == 0.0
+    assert res.bootstrap_std == 0.0
+    assert est.noisy_purity(0.1, 1500) == 0.81
 
 
 def test_mitigation_identity_at_zero_noise():

@@ -15,3 +15,4 @@ def test_readme_python_examples():
         exec(compile(block, str(README), "exec"), ns)
     assert ns["exact"].additive == pytest.approx(2.0)
     assert ns["estimate_bell_magic"](ns["outcomes"], rng=ns["rng"]) == (0.0, 0.0)
+    assert ns["result"].p_hat == 0.0 and ns["result"].b_mtg_exact == 0.0

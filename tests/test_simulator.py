@@ -8,6 +8,7 @@ from bellmagic.pauli import PauliString
 from bellmagic.simulator import (
     BellDistribution,
     CircuitSpec,
+    Gate,
     NoiseModel,
     StateVector,
     bell_distribution,
@@ -19,7 +20,12 @@ from bellmagic.simulator import (
     zero_state,
 )
 
-from oracles import from_letters, mixed_bell_distribution, pauli_expectation
+from oracles import (
+    from_letters,
+    magic_input_circuit_gatewise,
+    mixed_bell_distribution,
+    pauli_expectation,
+)
 
 CHI2_5SIGMA = stats.norm.sf(5.0)  # one-sided 5-sigma tail probability
 
@@ -29,11 +35,11 @@ def idx(letters: str) -> int:
 
 
 def test_basic_gates():
-    c = CircuitSpec(1).add("h", 1)
+    c = CircuitSpec(1, [Gate("h", (1,))])
     assert np.allclose(simulate(c).amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-    c = CircuitSpec(1).add("h", 1).add("t", 1)
+    c = CircuitSpec(1, [Gate("h", (1,)), Gate("t", (1,))])
     assert np.allclose(simulate(c).amplitudes, states.t_state().amplitudes)
-    c = CircuitSpec(2).add("h", 1).add("cnot", 1, 2)
+    c = CircuitSpec(2, [Gate("h", (1,)), Gate("cnot", (1, 2))])
     assert np.allclose(simulate(c).amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
 
@@ -45,16 +51,27 @@ def test_nan_rejected():
         BellDistribution(1, [np.nan, 1.0, 0.0, 0.0])
     # a NaN angle reaches the norm check, which reports a numerical failure
     with pytest.raises(FloatingPointError):
-        simulate(CircuitSpec(1).add("ry", 1, angle=np.nan))
+        simulate(CircuitSpec(1, [Gate("ry", (1,))], [np.nan]))
 
 
 def test_gate_errors():
     with pytest.raises(ValueError):
-        CircuitSpec(1).add("h", 2)
+        CircuitSpec(1, [Gate("h", (2,))])
+    # one angle per rotation: too many and too few are both rejected
     with pytest.raises(ValueError):
-        CircuitSpec(2, [sim.Gate("ry", (1,), 0)], np.zeros(2))
+        CircuitSpec(2, [Gate("ry", (1,))], np.zeros(2))
     with pytest.raises(ValueError):
-        CircuitSpec(1, [sim.Gate("bogus", (1,))])
+        CircuitSpec(2, [Gate("ry", (1,)), Gate("rz", (2,))], np.zeros(1))
+    with pytest.raises(ValueError):
+        CircuitSpec(1, [Gate("bogus", (1,))])
+
+
+def test_shifted_parameter_range():
+    c = CircuitSpec(1, [Gate("ry", (1,)), Gate("h", (1,)), Gate("rz", (1,))], [0.1, 0.2])
+    assert np.array_equal(c.shifted(1, 0.5).params, [0.1, 0.7])
+    for k in (-1, 2):
+        with pytest.raises(IndexError):
+            c.shifted(k, 0.5)
 
 
 def test_conjugate():
@@ -143,6 +160,7 @@ def per_state_gate_loop(circuit, initial=None):
     rz = lambda t: np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
     n = circuit.n_qubits
     amps = (initial if initial is not None else zero_state(n)).amplitudes.astype(complex)
+    k = 0  # the k-th rotation takes params[k]
     for g in circuit.gates:
         if g.name == "cnot":
             c, t = g.qubits
@@ -156,7 +174,8 @@ def per_state_gate_loop(circuit, initial=None):
         else:
             q = g.qubits[0]
             if g.name in ("ry", "rz"):
-                u = {"ry": ry, "rz": rz}[g.name](circuit.params[g.param])
+                u = {"ry": ry, "rz": rz}[g.name](circuit.params[k])
+                k += 1
             else:
                 u = sim._FIXED_GATES[g.name]
             t = amps.reshape(2 ** (q - 1), 2, 2 ** (n - q))
@@ -170,17 +189,17 @@ def every_gate_circuit(n, rng):
     ops += [(name, int(rng.integers(1, n + 1))) for name in ("h", "s", "t") for _ in range(n)]
     if n > 1:
         ops += [("cnot", int(q)) for q in rng.integers(0, n, size=n)]
-    circuit = CircuitSpec(n)
+    gates, params = [], []
     for i in rng.permutation(len(ops)):
         name, q = ops[i]
         if name == "cnot":
             c, t = rng.choice(n, size=2, replace=False) + 1
-            circuit.add("cnot", int(c), int(t))
-        elif name in ("ry", "rz"):
-            circuit.add(name, q, angle=float(rng.uniform(0, 2 * np.pi)))
+            gates.append(Gate("cnot", (int(c), int(t))))
         else:
-            circuit.add(name, q)
-    return circuit
+            gates.append(Gate(name, (q,)))
+            if name in ("ry", "rz"):
+                params.append(float(rng.uniform(0, 2 * np.pi)))
+    return CircuitSpec(n, gates, params)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -242,6 +261,25 @@ def test_bell_amplitudes_match_explicit_bell_basis():
             t = np.outer(x.amplitudes, y.amplitudes).reshape((2,) * (2 * n))
             psi = t.transpose([ax for q in range(n) for ax in (q, n + q)]).reshape(-1)
             assert np.max(np.abs(sim.bell_amplitudes(x, y) - rows @ psi)) <= 1e-12, n
+
+
+def xor_table(n):
+    """table[j, x] = j XOR x, the table `_bell_transform` once kept cached per N."""
+    j = np.arange(2**n, dtype=np.uint16)
+    return j[:, None] ^ j[None, :]
+
+
+def test_bell_transform_matches_cached_table_gather():
+    rng = np.random.default_rng(16)
+    for n in range(1, 9):
+        b = magic.sample_haar_state(n, rng).amplitudes
+        for r in (1, 3):
+            rows = np.array([magic.sample_haar_state(n, rng).amplitudes for _ in range(r)])
+            g = np.take(np.ascontiguousarray(rows.T), xor_table(n), axis=0)
+            g *= b[:, None, None]
+            gf = g.view(float).reshape(-1)
+            ref = sim._wht(gf, n, scratch=gf)
+            assert np.array_equal(sim._bell_transform(rows, b, n), ref), (n, r)
 
 
 def test_bell_amplitudes_match_pair_kernel_construction():
@@ -407,6 +445,32 @@ def test_magic_input_circuit():
     assert magic.bell_magic_of_state(state).bell_magic == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         sim.magic_input_circuit(2, 3, 0.1, 1, rng)
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 1), (1, 1, 0), (3, 2, 4), (8, 1, 4), (5, 5, 2), (4, 0, 0)])
+def test_magic_input_circuit_matches_gatewise_oracle(shape):
+    n, n_magic, depth = shape
+    for seed in range(60):
+        phi = 0.1 + seed / 7
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        circ = sim.magic_input_circuit(n, n_magic, phi, depth, rng)
+        ref = magic_input_circuit_gatewise(n, n_magic, phi, depth, ref_rng)
+        assert circ.gates == ref.gates
+        assert circ.params.tobytes() == ref.params.tobytes()
+        assert rng.random() == ref_rng.random()
+
+
+def test_negative_depth_rejected_before_drawing():
+    calls = [
+        lambda rng: sim.magic_input_circuit(3, 1, 0.3, -1, rng),
+        lambda rng: sim.clifford_plus_t_params(2, -1, 0, rng),
+        lambda rng: sim.hardware_efficient_ansatz(2, -1, []),
+    ]
+    for call in calls:
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="depth"):
+            call(rng)
+        assert rng.random() == np.random.default_rng(5).random()
 
 
 def test_statevector_validation():

@@ -104,7 +104,7 @@ def test_gate_errors():
     with pytest.raises(IndexError):
         tableau_cnot(tab, 1, 1)
     with pytest.raises(ValueError):
-        apply_tableau_gate(tab, sim.Gate("ry", (1,), 0))
+        apply_tableau_gate(tab, sim.Gate("ry", (1,)))
 
 
 def test_signs_match_dense_simulator():
@@ -195,7 +195,7 @@ def test_conjugation_offset_plus_i():
     # S|+> = |-i> has stabilizer -Y; valid offsets map it to |+i>
     tab = st._layered_tableau(np.array([[[0, 1, 1]]]))
     assert tab.to_text() == "-Y"
-    state = sim.simulate(sim.CircuitSpec(1).add("h", 1).add("s", 1))
+    state = sim.simulate(sim.CircuitSpec(1, [sim.Gate("h", (1,)), sim.Gate("s", (1,))]))
     g = st.conjugation_offset(tab)
     assert g.to_letters() == "Z"  # H keeps the identity, the odd S power multiplies in Z
     mapped = apply_pauli(state, g).amplitudes

@@ -5,7 +5,14 @@ import pytest
 from bellmagic import magic, simulator as sim, variational as var
 from bellmagic.estimation import estimate_bell_magic
 from bellmagic.pauli import BellSamples
-from bellmagic.simulator import CircuitSpec, bell_distribution, cross_bell_distribution, sample, simulate
+from bellmagic.simulator import (
+    CircuitSpec,
+    Gate,
+    bell_distribution,
+    cross_bell_distribution,
+    sample,
+    simulate,
+)
 from bellmagic.states import t_state
 
 from oracles import grad_bell_magic_exact, grad_p_shift, gradient_finite_difference
@@ -104,6 +111,8 @@ def test_param_index_errors():
     for k in (2, 5, -1):
         with pytest.raises(IndexError):
             var.qfim_diagonal(circ, k)
+        with pytest.raises(IndexError):
+            grad_p_shift(circ, k)
 
 
 def test_dressed_rotation_identities():
@@ -158,10 +167,10 @@ def test_estimate_gradient_rejects_empty_shifted_batches(n_resamples):
 
 
 def test_qfim_diagonal():
-    c = CircuitSpec(1).add("ry", 1, angle=0.0)
+    c = CircuitSpec(1, [Gate("ry", (1,))], [0.0])
     assert var.qfim_diagonal(c, 0) == pytest.approx(1.0, abs=1e-9)
     # parameter with no effect on the state
-    c2 = CircuitSpec(1).add("rz", 1, angle=0.3)
+    c2 = CircuitSpec(1, [Gate("rz", (1,))], [0.3])
     assert var.qfim_diagonal(c2, 0) == pytest.approx(0.0, abs=1e-9)
     rng = np.random.default_rng(7)
     circ = random_circuit(2, 2, rng)
@@ -210,7 +219,7 @@ def test_optimize_sampled_mode_bit_identical_to_oracle(seed):
 
 @pytest.mark.parametrize("n_samples", [None, 50])
 def test_optimize_parameter_free_circuit(n_samples):
-    circ = CircuitSpec(2).add("h", 1).add("t", 1)
+    circ = CircuitSpec(2, [Gate("h", (1,)), Gate("t", (1,))])
     state = var.optimize(circ, epochs=3, n_samples=n_samples, rng=np.random.default_rng(14))
     assert state.theta.shape == (0,)
     assert state.grad_norms == [0.0, 0.0, 0.0]
