@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -169,9 +170,11 @@ def cmd_sweep(a) -> tuple[list[dict], dict]:
         return rows, {"command": "sweep", "experiment": a.experiment,
                       "seed": a.seed, "loglog_slopes_vs_nq": slopes}
     if a.experiment == "error-vs-p":
-        rows = experiments.error_vs_noise_sweep(
-            a.n, a.na, a.p_grid, a.nq, a.reps, a.seed, a.threads, a.d
+        rows = experiments.error_vs_samples_sweep(
+            a.n, a.na, a.p_grid, [a.nq], a.reps, a.seed, a.threads, a.d
         )
+        for r in rows:
+            del r["nr"]
         slope = experiments.loglog_slope(
             [1 - r["p"] for r in rows], [r["mean_abs_error"] for r in rows])
         return rows, {"command": "sweep", "experiment": a.experiment,
@@ -340,7 +343,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if getattr(args, key, None) is None:
             setattr(args, key, config.get(key, overrides.get(key, opt.default)))
     if args.threads is None:
-        args.threads = experiments.default_threads()
+        args.threads = os.cpu_count() or 1
     return args
 
 

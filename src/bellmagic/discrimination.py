@@ -96,6 +96,8 @@ class LabeledRun:
     def __post_init__(self):
         if self.label not in (STABILIZER, MAGICAL):
             raise ValueError("label must be -1 or +1")
+        if not np.isfinite(self.b_hat):
+            raise ValueError(f"b_hat must be finite, got {self.b_hat!r}")
 
 
 def learn_threshold(train: list[LabeledRun]) -> float:
@@ -107,18 +109,13 @@ def learn_threshold(train: list[LabeledRun]) -> float:
     labels = {r.label for r in train}
     if labels != {STABILIZER, MAGICAL}:
         raise ValueError("training data needs at least one run of each class")
-    values = np.array(sorted({r.b_hat for r in train}))
-    candidates = [-np.inf]
-    candidates += list((values[1:] + values[:-1]) / 2)
-    candidates += [values[-1] + 1.0]
     b = np.array([r.b_hat for r in train])
     y = np.array([r.label for r in train])
-    best, best_score = None, -np.inf
-    for c in candidates:
-        score = float(np.sum(np.where(b > c, 1, -1) * y))
-        if score > best_score:
-            best, best_score = c, score
-    return float(best)
+    values, which = np.unique(b, return_inverse=True)
+    candidates = np.concatenate(([-np.inf], (values[1:] + values[:-1]) / 2, [values[-1] + 1.0]))
+    # candidate k lies above the k smallest distinct values, whose runs then score -y
+    scores = y.sum() - 2 * np.concatenate(([0.0], np.cumsum(np.bincount(which, weights=y))))
+    return float(candidates[np.argmax(scores)])  # argmax takes the first, smallest, maximum
 
 
 def classification_error(runs: list[LabeledRun], threshold: float) -> float:

@@ -37,12 +37,12 @@ def _resample_count(n_resamples: int | None, n_outcomes: int) -> int:
 def _distinct_tuples(m: int, n_trials: int, width: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform ordered `width`-tuples of distinct indices in [0, m), by rejection."""
     idx = rng.integers(0, m, size=(n_trials, width))
-    while True:
-        srt = np.sort(idx, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if not bad.any():
-            return idx
-        idx[bad] = rng.integers(0, m, size=(int(bad.sum()), width))
+    rows = np.arange(n_trials)  # rows still to check; accepted rows never change
+    while len(rows):
+        srt = np.sort(idx[rows], axis=1)
+        rows = rows[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
+        idx[rows] = rng.integers(0, m, size=(len(rows), width))
+    return idx
 
 
 def estimate_bell_magic(

@@ -1,15 +1,19 @@
 """Experiment drivers: every simulated repetition loop behind the CLI and tests.
 
 One recipe runs everywhere: build a state, take Bell samples of two copies
-through depolarizing noise (`_bell_samples`), estimate.  Every driver takes
-a master seed and hands its per-repetition worker to `_run_reps`, which
-spawns one child seed per repetition and returns results in repetition
-order, so output is byte-identical for a fixed (config, seed) regardless of
-the worker count.  `discrimination` keeps the closed forms and the learner.
+through depolarizing noise (`_bell_samples`), estimate.  The repetition
+drivers (`magic_experiment`, `error_vs_samples_sweep`, `resampling_sweep`,
+`error_probability_curve`, `entangle_experiment`) take a master seed and
+hand their per-repetition worker to `_run_reps`, which spawns one child
+seed per repetition and returns results in repetition order, so output is
+byte-identical for a fixed (config, seed) regardless of the worker count.
+`threshold_learning_runs`, `learning_curve` and `train_experiment` run
+serially from one generator and take no worker count, so the CLI's learn
+mode and `train` ignore --threads.  `discrimination` keeps the closed forms
+and the learner.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -22,10 +26,6 @@ FAMILIES = (
     "t-product", "r-product", "plus-product", "max", "haar",
     "clifford-t", "magic-input", "ghz",
 )
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def _run_reps(worker, fixed: tuple, seed: int, repetitions: int, threads: int) -> list:
@@ -157,22 +157,6 @@ def _error_grid_rep(args) -> list[float]:
     return errs
 
 
-def mitigated_error_grid(
-    n_qubits: int,
-    n_magic: int,
-    p_values,
-    nq_values,
-    repetitions: int,
-    seed: int,
-    threads: int = 1,
-    depth: int = 4,
-) -> np.ndarray:
-    """Mean |mitigated - exact| per (p, nq) grid point; fresh circuit per rep."""
-    fixed = (n_qubits, n_magic, np.pi / 4, depth, tuple(p_values), tuple(nq_values))
-    errs = np.array(_run_reps(_error_grid_rep, fixed, seed, repetitions, threads))
-    return errs.mean(axis=0).reshape(len(p_values), len(nq_values))
-
-
 def error_vs_samples_sweep(
     n_qubits: int,
     n_magic: int,
@@ -183,10 +167,15 @@ def error_vs_samples_sweep(
     threads: int = 1,
     depth: int = 4,
 ) -> list[dict]:
-    """Mean mitigated error per (p, N_Q); log-log slope vs N_Q is about -1/2."""
-    mean_err = mitigated_error_grid(
-        n_qubits, n_magic, p_values, nq_values, repetitions, seed, threads, depth
-    )
+    """Mean |mitigated - exact| per (p, N_Q) grid point; fresh circuit per rep.
+
+    The paper's two error laws are read off this grid: the log-log slope
+    against N_Q is about -1/2 at fixed p, and against 1 - p about -8 at
+    fixed N_Q.
+    """
+    fixed = (n_qubits, n_magic, np.pi / 4, depth, tuple(p_values), tuple(nq_values))
+    errs = np.array(_run_reps(_error_grid_rep, fixed, seed, repetitions, threads))
+    mean_err = errs.mean(axis=0).reshape(len(p_values), len(nq_values))
     return [
         {"n": n_qubits, "na": n_magic, "p": p, "nq": nq,
          "nr": estimation.DEFAULT_RESAMPLE_FACTOR * nq,
@@ -194,26 +183,6 @@ def error_vs_samples_sweep(
         for i, p in enumerate(p_values)
         for j, nq in enumerate(nq_values)
     ]
-
-
-def error_vs_noise_sweep(
-    n_qubits: int,
-    n_magic: int,
-    p_values,
-    n_outcomes: int,
-    repetitions: int,
-    seed: int,
-    threads: int = 1,
-    depth: int = 4,
-) -> list[dict]:
-    """Mean mitigated error per p at fixed N_Q; slope vs log(1-p) is about -8.
-
-    The N_Q = n_outcomes column of `error_vs_samples_sweep`, without its `nr`.
-    """
-    rows = error_vs_samples_sweep(
-        n_qubits, n_magic, p_values, [n_outcomes], repetitions, seed, threads, depth
-    )
-    return [{k: v for k, v in r.items() if k != "nr"} for r in rows]
 
 
 def loglog_slope(x, y) -> float | None:

@@ -116,7 +116,7 @@ def pure_state_bound(n_qubits: int) -> float:
     if n_qubits < 1:
         raise ValueError("n_qubits must be positive")
     a, b = 2.0**-n_qubits, 4.0**-n_qubits
-    return 4**n_qubits * (1 + a - 2 * b) ** 2 / ((4**n_qubits - 1) * (1 + a) ** 2)
+    return (1 + a - 2 * b) ** 2 / ((1 - b) * (1 + a) ** 2)
 
 
 def maximally_mixed_magic(n_qubits: int) -> float:

@@ -115,18 +115,21 @@ class Gate:
     qubits: tuple[int, ...]
 
 
+_ARITY = dict.fromkeys([*_PARAM_GATES, *_FIXED_GATES], 1) | {"cnot": 2}
+
+
 def _check_gates(gates, n_qubits: int) -> int:
-    """Check gate names and qubit ranges; return the number of rotations."""
-    rotations = 0
-    for g in gates:
-        if g.name in _PARAM_GATES:
-            rotations += 1
-        elif g.name not in _FIXED_GATES and g.name != "cnot":
+    """Check gate names, arities and qubits (in range, distinct); return the number of rotations."""
+    for g in {id(g): g for g in gates}.values():  # builders share frozen gates: check each once
+        arity = _ARITY.get(g.name)
+        if arity is None:
             raise ValueError(f"unknown gate {g.name!r}")
+        if len(g.qubits) != arity or len(set(g.qubits)) != arity:
+            raise ValueError(f"gate {g.name!r} needs {arity} distinct qubits, got {g.qubits}")
         for q in g.qubits:
             if not 1 <= q <= n_qubits:
                 raise ValueError(f"qubit index {q} out of range")
-    return rotations
+    return sum(g.name in _PARAM_GATES for g in gates)
 
 
 @dataclass

@@ -24,6 +24,11 @@ for a conjugation offset by Gauss-Jordan elimination over GF(2)
 (`_gf2_eliminate`), the reference for the offset the library tracks through
 the layers; the gate-by-gate tableaux take their offset from it.
 `tableau_is_valid` checks the tableau invariants by the same elimination.
+`distinct_tuples_all_rows` re-checks every row in each rejection round, the
+reference for `estimation._distinct_tuples`, which re-checks only the rows
+it redraws.  `learn_threshold_loop` scores each candidate threshold in a
+Python loop, the reference for the one sorted pass of
+`discrimination.learn_threshold`.
 `from_letters` parses readable Pauli literals such as "XZY" for the tests.
 """
 import numpy as np
@@ -343,3 +348,31 @@ def gradient_finite_difference(circuit: CircuitSpec, k: int) -> float:
     bp = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, _FD_STEP))))
     bm = bell_magic_exact(bell_distribution(simulate(circuit.shifted(k, -_FD_STEP))))
     return (bp.bell_magic - bm.bell_magic) / (2 * _FD_STEP)
+
+
+def distinct_tuples_all_rows(m: int, n_trials: int, width: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """Rejection sampler of distinct-index tuples that re-sorts every row each round."""
+    idx = rng.integers(0, m, size=(n_trials, width))
+    while True:
+        srt = np.sort(idx, axis=1)
+        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if not bad.any():
+            return idx
+        idx[bad] = rng.integers(0, m, size=(int(bad.sum()), width))
+
+
+def learn_threshold_loop(train) -> float:
+    """The threshold of the best candidate, scored one candidate at a time (first best wins)."""
+    values = np.array(sorted({r.b_hat for r in train}))
+    candidates = [-np.inf]
+    candidates += list((values[1:] + values[:-1]) / 2)
+    candidates += [values[-1] + 1.0]
+    b = np.array([r.b_hat for r in train])
+    y = np.array([r.label for r in train])
+    best, best_score = None, -np.inf
+    for c in candidates:
+        score = float(np.sum(np.where(b > c, 1, -1) * y))
+        if score > best_score:
+            best, best_score = c, score
+    return float(best)

@@ -328,8 +328,8 @@ def test_criterion_7_auxiliary_measures():
 def test_criterion_8_desk_scale_exclusions():
     # hardware curves and N = 50 tensor-network runs are out of scope; the
     # noise-scaling law is reproduced as a slope band on a log-log fit
-    rows = exp.error_vs_noise_sweep(
-        8, 3, [0.05, 0.1, 0.15, 0.2], 10_000, repetitions=250, seed=80, threads=1
+    rows = exp.error_vs_samples_sweep(
+        8, 3, [0.05, 0.1, 0.15, 0.2], [10_000], repetitions=250, seed=80, threads=1
     )
     slope = exp.loglog_slope([1 - r["p"] for r in rows], [r["mean_abs_error"] for r in rows])
     checks = [

@@ -236,6 +236,10 @@ def test_runs_csv_bad_input_exit_2(tmp_path):
     one_class = tmp_path / "one_class.csv"
     one_class.write_text("b_hat,label,n_outcomes\n0.1,1,100\n0.5,1,100\n")
     assert run(learn + [str(one_class)]) == 2
+    for value in ("nan", "inf"):
+        non_finite = tmp_path / f"{value}.csv"
+        non_finite.write_text(f"b_hat,label,n_outcomes\n0.1,-1,100\n{value},1,100\n")
+        assert run(learn + [str(non_finite)]) == 2
 
 
 def test_train_checkpoint(tmp_path):

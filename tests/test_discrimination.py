@@ -10,6 +10,8 @@ from bellmagic.estimation import estimate_bell_magic
 from bellmagic.experiments import error_probability_curve, threshold_learning_runs
 from bellmagic.simulator import bell_distribution, magic_input_circuit, sample, simulate
 
+from oracles import learn_threshold_loop
+
 
 def test_classify_tie_rule():
     assert classify(0.0, 0.0) == dis.STABILIZER
@@ -76,6 +78,18 @@ def test_learn_threshold_degenerate():
     assert dis.classification_error(runs, thr) == pytest.approx(0.3)
     with pytest.raises(ValueError):
         learn_threshold([LabeledRun(0.1, dis.MAGICAL, 10)])
+
+
+def test_learn_threshold_matches_candidate_loop():
+    # estimates rounded to 0-2 decimals, so that runs tie within and across classes
+    rng = np.random.default_rng(15)
+    for _ in range(2000):
+        n = int(rng.integers(2, 41))
+        labels = rng.choice([dis.STABILIZER, dis.MAGICAL], size=n)
+        labels[:2] = dis.STABILIZER, dis.MAGICAL
+        b_hat = np.round(rng.uniform(-0.5, 1.5, size=n), int(rng.integers(0, 3)))
+        runs = [LabeledRun(float(b), int(y), 10) for b, y in zip(b_hat, labels)]
+        assert learn_threshold(runs) == learn_threshold_loop(runs)
 
 
 def test_label_validation():

@@ -9,16 +9,7 @@ from bellmagic.pauli import BellSamples
 from bellmagic.simulator import NoiseModel, bell_distribution, noisy_bell_distribution, sample
 from bellmagic.stabilizer import bell_sample_stabilizer, random_clifford
 
-
-def _oracle_distinct(m, n_trials, width, rng):
-    """Rejection sampler of distinct-index tuples (reference copy)."""
-    idx = rng.integers(0, m, size=(n_trials, width))
-    while True:
-        srt = np.sort(idx, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if not bad.any():
-            return idx
-        idx[bad] = rng.integers(0, m, size=(int(bad.sum()), width))
+from oracles import distinct_tuples_all_rows
 
 
 def t_samples(n_samples, seed):
@@ -61,10 +52,23 @@ def test_distinct_tuples_match_reference(width):
     # m == width forces many rejection rounds
     for m in (width, width + 1, 50):
         fast = est._distinct_tuples(m, 2000, width, np.random.default_rng(m))
-        ref = _oracle_distinct(m, 2000, width, np.random.default_rng(m))
+        ref = distinct_tuples_all_rows(m, 2000, width, np.random.default_rng(m))
         assert np.array_equal(fast, ref)
         srt = np.sort(fast, axis=1)
         assert (srt[:, 1:] != srt[:, :-1]).all() and srt.max() < m
+
+
+def test_distinct_tuples_keep_the_rng_stream():
+    # re-checking only the redrawn rows makes the same draws in the same order
+    for m in (4, 5, 6, 10, 20, 50, 1000):
+        for n_trials in (1, 7, 250, 2500):
+            for width in (3, 4):
+                for seed in range(5):
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    fast = est._distinct_tuples(m, n_trials, width, rng)
+                    ref = distinct_tuples_all_rows(m, n_trials, width, ref_rng)
+                    assert np.array_equal(fast, ref)
+                    assert rng.integers(2**62) == ref_rng.integers(2**62)
 
 
 def test_stabilizer_outcomes_estimate_zero():
@@ -182,9 +186,8 @@ def test_sample_budget_noise_scaling():
     from bellmagic import experiments as exp
 
     p_values = [0.0, 0.05, 0.1]
-    mean_err = exp.mitigated_error_grid(
-        6, 2, p_values, [1000], repetitions=200, seed=13, threads=1
-    )[:, 0]
+    rows = exp.error_vs_samples_sweep(6, 2, p_values, [1000], repetitions=200, seed=13, threads=1)
+    mean_err = [r["mean_abs_error"] for r in rows]
     # err ~ c_p / sqrt(NQ), so the budget for fixed error scales as (c_p/c_0)^2
     for p, err in zip(p_values[1:], mean_err[1:]):
         ratio = (err / mean_err[0]) ** 2

@@ -242,6 +242,12 @@ def test_pure_state_bound():
     values = [pure_state_bound(n) for n in range(1, 21)]
     assert all(v < 1 for v in values)
     assert all(b > a for a, b in zip(values, values[1:]))
+    # the integer form overflows a float from N = 512 on; the powers-of-two form must not
+    for n in range(1, 201):
+        exact = 4**n * (1 + 2.0**-n - 2 * 4.0**-n) ** 2 / ((4**n - 1) * (1 + 2.0**-n) ** 2)
+        assert pure_state_bound(n) == exact
+    for n in (512, 600, 1500):
+        assert np.isfinite(pure_state_bound(n)) and pure_state_bound(n) <= 1
 
 
 def test_bound_holds_on_random_pure_states():

@@ -64,6 +64,10 @@ def test_gate_errors():
         CircuitSpec(2, [Gate("ry", (1,)), Gate("rz", (2,))], np.zeros(1))
     with pytest.raises(ValueError):
         CircuitSpec(1, [Gate("bogus", (1,))])
+    # wrong qubit counts and a repeated qubit, which used to pass or fail inside simulate
+    for gate in (Gate("h", (1, 2)), Gate("cnot", (1, 1)), Gate("h", ()), Gate("cnot", (1,))):
+        with pytest.raises(ValueError, match="distinct qubits"):
+            CircuitSpec(2, [gate])
 
 
 def test_shifted_parameter_range():
