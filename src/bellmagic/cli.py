@@ -13,9 +13,11 @@ option is declared once, in _OPTIONS; _SUBCOMMANDS names the options each
 subcommand takes and overrides their defaults and bounds where it needs
 to.  Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 
-Output is data-only: CSV rows to --out (or stdout) plus a JSON summary
-written next to --out.  Identical (config, seed) pairs produce
-byte-identical CSV regardless of --threads.
+Output is data-only: CSV rows to --out (or stdout), and next to --out a
+JSON summary {command, config, versions, **the statistics cmd_* returns}.
+`config` holds the subcommand's options and global flags but --out, as
+merged (grids unparsed), so it loads back as a --config file.  Identical
+(config, seed) pairs produce byte-identical CSV regardless of --threads.
 """
 from __future__ import annotations
 
@@ -89,14 +91,9 @@ def cmd_magic(a) -> tuple[list[dict], dict]:
         a.reps, a.bootstrap, a.seed, a.threads,
     )
     b = [r["b_mtg_exact"] for r in rows if r["b_mtg_exact"] is not None]
-    summary = {
-        "command": "magic", "family": a.family, "n": a.n, "p": a.p, "nq": a.nq,
-        "reps": a.reps, "seed": a.seed,
-        "b_exact_mean": float(np.mean([r["b_exact"] for r in rows])),
-        "b_hat_mean": float(np.mean([r["b_hat"] for r in rows])),
-        "b_mtg_mean": float(np.mean(b)) if b else None,
-    }
-    return rows, summary
+    return rows, {"b_exact_mean": float(np.mean([r["b_exact"] for r in rows])),
+                  "b_hat_mean": float(np.mean([r["b_hat"] for r in rows])),
+                  "b_mtg_mean": float(np.mean(b)) if b else None}
 
 
 def cmd_discriminate(a) -> tuple[list[dict], dict]:
@@ -104,10 +101,8 @@ def cmd_discriminate(a) -> tuple[list[dict], dict]:
         rows = experiments.error_probability_curve(
             a.kind, a.n, a.phi, a.na, a.nq_grid, a.reps, a.seed, a.threads, a.d
         )
-        summary = {"command": "discriminate", "mode": "curve", "kind": a.kind,
-                   "seed": a.seed, "max_abs_dev": max(
-                       abs(r["p_error"] - r["p_error_theory"]) for r in rows)}
-        return rows, summary
+        return rows, {"max_abs_dev": max(abs(r["p_error"] - r["p_error_theory"])
+                                         for r in rows)}
     if a.runs_csv:
         try:
             with open(a.runs_csv) as f:
@@ -116,45 +111,32 @@ def cmd_discriminate(a) -> tuple[list[dict], dict]:
         except (OSError, KeyError, ValueError) as e:  # missing file, column, value or class
             raise UsageError(f"bad --runs-csv {a.runs_csv!r}: "
                              f"{type(e).__name__}: {e}") from None
-        err = discrimination.classification_error(runs, thr)
         rows = discrimination.runs_to_csv_rows(runs, a.seed)
-        return rows, {"command": "discriminate", "mode": "learn",
-                      "threshold": thr, "train_error": err, "seed": a.seed}
+        return rows, {"threshold": thr,
+                      "train_error": discrimination.classification_error(runs, thr)}
     rows = experiments.learning_curve(
         a.nq_grid, a.per_class, a.n, a.d, a.p, a.splits, a.seed
     )
-    summary = {"command": "discriminate", "mode": "learn", "p": a.p,
-               "seed": a.seed, "split_seed": a.seed,
-               "test_errors": {str(r["nq"]): r["test_error"] for r in rows}}
-    return rows, summary
+    return rows, {"test_errors": {str(r["nq"]): r["test_error"] for r in rows}}
 
 
 def cmd_train(a) -> tuple[list[dict], dict]:
     state, rows = experiments.train_experiment(
         a.n, a.d, a.epochs, a.lr, a.nq or None, a.seed, a.lr_decay
     )
-    summary = {
-        "command": "train", "n": a.n, "depth": a.d, "epochs": a.epochs,
-        "seed": a.seed, "best_b": state.best(),
-        "checkpoint": {
-            "theta": [float(x) for x in state.theta],
-            "adam_m": [float(x) for x in state.m],
-            "adam_v": [float(x) for x in state.v],
-            "epoch": state.epoch,
-            "seed": a.seed,
-        },
-    }
-    return rows, summary
+    return rows, {"best_b": state.best(),
+                  "checkpoint": {"theta": [float(x) for x in state.theta],
+                                 "adam_m": [float(x) for x in state.m],
+                                 "adam_v": [float(x) for x in state.v],
+                                 "epoch": state.epoch}}
 
 
 def cmd_entangle(a) -> tuple[list[dict], dict]:
     rows = experiments.entangle_experiment(
         a.family, a.n, a.d, a.nt, a.na, a.phi, a.p, a.nq, a.reps, a.seed, a.threads
     )
-    summary = {"command": "entangle", "family": a.family, "n": a.n, "seed": a.seed,
-               "e_exact_mean": float(np.mean([r["e_exact"] for r in rows])),
-               "e_raw_mean": float(np.mean([r["e_raw"] for r in rows]))}
-    return rows, summary
+    return rows, {"e_exact_mean": float(np.mean([r["e_exact"] for r in rows])),
+                  "e_raw_mean": float(np.mean([r["e_raw"] for r in rows]))}
 
 
 def cmd_sweep(a) -> tuple[list[dict], dict]:
@@ -167,22 +149,18 @@ def cmd_sweep(a) -> tuple[list[dict], dict]:
             sub = [r for r in rows if r["p"] == p]
             slopes[str(p)] = experiments.loglog_slope(
                 [r["nq"] for r in sub], [r["mean_abs_error"] for r in sub])
-        return rows, {"command": "sweep", "experiment": a.experiment,
-                      "seed": a.seed, "loglog_slopes_vs_nq": slopes}
+        return rows, {"loglog_slopes_vs_nq": slopes}
     if a.experiment == "error-vs-p":
         rows = experiments.error_vs_samples_sweep(
             a.n, a.na, a.p_grid, [a.nq], a.reps, a.seed, a.threads, a.d
         )
         for r in rows:
             del r["nr"]
-        slope = experiments.loglog_slope(
-            [1 - r["p"] for r in rows], [r["mean_abs_error"] for r in rows])
-        return rows, {"command": "sweep", "experiment": a.experiment,
-                      "seed": a.seed, "slope_vs_one_minus_p": slope}
-    rows = experiments.resampling_sweep(
+        return rows, {"slope_vs_one_minus_p": experiments.loglog_slope(
+            [1 - r["p"] for r in rows], [r["mean_abs_error"] for r in rows])}
+    return experiments.resampling_sweep(
         a.n, a.na, a.nq, a.nr_grid, a.reps, a.seed, a.threads, a.d
-    )
-    return rows, {"command": "sweep", "experiment": a.experiment, "seed": a.seed}
+    ), {}
 
 
 COMMANDS = {
@@ -280,8 +258,8 @@ _SUBCOMMANDS = {
          "splits", "runs_csv"), {"n": 8, "reps": 200}),
     "train": Subcommand(
         "variationally maximize Bell magic",
-        "CSV columns: epoch, b, grad_norm, lr, seed; the JSON summary "
-        "carries the checkpoint (theta, Adam moments, epoch, seed)",
+        "CSV columns: epoch, b, grad_norm, lr, seed; the JSON summary's checkpoint holds "
+        "the final theta, the Adam moments adam_m and adam_v, and the epochs run",
         ("n", "d", "epochs", "lr", "lr_decay", "nq"), {"n": 4, "d": 6}, {"nq": _AT_LEAST_0}),
     "entangle": Subcommand(
         "Meyer-Wallach entanglement from Bell samples",
@@ -399,6 +377,11 @@ def _check_values(args: argparse.Namespace) -> None:
     if (args.command == "sweep" and args.experiment == "resampling"
             and "disjoint" in args.nr_grid and args.nq < 4):
         raise UsageError(f"disjoint quadruples need nq of at least 4, got {args.nq}")
+    # an --out that cannot be written fails here, not after the run
+    if args.out and os.path.isdir(args.out):
+        raise UsageError(f"out {args.out!r} is a directory")
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise UsageError(f"out {args.out!r} is in a directory that does not exist")
 
 
 def _check_family(family: str | None, args: argparse.Namespace) -> None:
@@ -414,22 +397,35 @@ def _check_family(family: str | None, args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    import platform
+
+    from . import __version__
+
+    args = build_parser().parse_args(argv)
     try:
         args = _merge_config(args)
+        # before the grids are parsed, so that it loads back as a --config file, and
+        # without --out, so that a rerun from it writes only where its own --out says
+        config = {key: getattr(args, key)
+                  for key in _SUBCOMMANDS[args.command].options + _COMMON if key != "out"}
         _check_values(args)
-        rows, summary = COMMANDS[args.command](args)
-        write_rows(rows, args.out)
+        rows, stats = COMMANDS[args.command](args)
+        summary = {"command": args.command, "config": config, **stats,
+                   "versions": {"bellmagic": __version__, "numpy": np.__version__,
+                                "python": platform.python_version()}}
+        try:
+            write_rows(rows, args.out)
+            write_summary(summary, args.out)
+        except OSError as e:
+            raise UsageError(f"cannot write {args.out or 'stdout'!r}: {e}") from None
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:  # numerical failure
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    write_summary(summary, args.out)
     if args.out:
-        print(f"wrote {len(rows)} rows to {args.out} (+ {args.out}.summary.json)")
+        print(f"wrote {len(rows)} rows to {args.out} (+ .summary.json)", file=sys.stderr)
     return 0
 
 

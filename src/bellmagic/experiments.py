@@ -35,7 +35,8 @@ def _run_reps(worker, fixed: tuple, seed: int, repetitions: int, threads: int) -
     """
     seeds = np.random.SeedSequence(seed).spawn(repetitions)
     args = [fixed + (int(s.generate_state(1)[0]), r) for r, s in enumerate(seeds)]
-    if threads <= 1 or len(args) <= 1:
+    threads = min(threads, len(args))  # a fork pool starts all its workers at once
+    if threads <= 1:
         return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(worker, args, chunksize=max(1, len(args) // (4 * threads))))

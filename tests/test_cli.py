@@ -2,13 +2,16 @@
 import csv
 import json
 import math
+import platform
 import re
 import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import bellmagic
 from bellmagic import cli, experiments
 from bellmagic.cli import main
 
@@ -22,16 +25,19 @@ def read_csv(path):
         return list(csv.DictReader(f))
 
 
-def test_magic_writes_csv_and_summary(tmp_path):
+def test_magic_writes_csv_and_summary(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code = run(["magic", "--family", "t-product", "--n", "3", "--nq", "200",
                 "--reps", "2", "--seed", "5", "--threads", "1", "--out", str(out)])
     assert code == 0
+    # stdout carries data only: with --out it stays empty
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"wrote 2 rows to {out}" in captured.err
     rows = read_csv(out)
     assert len(rows) == 2
     assert float(rows[0]["b_a_exact"]) == pytest.approx(3.0)
     summary = json.loads((tmp_path / "rows.csv.summary.json").read_text())
-    assert summary["command"] == "magic" and summary["seed"] == 5
+    assert summary["command"] == "magic" and summary["config"]["seed"] == 5
 
 
 def test_determinism_across_threads(tmp_path):
@@ -48,6 +54,54 @@ def test_determinism_across_threads(tmp_path):
         assert run(base + ["--threads", "1", "--out", str(a)]) == 0, base
         assert run(base + ["--threads", "3", "--out", str(b)]) == 0, base
         assert a.read_bytes() == b.read_bytes(), base
+
+
+def test_process_pool_capped_at_the_repetitions(tmp_path, monkeypatch):
+    # a fork pool starts all its workers at once, so --threads beyond the
+    # repetitions would only start idle processes
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["magic", "--n", "2", "--nq", "50", "--reps", "2", "--seed", "3"]
+    assert run(argv + ["--threads", "64", "--out", str(a)]) == 0
+    assert sizes == [2]
+    assert run(argv + ["--threads", "1", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_unwritable_out_exit_2(tmp_path, monkeypatch, capsys):
+    # an --out that cannot be written is rejected before the experiment runs
+    def never(args):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(cli.COMMANDS, "magic", never)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert run(["magic", "--n", "1", "--nq", "10", "--threads", "1",
+                    "--out", str(out)]) == 2, out
+        assert str(out) in capsys.readouterr().err
+    # a write that fails after the run names the path too
+    def full(summary, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "write_summary", full)
+    out = tmp_path / "x.csv"
+    assert run(["magic", "--n", "1", "--nq", "10", "--threads", "1", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -377,6 +431,39 @@ def test_too_few_outcomes_exit_2(argv):
         assert run(argv + ["--threads", "1"]) == 2
 
 
+# small runs of every subcommand and mode: the epilog label of their CSV
+# columns, their arguments, and the statistics their summaries carry
+_RUNS = {
+    "magic": ("", "magic --family clifford-t --n 2 --nt 1 --p 0.1 --nq 50 --reps 2 "
+              "--bootstrap 3", {"b_exact_mean", "b_hat_mean", "b_mtg_mean"}),
+    "curve-single": ("curve", "discriminate --mode curve --kind single --n 2 --d 1 "
+                     "--nq-grid 5,10 --reps 4", {"max_abs_dev"}),
+    "curve-many": ("curve", "discriminate --mode curve --kind many --n 3 --na 2 "
+                   "--nq-grid 3,6 --reps 4", {"max_abs_dev"}),
+    "learn": ("learn", "discriminate --mode learn --n 2 --d 2 --p 0.1 --per-class 4 "
+              "--splits 2 --nq-grid 20,50", {"test_errors"}),
+    "learn-runs-csv": ("learn --runs-csv", "discriminate --mode learn --runs-csv RUNS",
+                       {"threshold", "train_error"}),
+    "train-exact": ("", "train --n 1 --d 1 --epochs 3 --nq 0", {"best_b", "checkpoint"}),
+    "train-sampled": ("", "train --n 1 --d 1 --epochs 3 --nq 20", {"best_b", "checkpoint"}),
+    "entangle": ("", "entangle --family ghz --n 2 --p 0.1 --nq 50 --reps 2",
+                 {"e_exact_mean", "e_raw_mean"}),
+    "error-vs-nq": ("error-vs-nq", "sweep --experiment error-vs-nq --n 2 --na 1 "
+                    "--p-grid 0,0.05 --nq-grid 10,20 --reps 2", {"loglog_slopes_vs_nq"}),
+    "error-vs-p": ("error-vs-p", "sweep --experiment error-vs-p --n 2 --na 1 "
+                   "--p-grid 0,0.05 --nq 20 --reps 2", {"slope_vs_one_minus_p"}),
+    "resampling": ("resampling", "sweep --experiment resampling --n 2 --na 1 --nq 20 "
+                   "--nr-grid disjoint,50 --reps 2", set()),
+}
+
+
+def _run_argv(case, tmp_path):
+    """The argv of a _RUNS case, with a labeled-run CSV written for --runs-csv."""
+    runs = tmp_path / "runs.csv"
+    runs.write_text("b_hat,label,n_outcomes\n0.0,-1,100\n0.02,-1,100\n0.5,1,100\n")
+    return [str(runs) if x == "RUNS" else x for x in _RUNS[case][1].split()]
+
+
 def _epilog_columns(epilog):
     """{label: columns} from the epilog's '<label> CSV columns: a, b (note), c' clauses."""
     text = re.sub(r" \([^)]*\)", "", epilog)
@@ -385,31 +472,35 @@ def _epilog_columns(epilog):
 
 
 def test_epilogs_list_the_csv_columns(tmp_path):
-    runs = tmp_path / "runs.csv"
-    runs.write_text("b_hat,label,n_outcomes\n0.0,-1,100\n0.5,1,100\n")
-    small = {
-        ("magic", ""): ["magic", "--n", "1", "--nq", "10"],
-        ("discriminate", "curve"): ["discriminate", "--mode", "curve", "--n", "2", "--d", "1",
-                                    "--nq-grid", "5", "--reps", "2"],
-        ("discriminate", "learn"): ["discriminate", "--mode", "learn", "--n", "2", "--d", "2",
-                                    "--p", "0.1", "--per-class", "6", "--splits", "3",
-                                    "--nq-grid", "50", "--seed", "2"],
-        ("discriminate", "learn --runs-csv"): ["discriminate", "--mode", "learn",
-                                               "--runs-csv", str(runs)],
-        ("train", ""): ["train", "--n", "1", "--d", "1", "--epochs", "2"],
-        ("entangle", ""): ["entangle", "--family", "ghz", "--n", "2", "--nq", "10"],
-        ("sweep", "error-vs-nq"): ["sweep", "--experiment", "error-vs-nq", "--n", "2",
-                                   "--na", "1", "--nq-grid", "10", "--p-grid", "0"],
-        ("sweep", "error-vs-p"): ["sweep", "--experiment", "error-vs-p", "--n", "2",
-                                  "--na", "1", "--nq", "10", "--p-grid", "0"],
-        ("sweep", "resampling"): ["sweep", "--experiment", "resampling", "--n", "2",
-                                  "--na", "1", "--nq", "10", "--nr-grid", "disjoint"],
-    }
     documented = {(name, label): cols for name, spec in cli._SUBCOMMANDS.items()
                   for label, cols in _epilog_columns(spec.epilog).items()}
-    assert set(documented) == set(small)
+    covered = {case: (args.split()[0], label) for case, (label, args, _) in _RUNS.items()}
+    assert set(documented) == set(covered.values())
     out = tmp_path / "out.csv"
-    for key, argv in small.items():
-        assert run(argv + ["--threads", "1", "--out", str(out)]) == 0, key
+    for case, key in covered.items():
+        assert run(_run_argv(case, tmp_path) + ["--threads", "1", "--out", str(out)]) == 0, case
         with open(out) as f:
-            assert next(csv.reader(f)) == documented[key], key
+            assert next(csv.reader(f)) == documented[key], case
+
+
+@pytest.mark.parametrize("case", list(_RUNS))
+def test_summary_layout_and_config_round_trip(tmp_path, case):
+    argv, stats = _run_argv(case, tmp_path), _RUNS[case][2]
+    a, b, cfg = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "cfg.json"
+    assert run(argv + ["--seed", "7", "--threads", "1", "--out", str(a)]) == 0
+    summary = _strict_json(tmp_path / "a.csv.summary.json")
+    assert set(summary) == {"command", "config", "versions"} | stats
+    assert summary["command"] == argv[0]
+    assert summary["versions"] == {"bellmagic": bellmagic.__version__,
+                                   "numpy": np.__version__,
+                                   "python": platform.python_version()}
+    # every option as merged, but not where the CSV went: a rerun from the
+    # summary writes where its own --out says
+    config = summary["config"]
+    assert set(config) == set(cli._SUBCOMMANDS[argv[0]].options + cli._COMMON) - {"out"}
+    assert config["seed"] == 7 and config["threads"] == 1 and config["config"] is None
+    cfg.write_text(json.dumps(config))
+    assert run([argv[0], "--config", str(cfg), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert _strict_json(tmp_path / "b.csv.summary.json")["config"] == {
+        **config, "config": str(cfg)}
