@@ -13,11 +13,12 @@ option is declared once, in _OPTIONS; _SUBCOMMANDS names the options each
 subcommand takes and overrides their defaults and bounds where it needs
 to.  Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 
-Output is data-only: CSV rows to --out (or stdout), and next to --out a
-JSON summary {command, config, versions, **the statistics cmd_* returns}.
-`config` holds the subcommand's options and global flags but --out, as
-merged (grids unparsed), so it loads back as a --config file.  Identical
-(config, seed) pairs produce byte-identical CSV regardless of --threads.
+Output is data-only: CSV rows to --out (or stdout), and a JSON summary
+{command, config, versions, **the statistics cmd_* returns} next to --out
+(without it, as one sorted line on stderr).  `config` holds the
+subcommand's options and global flags but --out, as merged (grids
+unparsed), so it loads back as a --config file.  Identical (config, seed)
+pairs give byte-identical CSV at any --threads.
 """
 from __future__ import annotations
 
@@ -79,6 +80,8 @@ def write_summary(summary: dict, path: str | None) -> None:
     if path:
         with open(path + ".summary.json", "w") as f:
             json.dump(summary, f, sort_keys=True, indent=1)
+    else:  # stdout carries only CSV
+        print(json.dumps(summary, sort_keys=True), file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,13 @@ def empirical_distribution(outcomes: BellSamples) -> np.ndarray:
     return np.bincount(outcomes.indices(), minlength=4**outcomes.n_qubits) / len(outcomes)
 
 
+def _undepolarize(v, p: float, floor):
+    """v before global depolarizing p in [0, 1), given `floor`, its maximally mixed value."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError("mitigation needs a depolarizing estimate in [0, 1)")
+    return (v - p * (2 - p) * floor) / (1 - p) ** 2
+
+
 @dataclass(frozen=True)
 class MitigationResult:
     """Depolarizing-noise-corrected Bell magic, exact form and large-N form."""
@@ -140,15 +147,14 @@ def mitigate(
     contributions; the approximate form replaces both by 1, valid for many
     qubits.
     """
-    if not 0.0 <= p_hat < 1.0:
-        raise ValueError("mitigation needs a depolarizing estimate in [0, 1)")
+    _undepolarize(0.0, p_hat, 0.0)  # checks p_hat: p_quad is in [0, 1) for p_hat in (1, 2] too
     p_quad = 1.0 - (1.0 - p_hat) ** 4  # any of the four copies depolarized
     b_mixed = maximally_mixed_magic(n_qubits)
     b_cross = 1.0 - (sum_p_dp_sq - p_quad * 4.0**-n_qubits) / (1.0 - p_quad)
     exact = (b_noisy - p_quad**2 * b_mixed - 2 * p_quad * (1 - p_quad) * b_cross) / (
         (1 - p_quad) ** 2
     )
-    approx = (b_noisy - p_quad * (2 - p_quad)) / (1 - p_quad) ** 2
+    approx = _undepolarize(b_noisy, p_quad, 1.0)
     clamp = lambda v: float(min(max(v, 0.0), 2.0))
     return MitigationResult(exact, approx, clamp(exact), clamp(approx), p_hat, p_quad)
 
@@ -173,11 +179,7 @@ def mitigate_probabilities(p_noisy: np.ndarray, p_hat: float, n_qubits: int) -> 
     Negative entries (possible under shot noise) are clipped to zero and the
     result renormalized.
     """
-    if not 0.0 <= p_hat < 1.0:
-        raise ValueError("mitigation needs a depolarizing estimate in [0, 1)")
-    p_noisy = np.asarray(p_noisy, dtype=float)
-    out = (p_noisy - p_hat * (2 - p_hat) / 4**n_qubits) / (1 - p_hat) ** 2
-    out = np.clip(out, 0.0, None)
+    out = np.clip(_undepolarize(np.asarray(p_noisy, float), p_hat, 4.0**-n_qubits), 0.0, None)
     return out / out.sum()
 
 
@@ -207,9 +209,7 @@ def mitigate_meyer_wallach(e_noisy: float, p_hat: float) -> float:
     Substituting rho_k -> (1-p) rho_k + p I/2 into the measure gives
     E_dp = (1-p)^2 E + p(2-p), which this inverts exactly.
     """
-    if not 0.0 <= p_hat < 1.0:
-        raise ValueError("mitigation needs a depolarizing estimate in [0, 1)")
-    return (e_noisy - p_hat * (2 - p_hat)) / (1 - p_hat) ** 2
+    return _undepolarize(e_noisy, p_hat, 1.0)
 
 
 @dataclass

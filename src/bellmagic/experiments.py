@@ -2,15 +2,16 @@
 
 One recipe runs everywhere: build a state, take Bell samples of two copies
 through depolarizing noise (`_bell_samples`), estimate.  The repetition
-drivers (`magic_experiment`, `error_vs_samples_sweep`, `resampling_sweep`,
-`error_probability_curve`, `entangle_experiment`) take a master seed and
-hand their per-repetition worker to `_run_reps`, which spawns one child
-seed per repetition and returns results in repetition order, so output is
-byte-identical for a fixed (config, seed) regardless of the worker count.
-`threshold_learning_runs`, `learning_curve` and `train_experiment` run
-serially from one generator and take no worker count, so the CLI's learn
-mode and `train` ignore --threads.  `discrimination` keeps the closed forms
-and the learner.
+drivers (`magic_experiment`, `entangle_experiment`, and the sweeps
+`error_vs_samples_sweep`, `resampling_sweep` and `error_probability_curve`,
+which score their whole grid on one state per repetition) hand their worker
+to `_run_reps`, which spawns one child seed per repetition from the master
+seed and returns results in repetition order, so output is byte-identical
+for a fixed (config, seed) regardless of the worker count.
+`threshold_learning_runs`, `learning_curve` (the one sweep that seeds each
+grid point itself) and `train_experiment` run serially from one generator,
+so the CLI's learn mode and `train` ignore --threads.  `discrimination`
+keeps the closed forms and the learner.
 """
 from __future__ import annotations
 
@@ -33,6 +34,8 @@ def _run_reps(worker, fixed: tuple, seed: int, repetitions: int, threads: int) -
 
     One 32-bit child seed per repetition is spawned from the master seed.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     seeds = np.random.SeedSequence(seed).spawn(repetitions)
     args = [fixed + (int(s.generate_state(1)[0]), r) for r, s in enumerate(seeds)]
     threads = min(threads, len(args))  # a fork pool starts all its workers at once
@@ -143,7 +146,7 @@ def _error_grid_rep(args) -> list[float]:
     # i.i.d. samples (noise mixes of the same state, sample prefixes)
     (n, na, phi, depth, p_values, nq_values, seed, _) = args
     rng = np.random.default_rng(seed)
-    state = simulator.simulate(simulator.magic_input_circuit(n, na, phi, depth, rng))
+    state = build_family_state("magic-input", n, depth, 0, na, phi, rng)
     dist = simulator.bell_distribution(state)
     b_exact = magic.bell_magic_exact(dist).bell_magic
     errs = []
@@ -198,14 +201,16 @@ def loglog_slope(x, y) -> float | None:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def _resample_rep(args) -> float:
-    (n, na, depth, nq, nr, disjoint, seed, _) = args
+def _resample_rep(args) -> list[float]:
+    # one fresh circuit and one batch of nq noiseless samples per repetition;
+    # every (N_R, disjoint) grid entry resamples the same outcomes
+    (n, na, depth, nq, grid, seed, _) = args
     rng = np.random.default_rng(seed)
-    state = simulator.simulate(simulator.magic_input_circuit(n, na, np.pi / 4, depth, rng))
+    state = build_family_state("magic-input", n, depth, 0, na, np.pi / 4, rng)
     dist, samples = _bell_samples(state, 0.0, nq, rng)
     b_exact = magic.bell_magic_exact(dist).bell_magic
-    b_hat, _ = estimation.estimate_bell_magic(samples, nr, rng, disjoint=disjoint)
-    return abs(b_hat - b_exact)
+    return [abs(estimation.estimate_bell_magic(samples, nr, rng, disjoint=disjoint)[0] - b_exact)
+            for nr, disjoint in grid]
 
 
 def resampling_sweep(
@@ -219,19 +224,14 @@ def resampling_sweep(
     depth: int = 4,
 ) -> list[dict]:
     """Estimation error against the number of resampling trials (noise-free)."""
-    rows = []
-    for i, nr in enumerate(nr_values):
-        disjoint = nr == "disjoint"
-        fixed = (n_qubits, n_magic, depth, n_outcomes, None if disjoint else int(nr), disjoint)
-        errs = _run_reps(_resample_rep, fixed, seed + 15485863 * i, repetitions, threads)
-        rows.append({
-            "n": n_qubits, "na": n_magic, "nq": n_outcomes,
-            "nr": n_outcomes // 4 if disjoint else int(nr),
-            "mode": "disjoint" if disjoint else "resample",
-            "mean_abs_error": float(np.mean(errs)),
-            "std_error": float(np.std(errs)),
-            "seed": seed,
-        })
+    rows = [{"n": n_qubits, "na": n_magic, "nq": n_outcomes,
+             "nr": n_outcomes // 4 if nr == "disjoint" else int(nr),
+             "mode": "disjoint" if nr == "disjoint" else "resample"} for nr in nr_values]
+    grid = tuple((r["nr"], r["mode"] == "disjoint") for r in rows)  # disjoint ignores nr
+    fixed = (n_qubits, n_magic, depth, n_outcomes, grid)
+    errs = np.array(_run_reps(_resample_rep, fixed, seed, repetitions, threads))
+    for r, col in zip(rows, errs.T):
+        r.update(mean_abs_error=float(col.mean()), std_error=float(col.std()), seed=seed)
     return rows
 
 
@@ -281,16 +281,12 @@ def error_probability_curve(
     fixed = (kind, n_qubits, n_magic, phi, depth, tuple(nq_values))
     misses = np.array(_run_reps(_pe_grid_rep, fixed, seed, repetitions, threads))
     rows = []
-    for j, nq in enumerate(nq_values):
-        pe = float(misses[:, j].mean())
-        theory = (
-            discrimination.p_error_single_magic(phi, nq)
-            if kind == "single"
-            else discrimination.p_error_random(nq)
-        )
+    for nq, col in zip(nq_values, misses.T):
+        theory = (discrimination.p_error_single_magic(phi, nq) if kind == "single"
+                  else discrimination.p_error_random(nq))
         rows.append({
             "kind": kind, "n": n_qubits, "phi": phi, "na": n_magic, "nq": nq,
-            "reps": repetitions, "p_error": pe, "p_error_theory": theory,
+            "reps": repetitions, "p_error": float(col.mean()), "p_error_theory": theory,
             "binom_std": float(np.sqrt(max(theory * (1 - theory), 1e-12) / repetitions)),
             "seed": seed,
         })

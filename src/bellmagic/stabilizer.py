@@ -43,13 +43,12 @@ def _xor_picked_rows(rows: np.ndarray, picks: np.ndarray, offset: np.ndarray) ->
     pick_bytes = np.packbits(picks, axis=1, bitorder="little")
     m, n_groups = pick_bytes.shape
     n_words = rows.shape[1]
-    padded = np.zeros((8 * n_groups, n_words), dtype=np.uint64)
-    padded[: len(rows)] = rows
     out = np.repeat(offset, m, axis=0)
     table = np.zeros((256, n_words), dtype=np.uint64)
     picked = np.empty((m, n_words), dtype=np.uint64)
+    # packbits zero-pads a short last group's picks, so its stale table entries go unread
     for j in range(n_groups):
-        for k, row in enumerate(padded[8 * j : 8 * j + 8]):
+        for k, row in enumerate(rows[8 * j : 8 * j + 8]):
             np.bitwise_xor(table[: 1 << k], row, out=table[1 << k : 2 << k])
         np.take(table, pick_bytes[:, j], axis=0, out=picked)
         out ^= picked

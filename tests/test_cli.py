@@ -50,7 +50,7 @@ def test_determinism_across_threads(tmp_path):
                  ["entangle", "--family", "clifford-t", "--n", "2", "--nt", "1",
                   "--p", "0.1", "--nq", "150", "--reps", "6", "--seed", "9"],
                  ["sweep", "--experiment", "resampling", "--n", "2", "--na", "1",
-                  "--nq", "40", "--nr-grid", "disjoint,50", "--reps", "6", "--seed", "9"]):
+                  "--nq", "40", "--nr-grid", "disjoint,50,200", "--reps", "6", "--seed", "9"]):
         assert run(base + ["--threads", "1", "--out", str(a)]) == 0, base
         assert run(base + ["--threads", "3", "--out", str(b)]) == 0, base
         assert a.read_bytes() == b.read_bytes(), base
@@ -81,6 +81,32 @@ def test_process_pool_capped_at_the_repetitions(tmp_path, monkeypatch):
     assert sizes == [2]
     assert run(argv + ["--threads", "1", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("driver, args", [
+    (experiments.magic_experiment, ("t-product", 1)),
+    (experiments.entangle_experiment, ("ghz", 2)),
+    (experiments.error_probability_curve, ("single", 2, 0.3, 1, [5])),
+    (experiments.error_vs_samples_sweep, (2, 1, [0.0], [10])),
+    (experiments.resampling_sweep, (2, 1, 10, ["disjoint"])),
+])
+def test_zero_repetitions_rejected(driver, args):
+    # zero repetitions have no rows or means to report, so they fail rather than return empty
+    with pytest.raises(ValueError, match="repetitions"):
+        driver(*args, repetitions=0, seed=0)
+
+
+def test_summary_to_stderr_without_out(tmp_path, capsys):
+    runs = tmp_path / "runs.csv"
+    runs.write_text("b_hat,label,n_outcomes\n0.0,-1,100\n0.02,-1,100\n0.5,1,100\n"
+                    "0.6,1,100\n")
+    assert run(["discriminate", "--mode", "learn", "--runs-csv", str(runs),
+                "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "b_hat,label,n_outcomes,seed"
+    summary = json.loads(captured.err)
+    assert summary["command"] == "discriminate" and summary["train_error"] == 0.0
+    assert 0.02 < summary["threshold"] < 0.5
 
 
 def test_unwritable_out_exit_2(tmp_path, monkeypatch, capsys):

@@ -165,6 +165,29 @@ def test_mitigation_closed_loop():
             assert m.exact == pytest.approx(b_true, abs=1e-6)
 
 
+def test_undepolarize_equals_the_three_inverses_it_replaces():
+    # the expressions mitigate, mitigate_probabilities and mitigate_meyer_wallach
+    # wrote out before they shared the helper, compared for exact equality
+    rng = np.random.default_rng(21)
+    for v, p in zip(rng.uniform(-1, 3, 2000), rng.uniform(0, 1, 2000)):
+        assert est._undepolarize(v, p, 1.0) == (v - p * (2 - p)) / (1 - p) ** 2
+        p_quad = 1.0 - (1.0 - p) ** 4
+        assert est.mitigate(v, p, 0.3, 4).approx == (v - p_quad * (2 - p_quad)) / (
+            1 - p_quad) ** 2
+        assert est.mitigate_meyer_wallach(v, p) == (v - p * (2 - p)) / (1 - p) ** 2
+    for n in range(1, 9):
+        probs = rng.dirichlet(np.ones(4**n))
+        for p in rng.uniform(0, 1, 5):
+            old = np.clip((probs - p * (2 - p) / 4**n) / (1 - p) ** 2, 0.0, None)
+            assert np.array_equal(est.mitigate_probabilities(probs, p, n), old / old.sum())
+    for p in (-0.1, 1.0, 1.5, 2.0, float("nan")):
+        for call in (lambda: est.mitigate(0.5, p, 0.1, 3),
+                     lambda: est.mitigate_probabilities(np.full(4, 0.25), p, 1),
+                     lambda: est.mitigate_meyer_wallach(0.5, p)):
+            with pytest.raises(ValueError, match=r"in \[0, 1\)"):
+                call()
+
+
 def test_sum_prob_squared_unbiased():
     rng = np.random.default_rng(8)
     dist = bell_distribution(sim.zero_state(1))  # sum P^2 = 1/2
@@ -209,6 +232,24 @@ def test_resampling_convergence():
     assert errs[f"resample{10 * nq}"] <= errs[f"resample{nq // 4}"]
     cross = est.std_bernoulli(0.5, nq) * np.sqrt(2 / np.pi)  # mean |error| of a normal
     assert abs(errs[f"disjoint{nq // 4}"] - cross) / cross < 0.30
+
+
+def test_resampling_sweep_builds_one_state_per_repetition(monkeypatch):
+    from bellmagic import experiments as exp
+
+    calls = []
+    real = sim.bell_distribution
+
+    def counting(state):
+        calls.append(state.n_qubits)
+        return real(state)
+
+    monkeypatch.setattr(exp.simulator, "bell_distribution", counting)
+    grid = ["disjoint", 50, 200]
+    rows = exp.resampling_sweep(3, 1, 40, grid, repetitions=4, seed=3, threads=1)
+    assert len(calls) == 4 and len(rows) == 3
+    # the first entry draws first, so it is the row a one-entry sweep writes
+    assert rows[0] == exp.resampling_sweep(3, 1, 40, grid[:1], repetitions=4, seed=3)[0]
 
 
 def test_mitigate_probabilities():
