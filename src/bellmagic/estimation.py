@@ -137,6 +137,11 @@ class MitigationResult:
     p_quad: float
 
 
+def _quad_depolarization(p_hat: float) -> float:
+    """1 - (1 - p_hat)^4: the chance that any of the four copies is depolarized."""
+    return 1.0 - (1.0 - p_hat) ** 4
+
+
 def mitigate(
     b_noisy: float, p_hat: float, sum_p_dp_sq: float, n_qubits: int
 ) -> MitigationResult:
@@ -145,10 +150,13 @@ def mitigate(
     `sum_p_dp_sq` is sum_r P_dp(r)^2 of the noisy distribution (collision
     estimate or exact).  The exact form subtracts the mixed-state and cross
     contributions; the approximate form replaces both by 1, valid for many
-    qubits.
+    qubits.  A p_hat so close to 1 that p_quad rounds to 1 (from about
+    1 - 8.6e-5 on) has no inverse and is rejected like p_hat = 1.
     """
     _undepolarize(0.0, p_hat, 0.0)  # checks p_hat: p_quad is in [0, 1) for p_hat in (1, 2] too
-    p_quad = 1.0 - (1.0 - p_hat) ** 4  # any of the four copies depolarized
+    p_quad = _quad_depolarization(p_hat)
+    if p_quad == 1.0:
+        raise ValueError(f"p_hat = {p_hat} is too close to 1: 1 - (1 - p_hat)^4 rounds to 1")
     b_mixed = maximally_mixed_magic(n_qubits)
     b_cross = 1.0 - (sum_p_dp_sq - p_quad * 4.0**-n_qubits) / (1.0 - p_quad)
     exact = (b_noisy - p_quad**2 * b_mixed - 2 * p_quad * (1 - p_quad) * b_cross) / (
@@ -243,13 +251,14 @@ def estimate_magic(
     purity_hat = estimate_purity(outcomes)
     p_hat = estimate_depolarization(purity_hat, outcomes.n_qubits)
     sum_sq = sum_prob_squared(outcomes) if m >= 2 else 1.0
-    if p_hat < 1.0:
+    mitigable = _quad_depolarization(p_hat) < 1.0  # what `mitigate` accepts from p_hat <= 1
+    if mitigable:
         mtg = mitigate(b_hat, p_hat, sum_sq, outcomes.n_qubits)
         b_mtg_exact, b_mtg_approx = mtg.exact, mtg.approx
     else:
         b_mtg_exact = b_mtg_approx = None
     boot = None
-    if n_bootstrap > 0 and p_hat < 1.0:
+    if n_bootstrap > 0 and mitigable:
         vals = []  # each draw re-runs this pipeline on m outcomes picked with replacement
         for _ in range(n_bootstrap):
             draw = BellSamples(outcomes.n_qubits, outcomes.words[rng.integers(0, m, size=m)])

@@ -28,8 +28,17 @@ Both kernels carry a leading row axis, so one pass serves a batch of
 states: the gate loop `_simulate_rows` runs one circuit under R parameter
 rows on an (R, 2^N) array, and `_bell_transform` takes R rows against one
 shared copy-B state.  `simulate` and `bell_amplitudes` are their R = 1
-cases; the shift-rule gradient `variational._exact_gradient` runs all 2K
-shifted circuits through them at once (`_cross_bell_dots`).
+cases; sampled training runs all 2K shift-rule circuits through the gate
+loop at once.
+
+The exact gradient `variational._exact_gradient` takes two adjoint kernels.
+`_bell_form` applies the Hermitian form M = sum_r h(r) |u_r><u_r| of a
+weighted cross distribution, <Bell_r | a (x) psi> = <u_r|a>, to psi: one
+Bell transform of psi against itself, the weights, one Walsh-Hadamard
+transform back over z and the adjoint XOR gather, O(N 4^N).
+`_generator_overlaps` walks the gates backwards on the pair (psi, lambda),
+applying U^dagger to both, and reads <lambda|sigma psi> at each rotation
+exp(-i t sigma / 2), O(G 2^N) for G gates.
 
 Gate set: H, S = diag(1, -i), T = diag(1, e^{-i pi/4}), CNOT, and the
 rotations Ry(t), Rz(t) = exp(-i t sigma/2).  A circuit's parameter vector
@@ -72,6 +81,11 @@ def _rz(t) -> np.ndarray:
 
 
 _PARAM_GATES = {"ry": _ry, "rz": _rz}
+# the Pauli sigma of each rotation exp(-i t sigma / 2)
+_GENERATORS = {
+    "ry": np.array([[0, -1j], [1j, 0]]),
+    "rz": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 @dataclass(frozen=True)
 class StateVector:
@@ -226,6 +240,34 @@ def simulate(circuit: CircuitSpec, initial: StateVector | None = None) -> StateV
     return StateVector(circuit.n_qubits, amps[0])
 
 
+def _generator_overlaps(circuit: CircuitSpec, psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """<lam_k| sigma_k |psi_k> for the k-th rotation exp(-i t sigma_k / 2), all k.
+
+    `psi` is the circuit's output and `lam` any 2^N vector.  One reverse pass
+    applies each gate's inverse to the stacked pair, so (psi_k, lam_k) is the
+    pair just after rotation k; O(G 2^N) for G gates.
+    """
+    n = circuit.n_qubits
+    inverses = {name: gate(-circuit.params) for name, gate in _PARAM_GATES.items()}
+    pair = np.stack([psi, lam])
+    k = circuit.n_params
+    out = np.empty(k, dtype=complex)
+    for g in reversed(circuit.gates):
+        if g.name == "cnot":  # its own inverse
+            pair = np.take(pair, _cnot_permutation(g.qubits[0], g.qubits[1], n), axis=1)
+            continue
+        q = g.qubits[0]
+        if g.name in _FIXED_GATES:
+            u = _FIXED_GATES[g.name].conj().T
+        else:
+            k -= 1
+            t = pair.reshape(2, 2 ** (q - 1), 2, 2 ** (n - q))
+            out[k] = np.einsum("ajb,jk,akb->", t[1].conj(), _GENERATORS[g.name], t[0])
+            u = inverses[g.name][k]
+        pair = _apply_1q(pair, u[None], q, n)
+    return out
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Global depolarizing channel with probability p."""
@@ -313,9 +355,6 @@ def _bell_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
     return halves[0][:, None], halves[1]
 
 
-_BLOCK_ENTRIES = 2**16  # complex entries of one gather + transform block of `_cross_bell_dots`
-
-
 def _bell_transform(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Unscaled Bell amplitudes of each row of (R, 2^N) `rows` against `b`.
 
@@ -330,6 +369,30 @@ def _bell_transform(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     g *= b[:, None, None]
     gf = g.view(float).reshape(-1)
     return _wht(gf, n, scratch=gf)
+
+
+def _bell_form(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """M psi for M = sum_r h(r) |u_r><u_r|, where <u_r|a> = <Bell_r | a (x) psi>.
+
+    `h` is a 4^N vector over outcomes, so <a|M|a> = sum_r h(r) P_x(a, psi)(r).
+    The Bell transform T[x, z] of psi against itself is weighted by h
+    (permuted once into that (x, z) layout) and transformed back over z
+    into S[x, j]; the adjoint of the XOR gather contracted with conj(psi)
+    then gives (M psi)[i] = 2^-N sum_j conj(psi[j]) S[i XOR j, j].  Of the
+    amplitude factor 2^-N/2 (-i)^{#Y}, only its squared modulus 2^-N is
+    left in |u_r><u_r|.  O(N 4^N) work in O(4^N) memory.
+    """
+    digits = zx_axis_order(z_axes=range(n, 2 * n), x_axes=range(n))
+    h_xz = h.reshape((2,) * (2 * n)).transpose(np.argsort(digits)).reshape(2**n, 1, 2**n)
+    f = _bell_transform(psi[None], psi, n).reshape(2**n, 2, 2**n)  # T: (x, re/im, z)
+    f *= h_xz
+    f = f.transpose(2, 0, 1).reshape(-1)  # (z, x, re/im): z leads for the transform
+    f = _wht(f, n, scratch=f).reshape(2**n, 2, 2**n)  # S: (x, re/im, j)
+    j = np.arange(2**n, dtype=np.uint16)  # n <= DENSE_CAP fits uint16
+    g = np.take_along_axis(f, (j[:, None] ^ j)[:, None], axis=0)  # g[i, :, j] = S[i ^ j, :, j]
+    # r[i, re/im, a/b]: (g_re + i g_im)(a - i b) summed over j, for psi = a + i b
+    r = (g.reshape(-1, 2**n) @ np.stack([psi.real, psi.imag], axis=1)).reshape(-1, 2, 2)
+    return 2.0**-n * (r[:, 0, 0] + r[:, 1, 1] + 1j * (r[:, 1, 0] - r[:, 0, 1]))
 
 
 def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
@@ -364,34 +427,6 @@ def cross_bell_distribution(a: StateVector, b: StateVector) -> BellDistribution:
     probs += np.square(amps.imag)
     assert probs.max() <= 2.0**-a.n_qubits + 1e-12
     return BellDistribution(a.n_qubits, probs)
-
-
-def _cross_bell_dots(rows: np.ndarray, b: StateVector, h: np.ndarray) -> np.ndarray:
-    """P_r . h for the cross Bell distribution P_r of every row of (R, 2^N) `rows` against |b>.
-
-    `h` is a 4^N vector over outcomes; it is permuted once into the (x, z)
-    layout of the transform, so no block is reordered.  Rows go through in
-    blocks of about `_BLOCK_ENTRIES` complex entries, one row at a time
-    from N = 8 on, and each block is reduced against h at once, so memory
-    stays O(4^N) whatever R is.
-    """
-    n = b.n_qubits
-    if n > DENSE_CAP:
-        raise ValueError(f"dense Bell distributions are capped at {DENSE_CAP} qubits")
-    if rows.ndim != 2 or rows.shape[1] != 2**n:
-        raise ValueError("rows do not match the base state's size")
-    digits = zx_axis_order(z_axes=range(n, 2 * n), x_axes=range(n))
-    h_xz = h.reshape((2,) * (2 * n)).transpose(np.argsort(digits)).reshape(2**n, 2**n)
-    step = max(1, _BLOCK_ENTRIES // 4**n)
-    scaled = b.amplitudes * 2.0 ** (-n / 2)  # so the squared transform is the probability
-    dots = np.empty(len(rows))
-    for start in range(0, len(rows), step):
-        f = _bell_transform(rows[start : start + step], scaled, n)
-        f = np.square(f, out=f).reshape(2**n, -1, 2, 2**n)
-        p = f[:, :, 0] + f[:, :, 1]  # p[x, i, z]: outcome (z, x) of row start + i
-        assert p.max() <= 2.0**-n + 1e-12
-        dots[start : start + p.shape[1]] = np.einsum("xrz,xz->r", p, h_xz)
-    return dots
 
 
 def bell_distribution(state: StateVector) -> BellDistribution:

@@ -15,17 +15,22 @@ gradient is linear in d_k P,
 
 with Qhat the Walsh-Hadamard transform of Q and J the (z, x) pair swap.
 The kernel h depends only on the base state, so training computes it once
-per epoch and each parameter then costs one inner product over 4^N
-outcomes.  The sampled gradient estimates the same quantity from
-measurement samples of the three settings (base, plus-shift, minus-shift).
+per epoch.  The sampled gradient estimates <d_k P, h> from measurement
+samples of the three settings (base, plus-shift, minus-shift).
 
-`_exact_gradient` is the one exact path: it simulates the 2K circuits
-shifted by +-pi/2 as one (2K, 2^N) batch and Bell-transforms them against
-the base state in one batched gather + Walsh-Hadamard pass, O(G K 2^N +
-K N 4^N) work for G gates.  Exact training and the trainability experiment
-both call it; sampled training simulates the same batch and builds each
-row's cross distribution in turn.  The per-parameter shift rule and the
-finite difference it is checked against live in `tests/oracles.py`.
+`_exact_gradient` is the one exact path, and it takes every component from
+one adjoint sweep (Jones & Gacon, arXiv:2009.02823) in place of the 2K
+shifted circuits.  For a fixed copy B = psi the cross distribution is a
+quadratic form, P_x(a, psi)(r) = |<u_r|a>|^2, so <P_x(a, psi), h> =
+<a|M|a> with M = sum_r h(r) |u_r><u_r|; as P_x is symmetric in its two
+copies, d_k B = 4 Re <lambda| d_k psi> with lambda = M psi.  One Bell
+transform applies M, and one reverse pass over the gates reads every
+<lambda| d_k psi>: O(G 2^N + N 4^N) work for G gates, in O(4^N) memory.
+Exact training and the trainability experiment both call it.  Sampled
+training keeps the physical protocol: it simulates the 2K shifted circuits
+as one (2K, 2^N) batch and samples each row's cross distribution in turn.
+The per-parameter shift rule, the batched shift-rule gradient and the
+finite difference they are checked against live in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -41,7 +46,8 @@ from .simulator import (
     CircuitSpec,
     Gate,
     StateVector,
-    _cross_bell_dots,
+    _bell_form,
+    _generator_overlaps,
     _simulate_rows,
     bell_distribution,
     cross_bell_distribution,
@@ -63,19 +69,18 @@ def _gradient_kernel(p: BellDistribution) -> np.ndarray:
 def _exact_gradient(
     circuit: CircuitSpec, base_state: StateVector, p: BellDistribution
 ) -> np.ndarray:
-    """All K components of the exact Bell-magic gradient by the two-copy shift rule.
+    """All K components of the exact Bell-magic gradient from one adjoint sweep.
 
     `base_state` is `simulate(circuit)` and `p` its Bell distribution, which
-    both callers hold already.  The 2K circuits shifted by +-pi/2 run through
-    one gate loop over a (2K, 2^N) array; one gather + Walsh-Hadamard pass
-    over those rows against the base state, in blocks of about 2^16 complex
-    entries, reduces each block of cross distributions against the kernel h
-    at once, d_k B = (P_+k - P_-k) . h.  That costs O(G K 2^N) for the G
-    gates plus O(K N 4^N) for the transforms, in O(4^N) memory.
+    both callers hold already.  lambda = M psi comes from one Bell transform
+    (`simulator._bell_form`), and the reverse gate pass
+    (`simulator._generator_overlaps`) gives <lambda_k| sigma_k |psi_k> at
+    each rotation exp(-i t sigma_k / 2), so d_k B = 4 Re <lambda| (-i/2)
+    sigma_k psi> = 2 Im <lambda_k| sigma_k |psi_k>.
     """
-    shifted = _simulate_rows(circuit, _shifted_rows(circuit.params, np.pi / 2))
-    dots = _cross_bell_dots(shifted, base_state, _gradient_kernel(p))
-    return dots[0::2] - dots[1::2]
+    psi = base_state.amplitudes
+    lam = _bell_form(psi, _gradient_kernel(p), circuit.n_qubits)
+    return 2.0 * _generator_overlaps(circuit, psi, lam).imag
 
 
 def estimate_gradient(
@@ -180,14 +185,14 @@ def optimize(
     rng: np.random.Generator | None = None,
     lr_decay: float = 1.0,
 ) -> TrainState:
-    """Adam ascent on Bell magic with shift-rule gradients (v = 1/2).
+    """Adam ascent on Bell magic: exact adjoint gradients, or sampled shift-rule ones (v = 1/2).
 
-    Each epoch simulates the base circuit, takes its Bell distribution P,
-    and then runs all 2K shifted circuits (theta +- pi/2 e_k) through one
-    gate loop over a (2K, 2^N) array.  n_samples = None uses exact
-    per-epoch magic and `_exact_gradient`.  Otherwise each epoch spends
-    n_samples per measurement setting (2K + 3 settings), drawn in the order
-    base, then plus_k and minus_k for each k from that row's
+    Each epoch simulates the base circuit and takes its Bell distribution
+    P.  n_samples = None uses exact per-epoch magic and `_exact_gradient`.
+    Otherwise the epoch runs all 2K shifted circuits (theta +- pi/2 e_k)
+    through one gate loop over a (2K, 2^N) array and spends n_samples per
+    measurement setting (2K + 3 settings), drawn in the order base, then
+    plus_k and minus_k for each k from that row's
     `cross_bell_distribution`, and the history records the sampled
     estimate.  A step that leaves a parameter non-finite (a learning rate
     grown past the float range) raises FloatingPointError.

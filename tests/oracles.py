@@ -8,11 +8,15 @@ density matrix from explicit projectors (O(16^N), N <= 5); the fast
 pure-state path is checked against it.  `grad_p_shift` applies the paper's
 two-copy shift rule one parameter at a time, with three `simulate` calls
 and two Bell transforms per parameter, and `grad_bell_magic_exact` reduces
-it against the gradient kernel; together with the central finite
-difference `gradient_finite_difference` they are the oracles for the
-batched `variational._exact_gradient`.  `pauli_expectation` reads
-<psi|sigma_p|psi> off one explicit application of sigma_p, independently
-of the Bell-transform path behind `simulator.pauli_expectation_table`.
+it against the gradient kernel.  `exact_gradient_batched` runs the same
+rule for all K parameters at once: the 2K shifted circuits through one
+batched gate loop, and their cross distributions against the kernel in
+blocks of `_BLOCK_ENTRIES` (`_cross_bell_dots`).  Together with the
+central finite difference `gradient_finite_difference` they are the
+oracles for the adjoint sweep of `variational._exact_gradient`.
+`pauli_expectation` reads <psi|sigma_p|psi> off one explicit application
+of sigma_p, independently of the Bell-transform path behind
+`simulator.pauli_expectation_table`.
 `magic_input_circuit_gatewise` draws the magic-input circuit's angles one
 scalar at a time, the reference for the layer-built
 `simulator.magic_input_circuit`.  `random_clifford_gatewise` draws the
@@ -42,18 +46,22 @@ from bellmagic.pauli import (
     swap_pair_words,
     unpack_int,
     unpack_zx,
+    zx_axis_order,
 )
 from bellmagic.simulator import (
+    DENSE_CAP,
     BellDistribution,
     CircuitSpec,
     Gate,
     StateVector,
+    _bell_transform,
+    _simulate_rows,
     bell_distribution,
     cross_bell_distribution,
     simulate,
 )
 from bellmagic.stabilizer import StabilizerTableau
-from bellmagic.variational import _gradient_kernel
+from bellmagic.variational import _gradient_kernel, _shifted_rows
 
 
 def from_letters(letters: str) -> PauliString:
@@ -338,6 +346,53 @@ def grad_bell_magic_exact(circuit: CircuitSpec, k: int, v: float = 0.5) -> float
     d = grad_p_shift(circuit, k, v)
     p = bell_distribution(simulate(circuit))
     return float(np.dot(d, _gradient_kernel(p)))
+
+
+_BLOCK_ENTRIES = 2**16  # complex entries of one gather + transform block of `_cross_bell_dots`
+
+
+def _cross_bell_dots(rows: np.ndarray, b: StateVector, h: np.ndarray) -> np.ndarray:
+    """P_r . h for the cross Bell distribution P_r of every row of (R, 2^N) `rows` against |b>.
+
+    `h` is a 4^N vector over outcomes; it is permuted once into the (x, z)
+    layout of the transform, so no block is reordered.  Rows go through in
+    blocks of about `_BLOCK_ENTRIES` complex entries, one row at a time
+    from N = 8 on, and each block is reduced against h at once, so memory
+    stays O(4^N) whatever R is.
+    """
+    n = b.n_qubits
+    if n > DENSE_CAP:
+        raise ValueError(f"dense Bell distributions are capped at {DENSE_CAP} qubits")
+    if rows.ndim != 2 or rows.shape[1] != 2**n:
+        raise ValueError("rows do not match the base state's size")
+    digits = zx_axis_order(z_axes=range(n, 2 * n), x_axes=range(n))
+    h_xz = h.reshape((2,) * (2 * n)).transpose(np.argsort(digits)).reshape(2**n, 2**n)
+    step = max(1, _BLOCK_ENTRIES // 4**n)
+    scaled = b.amplitudes * 2.0 ** (-n / 2)  # so the squared transform is the probability
+    dots = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        f = _bell_transform(rows[start : start + step], scaled, n)
+        f = np.square(f, out=f).reshape(2**n, -1, 2, 2**n)
+        p = f[:, :, 0] + f[:, :, 1]  # p[x, i, z]: outcome (z, x) of row start + i
+        assert p.max() <= 2.0**-n + 1e-12
+        dots[start : start + p.shape[1]] = np.einsum("xrz,xz->r", p, h_xz)
+    return dots
+
+
+def exact_gradient_batched(
+    circuit: CircuitSpec, base_state: StateVector, p: BellDistribution
+) -> np.ndarray:
+    """All K components of the exact Bell-magic gradient by the batched two-copy shift rule.
+
+    The 2K circuits shifted by +-pi/2 run through one gate loop over a
+    (2K, 2^N) array; one gather + Walsh-Hadamard pass over those rows
+    against the base state, in blocks of `_BLOCK_ENTRIES`, reduces each
+    block of cross distributions against the kernel h at once,
+    d_k B = (P_+k - P_-k) . h: O(G K 2^N + K N 4^N) work for G gates.
+    """
+    shifted = _simulate_rows(circuit, _shifted_rows(circuit.params, np.pi / 2))
+    dots = _cross_bell_dots(shifted, base_state, _gradient_kernel(p))
+    return dots[0::2] - dots[1::2]
 
 
 _FD_STEP = 1e-5  # finite-difference step of the gradient oracle

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bellmagic
-from bellmagic import cli, experiments
+from bellmagic import cli, estimation, experiments
 from bellmagic.cli import main
 
 
@@ -350,6 +350,20 @@ def test_entangle_saturated_p_hat(tmp_path):
     (row,) = read_csv(out)
     assert float(row["p_hat"]) == 1.0
     assert math.isnan(float(row["e_mtg"]))
+
+
+def test_magic_p_hat_just_below_one(tmp_path, monkeypatch):
+    # a purity estimate that puts p_hat at 1 - 3e-5, where 1 - (1 - p_hat)^4
+    # rounds to 1: the mitigated columns stay empty and the run still succeeds
+    monkeypatch.setattr(estimation, "estimate_purity",
+                        lambda outcomes: estimation.noisy_purity(1 - 3e-5, outcomes.n_qubits))
+    out = tmp_path / "magic.csv"
+    assert run(["magic", "--family", "t-product", "--n", "2", "--nq", "50", "--seed", "0",
+                "--threads", "1", "--out", str(out)]) == 0
+    (row,) = read_csv(out)
+    assert 1.0 - 8.6e-5 < float(row["p_hat"]) < 1.0
+    assert row["b_mtg_exact"] == row["b_mtg_approx"] == ""
+    assert json.loads((tmp_path / "magic.csv.summary.json").read_text())["b_mtg_mean"] is None
 
 
 def _sweep(tmp_path, args):

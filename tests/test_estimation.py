@@ -151,6 +151,27 @@ def test_mitigation_identity_at_zero_noise():
         est.mitigate(0.5, 1.0, 0.1, 3)
 
 
+def test_mitigation_rejects_p_hat_whose_quadruple_rounds_to_one():
+    # 1 - (1 - p_hat)^4 rounds to 1 from p_hat = 1 - 8.6e-5 on: no inverse
+    for p_hat in (0.99995, 0.99999):
+        with pytest.raises(ValueError, match="too close to 1"):
+            est.mitigate(0.5, p_hat, 0.1, 3)
+    assert np.isfinite(est.mitigate(0.5, 0.9999, 0.1, 3).exact)
+
+
+def test_estimate_magic_p_hat_just_below_one():
+    # 2^15 - 2 outcomes of 14 qubits, 16382 of them with odd SWAP parity:
+    # purity 2 / 32766 sits 3.7e-9 above 2^-14, so p_hat = 1 - 6.1e-5 < 1,
+    # yet p_quad rounds to 1 and neither mitigation nor the bootstrap has a value
+    m, n = 2**15 - 2, 14
+    s = BellSamples.from_indices(n, np.where(np.arange(m) < m // 2 - 1, 3 * 4 ** (n - 1), 0))
+    res = est.estimate_magic(s, np.random.default_rng(0), n_resamples=100, n_bootstrap=3)
+    assert res.purity_hat == pytest.approx(2 / m, rel=1e-9)
+    assert 1.0 - 8.6e-5 < res.p_hat < 1.0
+    assert res.b_mtg_exact is None and res.b_mtg_approx is None
+    assert res.bootstrap_std is None
+
+
 def test_mitigation_closed_loop():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4):

@@ -21,6 +21,8 @@ from bellmagic.simulator import (
 )
 
 from oracles import (
+    _BLOCK_ENTRIES,
+    _cross_bell_dots,
     from_letters,
     magic_input_circuit_gatewise,
     mixed_bell_distribution,
@@ -208,7 +210,7 @@ def every_gate_circuit(n, rng):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_batched_rows_match_per_circuit(n):
-    # 2K = 4N shifted rows: at N = 6 they fill two blocks of _cross_bell_dots
+    # 2K = 4N shifted rows: at N = 6 they fill two blocks of the oracle's _cross_bell_dots
     rng = np.random.default_rng(40 + n)
     circ = every_gate_circuit(n, rng)
     k_params = circ.n_params
@@ -223,9 +225,9 @@ def test_batched_rows_match_per_circuit(n):
             assert np.max(np.abs(row - state.amplitudes)) <= 1e-12
         dists = [cross_bell_distribution(state, base).probabilities for state in per_circuit]
         h = rng.normal(size=4**n)
-        dots = sim._cross_bell_dots(rows, base, h)
+        dots = _cross_bell_dots(rows, base, h)
         assert np.max(np.abs(dots - np.array(dists) @ h)) <= 1e-12
-    assert n < 6 or 2 * k_params > sim._BLOCK_ENTRIES // 4**n
+    assert n < 6 or 2 * k_params > _BLOCK_ENTRIES // 4**n
 
 
 def pair_kernel_bell_amplitudes(a, b):

@@ -15,7 +15,13 @@ from bellmagic.simulator import (
 )
 from bellmagic.states import t_state
 
-from oracles import grad_bell_magic_exact, grad_p_shift, gradient_finite_difference
+from oracles import (
+    exact_gradient_batched,
+    grad_bell_magic_exact,
+    grad_p_shift,
+    gradient_finite_difference,
+)
+from test_simulator import every_gate_circuit
 
 
 def random_circuit(n, d, rng):
@@ -82,6 +88,31 @@ def test_exact_gradient_matches_shift_rule_oracle(n):
                  var.clifford_dressed_rotation(n, rng.uniform(0, 2 * np.pi), 3, rng)):
         oracle = [grad_bell_magic_exact(circ, k) for k in range(circ.n_params)]
         assert np.abs(exact_gradient(circ) - oracle).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_adjoint_gradient_matches_shift_rule_oracles(n):
+    # the hardware-efficient ansatz; every gate of the set (h, s, t, CNOT both
+    # ways, ry, rz) on random qubits; and the latter with no rotation left
+    rng = np.random.default_rng(60 + n)
+    every = every_gate_circuit(n, rng)
+    fixed = CircuitSpec(n, [g for g in every.gates if g.name not in ("ry", "rz")])
+    for circ in (random_circuit(n, 2 if n < 8 else 1, rng), every, fixed):
+        base = simulate(circ)
+        p = bell_distribution(base)
+        adjoint = var._exact_gradient(circ, base, p)
+        assert adjoint.shape == (circ.n_params,)
+        shift_rule = [grad_bell_magic_exact(circ, k) for k in range(circ.n_params)]
+        assert np.abs(adjoint - shift_rule).max(initial=0.0) <= 1e-12
+        assert np.abs(adjoint - exact_gradient_batched(circ, base, p)).max(initial=0.0) <= 1e-12
+
+
+def test_adjoint_gradient_at_ten_qubits():
+    rng = np.random.default_rng(70)
+    circ = random_circuit(10, 2, rng)
+    adjoint = exact_gradient(circ)
+    for k in rng.choice(circ.n_params, size=3, replace=False):
+        assert abs(adjoint[k] - grad_bell_magic_exact(circ, int(k))) <= 1e-12
 
 
 def test_shift_rule_distribution_properties():
