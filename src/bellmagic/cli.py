@@ -118,7 +118,7 @@ def cmd_discriminate(a) -> tuple[list[dict], dict]:
         return rows, {"threshold": thr,
                       "train_error": discrimination.classification_error(runs, thr)}
     rows = experiments.learning_curve(
-        a.nq_grid, a.per_class, a.n, a.d, a.p, a.splits, a.seed
+        a.nq_grid, a.per_class, a.n, a.d, a.p, a.splits, a.seed, a.threads
     )
     return rows, {"test_errors": {str(r["nq"]): r["test_error"] for r in rows}}
 

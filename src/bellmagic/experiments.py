@@ -3,15 +3,14 @@
 One recipe runs everywhere: build a state, take Bell samples of two copies
 through depolarizing noise (`_bell_samples`), estimate.  The repetition
 drivers (`magic_experiment`, `entangle_experiment`, and the sweeps
-`error_vs_samples_sweep`, `resampling_sweep` and `error_probability_curve`,
-which score their whole grid on one state per repetition) hand their worker
-to `_run_reps`, which spawns one child seed per repetition from the master
-seed and returns results in repetition order, so output is byte-identical
-for a fixed (config, seed) regardless of the worker count.
-`threshold_learning_runs`, `learning_curve` (the one sweep that seeds each
-grid point itself) and `train_experiment` run serially from one generator,
-so the CLI's learn mode and `train` ignore --threads.  `discrimination`
-keeps the closed forms and the learner.
+`error_vs_samples_sweep`, `resampling_sweep`, `error_probability_curve` and
+`learning_curve`, which score their whole grid on one state, or one labelled
+state pair, per repetition) hand their worker to `_run_reps`, which spawns
+one child seed per repetition from the master seed and returns results in
+repetition order, so output is byte-identical for a fixed (config, seed)
+regardless of the worker count.  Only `train_experiment` runs serially
+from one generator, so `train` ignores --threads.  `discrimination` keeps
+the closed forms and the learner.
 """
 from __future__ import annotations
 
@@ -247,7 +246,7 @@ def _pe_grid_rep(args) -> list[int]:
     if kind == "single":
         state = discrimination.single_magic_family(n, phi, depth)(rng)
     else:
-        state = build_family_state("magic-input", n, depth, 0, na, np.pi / 4, rng)
+        state = build_family_state("magic-input", n, depth, 0, na, phi, rng)
     _, samples = _bell_samples(state, 0.0, max(nq_values), rng)
     misses = []
     for nq in nq_values:
@@ -278,51 +277,39 @@ def error_probability_curve(
     all-pairs-anticommuting configuration, which doubles the miss rate.
     """
     nq_values = list(nq_values)
+    # before any state is built, so that an N_Q the law rejects fails at once
+    theory = [discrimination.p_error_single_magic(phi, nq) if kind == "single"
+              else discrimination.p_error_random(nq) for nq in nq_values]
+    na = 1 if kind == "single" else n_magic  # a single-kind state has one magic input
     fixed = (kind, n_qubits, n_magic, phi, depth, tuple(nq_values))
     misses = np.array(_run_reps(_pe_grid_rep, fixed, seed, repetitions, threads))
-    rows = []
-    for nq, col in zip(nq_values, misses.T):
-        theory = (discrimination.p_error_single_magic(phi, nq) if kind == "single"
-                  else discrimination.p_error_random(nq))
-        rows.append({
-            "kind": kind, "n": n_qubits, "phi": phi, "na": n_magic, "nq": nq,
-            "reps": repetitions, "p_error": float(col.mean()), "p_error_theory": theory,
-            "binom_std": float(np.sqrt(max(theory * (1 - theory), 1e-12) / repetitions)),
-            "seed": seed,
-        })
-    return rows
+    return [
+        {"kind": kind, "n": n_qubits, "phi": phi, "na": na, "nq": nq,
+         "reps": repetitions, "p_error": float(col.mean()), "p_error_theory": th,
+         "binom_std": float(np.sqrt(max(th * (1 - th), 1e-12) / repetitions)),
+         "seed": seed}
+        for nq, th, col in zip(nq_values, theory, misses.T)
+    ]
 
 
-def threshold_learning_runs(
-    n_per_class: int,
-    n_qubits: int,
-    depth: int,
-    p: float,
-    n_outcomes: int,
-    rng: np.random.Generator,
-) -> list[discrimination.LabeledRun]:
-    """Labelled mitigated-magic estimates for stabilizer vs. random states.
-
-    The magical class uses the layered ansatz with uniformly random angles;
-    the stabilizer class uses random pi/2 multiples (the clifford-t family
-    without T angles).  Both are measured through a global depolarizing
-    channel of strength p.
-    """
-
-    def measure(state: StateVector, label: int) -> discrimination.LabeledRun:
-        _, samples = _bell_samples(state, p, n_outcomes, rng)
-        res = estimation.estimate_magic(samples, rng)
-        feature = res.b_mtg_exact if res.b_mtg_exact is not None else res.b_hat
-        return discrimination.LabeledRun(feature, label, n_outcomes)
-
-    runs = []
-    for _ in range(n_per_class):
-        state = build_family_state("clifford-t", n_qubits, depth, 0, 0, 0.0, rng)
-        runs.append(measure(state, discrimination.STABILIZER))
-        theta = rng.uniform(0, 2 * np.pi, size=2 * n_qubits * depth)
-        state = simulator.simulate(simulator.hardware_efficient_ansatz(n_qubits, depth, theta))
-        runs.append(measure(state, discrimination.MAGICAL))
-    return runs
+def _learn_rep(args) -> list[list[float]]:
+    # one stabilizer state (clifford-t without T angles) and one magical state
+    # (layered ansatz, uniform angles) per repetition; the N_Q grid is scored
+    # on prefixes of one batch of max(N_Q) noisy outcomes of each
+    (n, depth, p, nq_values, seed, _) = args
+    rng = np.random.default_rng(seed)
+    stabilizer = build_family_state("clifford-t", n, depth, 0, 0, 0.0, rng)
+    theta = rng.uniform(0, 2 * np.pi, size=2 * n * depth)
+    magical = simulator.simulate(simulator.hardware_efficient_ansatz(n, depth, theta))
+    features = []
+    for state in (stabilizer, magical):
+        _, samples = _bell_samples(state, p, max(nq_values), rng)
+        row = []
+        for nq in nq_values:
+            res = estimation.estimate_magic(BellSamples(n, samples.words[:nq]), rng)
+            row.append(res.b_mtg_exact if res.b_mtg_exact is not None else res.b_hat)
+        features.append(row)
+    return features
 
 
 def learning_curve(
@@ -333,12 +320,20 @@ def learning_curve(
     p: float,
     n_splits: int,
     seed: int,
+    threads: int = 1,
 ) -> list[dict]:
-    """Learned-threshold train/test error per N_Q on simulated noisy data."""
+    """Learned-threshold train/test error per N_Q on simulated noisy data,
+    from n_per_class labelled pairs of a stabilizer and a magical state."""
+    nq_values = list(nq_values)
+    fixed = (n_qubits, depth, p, tuple(nq_values))
+    features = np.array(_run_reps(_learn_rep, fixed, seed, n_per_class, threads))
+    labels = (discrimination.STABILIZER, discrimination.MAGICAL)
+    # the master seed's own stream; the repetitions draw from its spawned children
+    rng = np.random.default_rng(seed)
     rows = []
-    for i, nq in enumerate(nq_values):
-        rng = np.random.default_rng(seed + 49979687 * i)
-        runs = threshold_learning_runs(n_per_class, n_qubits, depth, p, nq, rng)
+    for nq, col in zip(nq_values, features.transpose(2, 0, 1)):
+        runs = [discrimination.LabeledRun(float(b), label, nq)
+                for pair in col for b, label in zip(pair, labels)]
         train_err, test_err = discrimination.train_test_split_error(runs, n_splits, rng)
         rows.append({
             "nq": nq, "n": n_qubits, "p": p, "n_per_class": n_per_class,

@@ -47,6 +47,8 @@ def test_determinism_across_threads(tmp_path):
                   "--nq", "150", "--reps", "6", "--seed", "9"],
                  ["discriminate", "--mode", "curve", "--kind", "many", "--n", "3",
                   "--na", "2", "--nq-grid", "3,6", "--reps", "6", "--seed", "9"],
+                 ["discriminate", "--mode", "learn", "--n", "2", "--d", "2", "--p", "0.1",
+                  "--nq-grid", "20,60", "--per-class", "6", "--splits", "3", "--seed", "9"],
                  ["entangle", "--family", "clifford-t", "--n", "2", "--nt", "1",
                   "--p", "0.1", "--nq", "150", "--reps", "6", "--seed", "9"],
                  ["sweep", "--experiment", "resampling", "--n", "2", "--na", "1",
@@ -83,12 +85,18 @@ def test_process_pool_capped_at_the_repetitions(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _learning_curve(repetitions, seed):
+    # learn mode's repetitions are its labelled pairs, n_per_class
+    return experiments.learning_curve([20], repetitions, 2, 1, 0.1, 2, seed)
+
+
 @pytest.mark.parametrize("driver, args", [
     (experiments.magic_experiment, ("t-product", 1)),
     (experiments.entangle_experiment, ("ghz", 2)),
     (experiments.error_probability_curve, ("single", 2, 0.3, 1, [5])),
     (experiments.error_vs_samples_sweep, (2, 1, [0.0], [10])),
     (experiments.resampling_sweep, (2, 1, 10, ["disjoint"])),
+    (_learning_curve, ()),
 ])
 def test_zero_repetitions_rejected(driver, args):
     # zero repetitions have no rows or means to report, so they fail rather than return empty

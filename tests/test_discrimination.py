@@ -7,7 +7,8 @@ import pytest
 from bellmagic import discrimination as dis
 from bellmagic.discrimination import LabeledRun, classify, learn_threshold
 from bellmagic.estimation import estimate_bell_magic
-from bellmagic.experiments import error_probability_curve, threshold_learning_runs
+from bellmagic import experiments as exp
+from bellmagic.experiments import error_probability_curve, learning_curve
 from bellmagic.simulator import bell_distribution, magic_input_circuit, sample, simulate
 
 from oracles import learn_threshold_loop
@@ -116,12 +117,58 @@ def test_monte_carlo_matches_formula_small():
     assert abs(pe - theory) < 3 * np.sqrt(theory * (1 - theory) / reps)
 
 
-def test_learning_pipeline_small():
-    rng = np.random.default_rng(2)
-    runs = threshold_learning_runs(10, 3, 2, 0.15, 300, rng)
-    assert len(runs) == 20
-    train_err, test_err = dis.train_test_split_error(runs, 5, rng)
-    assert 0.0 <= train_err <= 0.5 and 0.0 <= test_err <= 0.5
+def _count_bell_distributions(monkeypatch) -> list:
+    calls = []
+    real = exp.simulator.bell_distribution
+
+    def counting(state):
+        calls.append(state.n_qubits)
+        return real(state)
+
+    monkeypatch.setattr(exp.simulator, "bell_distribution", counting)
+    return calls
+
+
+def test_many_curve_builds_its_states_at_phi():
+    # at phi = 0 every magic input is |0>, so no repetition is ever flagged magical
+    rows = error_probability_curve("many", 3, 0.0, 2, [5, 10], 20, seed=0, depth=2)
+    assert [r["p_error"] for r in rows] == [1.0, 1.0]
+    assert all(r["phi"] == 0.0 for r in rows)
+
+
+def test_single_curve_records_its_one_magic_input():
+    (row,) = error_probability_curve("single", 2, 0.3, 0, [5], 3, seed=0, depth=2)
+    assert row["na"] == 1
+
+
+def test_curve_rejects_an_unlawful_nq_before_building_states(monkeypatch):
+    calls = _count_bell_distributions(monkeypatch)
+    with pytest.raises(ValueError, match="two outcomes"):
+        error_probability_curve("many", 3, np.pi / 4, 2, [1], 5, seed=0)
+    assert calls == []
+
+
+def test_learning_pipeline_small(monkeypatch):
+    split_runs = []
+    real_split = dis.train_test_split_error
+
+    def recording(runs, n_splits, rng):
+        split_runs.append(runs)
+        return real_split(runs, n_splits, rng)
+
+    monkeypatch.setattr(dis, "train_test_split_error", recording)
+    rows = learning_curve([100, 300], 10, 3, 2, 0.15, 5, seed=2)
+    for row, runs in zip(rows, split_runs, strict=True):
+        assert len(runs) == 20
+        assert sorted(r.label for r in runs) == [dis.STABILIZER] * 10 + [dis.MAGICAL] * 10
+        assert {r.n_outcomes for r in runs} == {row["nq"]}
+        assert 0.0 <= row["train_error"] <= 0.5 and 0.0 <= row["test_error"] <= 0.5
+
+
+def test_learning_curve_builds_one_state_pair_per_repetition(monkeypatch):
+    calls = _count_bell_distributions(monkeypatch)
+    rows = learning_curve([20, 50, 100], 4, 2, 1, 0.1, 2, seed=1)
+    assert len(rows) == 3 and len(calls) == 2 * 4
 
 
 def test_split_error_needs_both_classes():
