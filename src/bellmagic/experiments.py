@@ -271,7 +271,16 @@ def error_probability_curve(
 ) -> list[dict]:
     """Empirical misclassification probability vs theory per N_Q.
 
-    The random-string law ('many' kind) is validated with with-replacement
+    The 'single' theory column is `p_error_single_magic(phi, N_Q)`.  The
+    'many' column is `p_error_random(N_Q)`, the random-string law for
+    highly magical states, whatever `n_magic` and `phi` are; acceptance
+    criterion 5 runs it at n_magic = n_qubits = 10.  With n_magic <
+    n_qubits or a small phi the states are less magical than that law
+    assumes, so `p_error - p_error_theory` (the CLI's `max_abs_dev`)
+    measures the distance from the law, not estimator error, and
+    `binom_std` is the law's binomial spread, not the states'.
+
+    The random-string law is validated with with-replacement
     resampling, since its derivation inspects all pairs of the
     derived strings; distinct-index quadruples cannot see the
     all-pairs-anticommuting configuration, which doubles the miss rate.

@@ -22,14 +22,21 @@ copy B:
 
 so `_bell_transform` gathers g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard
 transforms it over j.  The transform (`_wht`, also behind `magic.fwht`)
-runs four index bits per pass as one real matrix product.
+runs four index bits per pass as one real matrix product, so each pass
+reads and writes the whole array it is given.  `_bell_transform` therefore
+gives it one block of x values at a time, `_BELL_BLOCK` = 2^15 float
+entries (256 KB), which stays in the 2 MB per-core L2 cache through the
+gather, all passes and the store; at N = 12 the whole gather would be
+256 MB, and each of its three passes would go to main memory.  A sweep
+of 2^12 to 2^18 entries on a 2-vCPU Xeon with one BLAS thread put 2^15
+first at N = 8 to 11 and within 20% of the best at N = 12.  Every x gets
+the same sums in the same order as in one whole-array pass, so the output
+is bit-identical for any block size.
 
-Both kernels carry a leading row axis, so one pass serves a batch of
-states: the gate loop `_simulate_rows` runs one circuit under R parameter
-rows on an (R, 2^N) array, and `_bell_transform` takes R rows against one
-shared copy-B state.  `simulate` and `bell_amplitudes` are their R = 1
-cases; sampled training runs all 2K shift-rule circuits through the gate
-loop at once.
+The gate loop `_simulate_rows` carries a leading row axis, so one pass
+runs one circuit under R parameter rows on an (R, 2^N) array; `simulate`
+is its R = 1 case, and sampled training runs all 2K shift-rule circuits
+through it at once.
 
 The exact gradient `variational._exact_gradient` takes two adjoint kernels.
 `_bell_form` applies the Hermitian form M = sum_r h(r) |u_r><u_r| of a
@@ -329,7 +336,9 @@ def _wht(v: np.ndarray, nbits: int, scratch: np.ndarray | None = None) -> np.nda
         return v.copy()
     out, spare = np.empty(v.size), scratch
     while True:
-        c = min(nbits, 4)  # 16 x 16 blocks: one memory pass per four bits
+        # 16 x 16 blocks: one pass over v per four bits, so `_bell_transform` and
+        # `magic.fwht` hand it L2-sized pieces (`_BELL_BLOCK`, `_FWHT_CHUNK_BITS`)
+        c = min(nbits, 4)
         np.matmul(v.reshape(2**c, -1).T, _hadamard(c), out=out.reshape(-1, 2**c))
         nbits -= c
         if not nbits:
@@ -355,18 +364,37 @@ def _bell_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
     return halves[0][:, None], halves[1]
 
 
-def _bell_transform(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Unscaled Bell amplitudes of each row of (R, 2^N) `rows` against `b`.
+_BELL_BLOCK = 2**15  # float entries of one gather + transform block of `_bell_transform`; L2-sized
+
+
+def _bell_transform(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Unscaled Bell amplitudes of the 2^N amplitudes `a` against `b`.
 
     A CNOT from copy B onto copy A, then Hadamards on copy B: gathers
-    g[j, x, r] = rows[r, j XOR x] b[j] through a j XOR x index built per call
-    and Walsh-Hadamard transforms the float view of g over j.  Returns the
-    transform as a flat float array whose axes run (x, r, re/im, z); the
-    amplitude of outcome (z, x) is 2^-N/2 (-i)^{#Y} times it.
+    g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard transforms the float view
+    of g over j.  Returns the transform as a flat float array whose axes run
+    (x, re/im, z); the amplitude of outcome (z, x) is 2^-N/2 (-i)^{#Y}
+    times it.  The x values go through in blocks of `_BELL_BLOCK` float
+    entries (4 x values at N = 12, one block for N <= 7), each gathered
+    through its own j XOR x index, transformed and stored while it sits in
+    cache; every x gets the same sums as in one whole-array pass, so the
+    output does not depend on the block size.
     """
     j = np.arange(2**n, dtype=np.uint16)  # n <= DENSE_CAP fits uint16
-    g = np.take(np.ascontiguousarray(rows.T), j[:, None] ^ j, axis=0)
-    g *= b[:, None, None]
+    step = max(1, _BELL_BLOCK >> (n + 1))  # x values per block
+    if step >= 2**n:  # one block holds every x
+        return _gather_wht(a, b, j, j, n)
+    out = np.empty((2**n // step, 2 ** (n + 1) * step))
+    for i in range(len(out)):
+        out[i] = _gather_wht(a, b, j, j[i * step : (i + 1) * step], n)
+    return out.reshape(-1)
+
+
+def _gather_wht(a: np.ndarray, b: np.ndarray, j: np.ndarray, xs: np.ndarray,
+                n: int) -> np.ndarray:
+    """g[j, x] = a[j XOR x] b[j] for the x values `xs`, transformed over j: (x, re/im, z) floats."""
+    g = np.take(a, j[:, None] ^ xs)
+    g *= b[:, None]
     gf = g.view(float).reshape(-1)
     return _wht(gf, n, scratch=gf)
 
@@ -384,7 +412,7 @@ def _bell_form(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """
     digits = zx_axis_order(z_axes=range(n, 2 * n), x_axes=range(n))
     h_xz = h.reshape((2,) * (2 * n)).transpose(np.argsort(digits)).reshape(2**n, 1, 2**n)
-    f = _bell_transform(psi[None], psi, n).reshape(2**n, 2, 2**n)  # T: (x, re/im, z)
+    f = _bell_transform(psi, psi, n).reshape(2**n, 2, 2**n)  # T: (x, re/im, z)
     f *= h_xz
     f = f.transpose(2, 0, 1).reshape(-1)  # (z, x, re/im): z leads for the transform
     f = _wht(f, n, scratch=f).reshape(2**n, 2, 2**n)  # S: (x, re/im, j)
@@ -398,8 +426,8 @@ def _bell_form(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
 def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
     """Bell-basis amplitudes <Bell_r | a (x) b> as a 4^N complex vector.
 
-    The single-row case of `_bell_transform`: transposes its (x, re/im, z)
-    axes into the interleaved (z_q x_q) outcome digits in one copy, and
+    Transposes the (x, re/im, z) axes of `_bell_transform`'s output into
+    the interleaved (z_q x_q) outcome digits in one copy, and
     multiplies by 2^-N/2 (-i)^{#Y(r)}, one -i per qubit whose digit is Y.
     """
     if a.n_qubits != b.n_qubits:
@@ -407,7 +435,7 @@ def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
     n = a.n_qubits
     if n > DENSE_CAP:
         raise ValueError(f"dense Bell distributions are capped at {DENSE_CAP} qubits")
-    f = _bell_transform(a.amplitudes[None], b.amplitudes, n)
+    f = _bell_transform(a.amplitudes, b.amplitudes, n)
     # float axes (x_1..x_n, re/im, z_1..z_n) -> (z_1, x_1, ..., z_n, x_n, re/im)
     order = zx_axis_order(z_axes=range(n + 1, 2 * n + 1), x_axes=range(n)) + [n]
     out = np.empty(4**n, dtype=complex)

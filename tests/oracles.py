@@ -14,6 +14,11 @@ batched gate loop, and their cross distributions against the kernel in
 blocks of `_BLOCK_ENTRIES` (`_cross_bell_dots`).  Together with the
 central finite difference `gradient_finite_difference` they are the
 oracles for the adjoint sweep of `variational._exact_gradient`.
+`bell_transform_rows` is the unblocked Bell transform of R rows against
+one shared state, the whole (2^N, 2^N, R) gather in one array, and
+`fwht_unblocked` the whole-length `_wht` call: the references that
+`simulator._bell_transform` and `magic.fwht`, which work through
+cache-sized blocks, must match bit for bit.
 `pauli_expectation` reads <psi|sigma_p|psi> off one explicit application
 of sigma_p, independently of the Bell-transform path behind
 `simulator.pauli_expectation_table`.
@@ -54,8 +59,8 @@ from bellmagic.simulator import (
     CircuitSpec,
     Gate,
     StateVector,
-    _bell_transform,
     _simulate_rows,
+    _wht,
     bell_distribution,
     cross_bell_distribution,
     simulate,
@@ -348,6 +353,26 @@ def grad_bell_magic_exact(circuit: CircuitSpec, k: int, v: float = 0.5) -> float
     return float(np.dot(d, _gradient_kernel(p)))
 
 
+def bell_transform_rows(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Unscaled Bell amplitudes of each row of (R, 2^N) `rows` against `b`, unblocked.
+
+    Gathers g[j, x, r] = rows[r, j XOR x] b[j] in one array and
+    Walsh-Hadamard transforms its float view over j.  Returns the transform
+    as a flat float array whose axes run (x, r, re/im, z).
+    """
+    j = np.arange(2**n, dtype=np.uint16)  # n <= DENSE_CAP fits uint16
+    g = np.take(np.ascontiguousarray(rows.T), j[:, None] ^ j, axis=0)
+    g *= b[:, None, None]
+    gf = g.view(float).reshape(-1)
+    return _wht(gf, n, scratch=gf)
+
+
+def fwht_unblocked(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a power-of-two length, in whole-length passes."""
+    a = np.asarray(a, dtype=float)
+    return _wht(a, a.size.bit_length() - 1)
+
+
 _BLOCK_ENTRIES = 2**16  # complex entries of one gather + transform block of `_cross_bell_dots`
 
 
@@ -371,7 +396,7 @@ def _cross_bell_dots(rows: np.ndarray, b: StateVector, h: np.ndarray) -> np.ndar
     scaled = b.amplitudes * 2.0 ** (-n / 2)  # so the squared transform is the probability
     dots = np.empty(len(rows))
     for start in range(0, len(rows), step):
-        f = _bell_transform(rows[start : start + step], scaled, n)
+        f = bell_transform_rows(rows[start : start + step], scaled, n)
         f = np.square(f, out=f).reshape(2**n, -1, 2, 2**n)
         p = f[:, :, 0] + f[:, :, 1]  # p[x, i, z]: outcome (z, x) of row start + i
         assert p.max() <= 2.0**-n + 1e-12

@@ -17,9 +17,15 @@ from bellmagic.magic import (
     stabilizer_renyi,
     xor_convolve,
 )
-from bellmagic.simulator import BellDistribution, bell_distribution
+from bellmagic.simulator import DENSE_CAP, BellDistribution, bell_distribution
 
-from oracles import bell_magic_brute, mixed_bell_distribution, pair_swap_permutation
+from oracles import (
+    bell_magic_brute,
+    bell_transform_rows,
+    fwht_unblocked,
+    mixed_bell_distribution,
+    pair_swap_permutation,
+)
 
 R_ANGLE = np.arccos(1 / np.sqrt(3))
 
@@ -85,6 +91,50 @@ def test_fwht_edge_cases():
     for bad in (np.zeros(0), np.zeros(3), np.zeros(6), np.zeros(12), np.zeros((2, 2))):
         with pytest.raises(ValueError):
             fwht(bad)
+
+
+def test_blocked_fwht_matches_whole_length_passes():
+    # from 2^17 on fwht works in place on its leading bits, then on 2^16-entry
+    # chunks; at 2^22 (N = 11) the leading bits are not a multiple of four past 16
+    data = np.random.default_rng(12).random(2**24) - 0.5
+    data.setflags(write=False)
+    for m in range(25):
+        a = data[: 2**m]
+        assert np.array_equal(fwht(a), fwht_unblocked(a)), m
+
+
+def _assert_dense_layers_match_unblocked(ns, monkeypatch):
+    """Every Bell transform and fwht behind the Pauli table, the Bell distribution
+    and its exact B equals the unblocked kernel's output bit for bit, so the
+    layers' outputs equal the unblocked ones too."""
+    calls = []
+
+    def checked(kernel, reference):
+        def call(*args):
+            out = kernel(*args)
+            assert np.array_equal(out, reference(*args)), (kernel.__name__, n)
+            calls.append(kernel.__name__)
+            return out
+        return call
+
+    monkeypatch.setattr(sim, "_bell_transform", checked(
+        sim._bell_transform, lambda a, b, k: bell_transform_rows(a[None], b, k)))
+    monkeypatch.setattr(magic, "fwht", checked(magic.fwht, fwht_unblocked))
+    for n in ns:
+        calls.clear()
+        state = sample_haar_state(n, np.random.default_rng(100 + n))
+        sim.pauli_expectation_table(state)  # a against conj(a)
+        bell_magic_exact(bell_distribution(state))  # a against itself, then three fwht
+        assert calls == ["_bell_transform"] * 2 + ["fwht"] * 3, n
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_dense_layers_match_unblocked_kernels(n, monkeypatch):
+    _assert_dense_layers_match_unblocked([n], monkeypatch)
+
+
+def test_dense_layers_match_unblocked_kernels_up_to_dense_cap(monkeypatch):
+    _assert_dense_layers_match_unblocked([11, DENSE_CAP], monkeypatch)
 
 
 def test_pair_swap_transpose_matches_index_permutation():

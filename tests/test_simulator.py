@@ -23,6 +23,7 @@ from bellmagic.simulator import (
 from oracles import (
     _BLOCK_ENTRIES,
     _cross_bell_dots,
+    bell_transform_rows,
     from_letters,
     magic_input_circuit_gatewise,
     mixed_bell_distribution,
@@ -270,7 +271,7 @@ def test_bell_amplitudes_match_explicit_bell_basis():
 
 
 def xor_table(n):
-    """table[j, x] = j XOR x, the table `_bell_transform` once kept cached per N."""
+    """table[j, x] = j XOR x, the table the Bell transform once kept cached per N."""
     j = np.arange(2**n, dtype=np.uint16)
     return j[:, None] ^ j[None, :]
 
@@ -285,7 +286,18 @@ def test_bell_transform_matches_cached_table_gather():
             g *= b[:, None, None]
             gf = g.view(float).reshape(-1)
             ref = sim._wht(gf, n, scratch=gf)
-            assert np.array_equal(sim._bell_transform(rows, b, n), ref), (n, r)
+            assert np.array_equal(bell_transform_rows(rows, b, n), ref), (n, r)
+
+
+def test_blocked_bell_transform_matches_unblocked_rows():
+    # one block holds every x up to N = 7, N = 8 is the first split; the
+    # dense-layer tests in test_magic.py take N = 9..12 through the same kernel
+    rng = np.random.default_rng(17)
+    for n in range(1, 11):
+        a, b = (magic.sample_haar_state(n, rng).amplitudes for _ in range(2))
+        for x, y in ((a, a), (a, b), (b, a)):
+            ref = bell_transform_rows(x[None], y, n)
+            assert np.array_equal(sim._bell_transform(x, y, n), ref), n
 
 
 def test_bell_amplitudes_match_pair_kernel_construction():
