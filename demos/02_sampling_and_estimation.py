@@ -20,8 +20,8 @@ for nq in (100, 1000, 10_000):
 
 print("\ndisjoint-quadruple mode has the exact Bernoulli error bar:")
 nq = 400
-vals = [est.estimate_bell_magic(sim.sample(dist, nq, rng), rng=rng, disjoint=True)[0]
-        for _ in range(500)]
+vals = [est.estimate_bell_magic(sim.sample(dist, nq, rng), rng=rng,
+                               quadruples="disjoint")[0] for _ in range(500)]
 print(f"  empirical std over 500 runs: {np.std(vals):.4f}"
       f"  formula: {est.std_bernoulli(0.5, nq):.4f}")
 

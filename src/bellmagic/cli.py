@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import discrimination, experiments, states
+from .estimation import EXHAUSTIVE_CAP
 from .experiments import FAMILIES
 from .simulator import DENSE_CAP
 
@@ -93,10 +94,15 @@ def cmd_magic(a) -> tuple[list[dict], dict]:
         a.family, a.n, a.d, a.nt, a.na, a.phi, a.p, a.nq, a.nr or None,
         a.reps, a.bootstrap, a.seed, a.threads,
     )
-    b = [r["b_mtg_exact"] for r in rows if r["b_mtg_exact"] is not None]
+    # b_mtg_mean averages the unclamped values, which one repetition whose
+    # p_hat is near 1 can swamp (about -3e23 at p_hat = 0.999); the median and
+    # the count outside [0, 2] show when it has
+    b = np.array([r["b_mtg_exact"] for r in rows if r["b_mtg_exact"] is not None])
     return rows, {"b_exact_mean": float(np.mean([r["b_exact"] for r in rows])),
                   "b_hat_mean": float(np.mean([r["b_hat"] for r in rows])),
-                  "b_mtg_mean": float(np.mean(b)) if b else None}
+                  "b_mtg_mean": float(b.mean()) if b.size else None,
+                  "b_mtg_median": float(np.median(b)) if b.size else None,
+                  "b_mtg_out_of_range": int(((b < 0.0) | (b > 2.0)).sum())}
 
 
 def cmd_discriminate(a) -> tuple[list[dict], dict]:
@@ -215,11 +221,14 @@ _OPTIONS = {
     "bootstrap": Option(int, 0, "bootstrap resamples for mitigated std", bounds=_AT_LEAST_0),
     "mode": Option(str, "curve", "discrimination experiment", ("curve", "learn")),
     # acceptance criterion 5 runs the many curve at na = n = 10, where the law holds
-    "kind": Option(str, "single", "curve family; the 'many' theory column is p_error_random, "
-                   "the random-string law for highly magical states, so with na < n or a "
-                   "small phi max_abs_dev is the distance from that law, not estimator error",
-                   ("single", "many")),
-    "nq_grid": Option(str, "5,10,20,50", "comma-separated N_Q grid", lists="nq"),
+    "kind": Option(str, "single", "curve family, scored exactly over every quadruple of "
+                   "outcomes: distinct ones for 'single', drawn with replacement for 'many'; "
+                   "the 'many' theory column is p_error_random, the random-string law for "
+                   "highly magical states, so with na < n or a small phi max_abs_dev is the "
+                   "distance from that law, not estimator error", ("single", "many")),
+    "nq_grid": Option(str, "5,10,20,50", "comma-separated N_Q grid (a discriminate curve "
+                      f"takes entries up to {EXHAUSTIVE_CAP}, since it scores every quadruple)",
+                      lists="nq"),
     # one labeled run per class leaves a one-class training split
     "per_class": Option(int, 20, "labeled runs per class (learn mode)", bounds=(2, None)),
     "splits": Option(int, 10, "train/test splits (learn mode)", bounds=_AT_LEAST_1),
@@ -381,6 +390,10 @@ def _check_values(args: argparse.Namespace) -> None:
     if args.command == "discriminate" and many_curve and min(args.nq_grid) < 2:
         raise UsageError(f"the many-magic curve needs nq-grid entries of at least 2, "
                          f"got {min(args.nq_grid)}")
+    if (args.command == "discriminate" and args.mode == "curve"
+            and max(args.nq_grid) > EXHAUSTIVE_CAP):
+        raise UsageError(f"a curve scores every quadruple of at most {EXHAUSTIVE_CAP} "
+                         f"outcomes, got an nq-grid entry of {max(args.nq_grid)}")
     if (args.command == "sweep" and args.experiment == "resampling"
             and "disjoint" in args.nr_grid and args.nq < 4):
         raise UsageError(f"disjoint quadruples need nq of at least 4, got {args.nq}")

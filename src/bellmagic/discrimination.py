@@ -5,9 +5,13 @@ threshold (ties go to the stabilizer class).  For noiseless data the natural
 threshold is zero, since stabilizer outcomes can never produce a
 non-commuting quadruple; closed forms for the misclassification probability
 exist for the single-magic-input family (`single_magic_family`) and for
-highly magical states.  For noisy data the threshold is learned from
-labelled runs.  The simulated repetitions that check both, including the
-labelled runs, live in `experiments`.
+highly magical states.  Both assume that every quadruple of the outcomes is
+inspected, which the exact all-quadruple statistics of
+`estimation.estimate_bell_magic` ("distinct" and "all", up to
+`estimation.EXHAUSTIVE_CAP` outcomes) do without resampling.  For noisy
+data the threshold is learned from labelled runs.  The simulated
+repetitions that check both, including the labelled runs, live in
+`experiments`.
 """
 from __future__ import annotations
 
@@ -19,9 +23,6 @@ from . import simulator
 from .simulator import magic_input_circuit
 
 STABILIZER, MAGICAL = -1, 1
-
-# the error formulas assume essentially all quadruples are inspected
-LARGE_RESAMPLE_FACTOR = 50
 
 TEST_FRACTION = 0.2  # share of the runs held out in each train/test split
 

@@ -1,12 +1,20 @@
 """Sample-based estimators for Bell magic, purity and depolarizing mitigation.
 
-The core estimator resamples quadruples of measurement outcomes, XORs them
-pairwise and averages the commutator norm of the two resulting Pauli
-strings; the mean is an unbiased estimate of Bell magic.  Quadruples are
-drawn without replacement within a trial and independently across trials;
-with 3 or fewer outcomes they are drawn with replacement, and a separate
-disjoint mode uses every outcome exactly once (the variant with an exact
-Bernoulli error bar).
+The core estimator averages, over quadruples of measurement outcomes, the
+commutator norm of the two Pauli strings their pairwise XORs give; the
+mean is an unbiased estimate of Bell magic.  Four ways of choosing the
+quadruples (`QUADRUPLES`):
+
+- "resample" draws them independently across trials, without replacement
+  within a trial (with replacement for 3 or fewer outcomes);
+- "disjoint" uses every outcome exactly once (the variant with an exact
+  Bernoulli error bar);
+- "distinct" takes the exact mean over every ordered quadruple of distinct
+  outcomes (the U-statistic B_U, the mean of "resample" given the
+  outcomes), and "all" over every ordered quadruple drawn with replacement
+  (the V-statistic B_V).  Both come from one M x M sign Gram matrix and one
+  matrix product, M^3 work, so they take at most `EXHAUSTIVE_CAP` outcomes
+  and draw nothing from the generator.
 
 Purity comes for free from the same outcomes via the SWAP-test parity
 tr(rho^2) = 1 - 2 P_odd, which calibrates a global-depolarizing model and
@@ -23,6 +31,10 @@ from .magic import additive_magic, maximally_mixed_magic
 from .pauli import BellSamples, and_parity_rows, symplectic_rows, unpack_zx
 
 DEFAULT_RESAMPLE_FACTOR = 10  # n_resamples = 10 * n_outcomes is near-optimal
+QUADRUPLES = ("resample", "disjoint", "distinct", "all")
+# the exhaustive modes cost M^3 and keep every partial sum below M^4 <= 2^44 < 2^53
+EXHAUSTIVE_CAP = 2048
+_GRAM_BLOCK_WORDS = 1 << 20  # packed words per row block of the sign Gram matrix (8 MB)
 
 
 def _resample_count(n_resamples: int | None, n_outcomes: int) -> int:
@@ -45,35 +57,67 @@ def _distinct_tuples(m: int, n_trials: int, width: int, rng: np.random.Generator
     return idx
 
 
+def _all_quadruples_mean(w: np.ndarray, distinct: bool) -> float:
+    """Exact mean of 2<s_a ^ s_b, s_c ^ s_d> over every ordered quadruple of rows of w.
+
+    With the sign Gram matrix S_ij = (-1)^<s_i, s_j> (S_ii = 1) each term is
+    1 - S_ac S_ad S_bc S_bd, and with G = S S the sum over all quadruples is
+    sum_ab G_ab^2.  Over distinct indices, for a != b the c outside {a, b}
+    sum to H_ab = G_ab - 2 S_ab and the pairs c != d of them to
+    H_ab^2 - (M - 2).  Every partial sum is an integer below 2^53 for
+    M <= EXHAUSTIVE_CAP, so the result is exact (0.0 when all commute).
+    """
+    m = len(w)
+    s = np.empty((m, m))
+    step = max(1, _GRAM_BLOCK_WORDS // (m * w.shape[1]))
+    for i in range(0, m, step):  # one block for the curve's M <= 50
+        s[i:i + step] = symplectic_rows(w[i:i + step, None], w[None])
+    s = 1.0 - 2.0 * s
+    g = s @ s
+    if not distinct:
+        return 1.0 - float(np.square(g).sum()) / m**4
+    h = g - 2.0 * s
+    np.fill_diagonal(h, 0.0)
+    k = m * (m - 1) * (m - 2)
+    return 1.0 - (float(np.square(h).sum()) - k) / (k * (m - 3))
+
+
 def estimate_bell_magic(
     outcomes: BellSamples,
     n_resamples: int | None = None,
     rng: np.random.Generator | None = None,
-    disjoint: bool = False,
-    with_replacement: bool = False,
+    quadruples: str = "resample",
 ) -> tuple[float, float]:
-    """Resampling estimate of (B, B_a) from Bell-measurement outcomes.
+    """Estimate of (B, B_a) from Bell-measurement outcomes.
 
-    Averages `n_resamples` quadruples (at least 1; 10 per outcome by
-    default), or with `disjoint` every outcome once in m // 4 quadruples.
-    `with_replacement` drops the distinct-index constraint on the quadruples
-    (always the case for 3 or fewer outcomes); it lets the resampler probe
-    overlapping index pairs, matching the all-pairs assumption behind the
-    closed-form misclassification laws.
+    `quadruples` is one of `QUADRUPLES`: "resample" averages `n_resamples`
+    quadruples (at least 1; 10 per outcome by default), "disjoint" every
+    outcome once in m // 4 quadruples, "distinct" every ordered quadruple
+    of distinct outcomes (every quadruple with replacement for 3 or fewer
+    outcomes, as "resample" does) and "all" every quadruple with
+    replacement.  The last two ignore `n_resamples` and `rng` and take at
+    most `EXHAUSTIVE_CAP` outcomes.
     """
     m = len(outcomes)
     if m < 1:
         raise ValueError("empty outcome list")
+    if quadruples not in QUADRUPLES:
+        raise ValueError(f"quadruples must be one of {QUADRUPLES}, got {quadruples!r}")
+    w = outcomes.words
+    if quadruples in ("distinct", "all"):
+        if m > EXHAUSTIVE_CAP:
+            raise ValueError(f"exhaustive quadruples take at most {EXHAUSTIVE_CAP} outcomes, "
+                             f"got {m}")
+        b_hat = _all_quadruples_mean(w, quadruples == "distinct" and m >= 4)
+        return b_hat, additive_magic(b_hat)
     rng = np.random.default_rng(rng)
-    if disjoint:
+    if quadruples == "disjoint":
         if m < 4:
             raise ValueError("disjoint mode needs at least 4 outcomes")
         quad = rng.permutation(m)[: 4 * (m // 4)].reshape(-1, 4)
     else:
         n_r = _resample_count(n_resamples, m)
-        replace = m <= 3 or with_replacement
-        quad = rng.integers(0, m, size=(n_r, 4)) if replace else _distinct_tuples(m, n_r, 4, rng)
-    w = outcomes.words
+        quad = rng.integers(0, m, size=(n_r, 4)) if m <= 3 else _distinct_tuples(m, n_r, 4, rng)
     left = w[quad[:, 0]] ^ w[quad[:, 1]]
     right = w[quad[:, 2]] ^ w[quad[:, 3]]
     b_hat = 2.0 * float(symplectic_rows(left, right).mean())

@@ -202,14 +202,14 @@ def loglog_slope(x, y) -> float | None:
 
 def _resample_rep(args) -> list[float]:
     # one fresh circuit and one batch of nq noiseless samples per repetition;
-    # every (N_R, disjoint) grid entry resamples the same outcomes
+    # every (N_R, quadruples) grid entry scores the same outcomes
     (n, na, depth, nq, grid, seed, _) = args
     rng = np.random.default_rng(seed)
     state = build_family_state("magic-input", n, depth, 0, na, np.pi / 4, rng)
     dist, samples = _bell_samples(state, 0.0, nq, rng)
     b_exact = magic.bell_magic_exact(dist).bell_magic
-    return [abs(estimation.estimate_bell_magic(samples, nr, rng, disjoint=disjoint)[0] - b_exact)
-            for nr, disjoint in grid]
+    return [abs(estimation.estimate_bell_magic(samples, nr, rng, quadruples=mode)[0] - b_exact)
+            for nr, mode in grid]
 
 
 def resampling_sweep(
@@ -226,7 +226,7 @@ def resampling_sweep(
     rows = [{"n": n_qubits, "na": n_magic, "nq": n_outcomes,
              "nr": n_outcomes // 4 if nr == "disjoint" else int(nr),
              "mode": "disjoint" if nr == "disjoint" else "resample"} for nr in nr_values]
-    grid = tuple((r["nr"], r["mode"] == "disjoint") for r in rows)  # disjoint ignores nr
+    grid = tuple((r["nr"], r["mode"]) for r in rows)  # disjoint ignores nr
     fixed = (n_qubits, n_magic, depth, n_outcomes, grid)
     errs = np.array(_run_reps(_resample_rep, fixed, seed, repetitions, threads))
     for r, col in zip(rows, errs.T):
@@ -248,12 +248,11 @@ def _pe_grid_rep(args) -> list[int]:
     else:
         state = build_family_state("magic-input", n, depth, 0, na, phi, rng)
     _, samples = _bell_samples(state, 0.0, max(nq_values), rng)
+    quadruples = "distinct" if kind == "single" else "all"
     misses = []
     for nq in nq_values:
         sub = BellSamples(n, samples.words[:nq])
-        b_hat, _ = estimation.estimate_bell_magic(
-            sub, discrimination.LARGE_RESAMPLE_FACTOR * nq, rng, with_replacement=kind == "many"
-        )
+        b_hat, _ = estimation.estimate_bell_magic(sub, quadruples=quadruples)
         misses.append(int(discrimination.classify(b_hat, 0.0) == discrimination.STABILIZER))
     return misses
 
@@ -280,15 +279,22 @@ def error_probability_curve(
     measures the distance from the law, not estimator error, and
     `binom_std` is the law's binomial spread, not the states'.
 
-    The random-string law is validated with with-replacement
-    resampling, since its derivation inspects all pairs of the
-    derived strings; distinct-index quadruples cannot see the
-    all-pairs-anticommuting configuration, which doubles the miss rate.
+    Both laws assume that every quadruple of outcomes is inspected, so a
+    repetition is scored by the exact all-quadruple statistic of each N_Q
+    prefix, which draws nothing: 'single' by the mean over ordered
+    quadruples of distinct outcomes, 'many' by the mean over quadruples
+    drawn with replacement, since the random-string law inspects all pairs
+    of the derived strings and distinct-index quadruples cannot see the
+    all-pairs-anticommuting configuration.  N_Q is at most
+    `estimation.EXHAUSTIVE_CAP`.
     """
     nq_values = list(nq_values)
-    # before any state is built, so that an N_Q the law rejects fails at once
+    # before any state is built, so that an N_Q the law or the estimator rejects fails at once
     theory = [discrimination.p_error_single_magic(phi, nq) if kind == "single"
               else discrimination.p_error_random(nq) for nq in nq_values]
+    if max(nq_values) > estimation.EXHAUSTIVE_CAP:
+        raise ValueError(f"N_Q must be at most {estimation.EXHAUSTIVE_CAP}, "
+                         f"got {max(nq_values)}")
     na = 1 if kind == "single" else n_magic  # a single-kind state has one magic input
     fixed = (kind, n_qubits, n_magic, phi, depth, tuple(nq_values))
     misses = np.array(_run_reps(_pe_grid_rep, fixed, seed, repetitions, threads))

@@ -35,13 +35,22 @@ the layers; the gate-by-gate tableaux take their offset from it.
 `tableau_is_valid` checks the tableau invariants by the same elimination.
 `distinct_tuples_all_rows` re-checks every row in each rejection round, the
 reference for `estimation._distinct_tuples`, which re-checks only the rows
-it redraws.  `learn_threshold_loop` scores each candidate threshold in a
-Python loop, the reference for the one sorted pass of
+it redraws.  `all_quadruples_brute` enumerates every ordered quadruple of
+up to 8 outcomes (`quadruple_mean` scores a list of them), the reference
+for the Gram-matrix statistics of `estimation.estimate_bell_magic`'s
+"distinct" and "all" modes.  `resampled_curve_rep` scores a discrimination
+curve repetition the way the curve did before those statistics existed,
+with `LARGE_RESAMPLE_FACTOR` resampled quadruples per outcome (distinct
+indices for 'single', with replacement for 'many'): the oracle for
+`experiments._pe_grid_rep`.  `learn_threshold_loop` scores each candidate
+threshold in a Python loop, the reference for the one sorted pass of
 `discrimination.learn_threshold`.
 `from_letters` parses readable Pauli literals such as "XZY" for the tests.
 """
 import numpy as np
 
+from bellmagic import experiments
+from bellmagic.discrimination import single_magic_family
 from bellmagic.magic import MagicValue, additive_magic, bell_magic_exact, q_distribution
 from bellmagic.pauli import (
     PAULI_LETTERS,
@@ -49,6 +58,7 @@ from bellmagic.pauli import (
     pack_ints,
     pack_zx,
     swap_pair_words,
+    symplectic_rows,
     unpack_int,
     unpack_zx,
     zx_axis_order,
@@ -440,6 +450,45 @@ def distinct_tuples_all_rows(m: int, n_trials: int, width: int,
         if not bad.any():
             return idx
         idx[bad] = rng.integers(0, m, size=(int(bad.sum()), width))
+
+
+def quadruple_mean(words: np.ndarray, quad: np.ndarray) -> float:
+    """Mean of 2<s_a ^ s_b, s_c ^ s_d> over the rows (a, b, c, d) of quad."""
+    left = words[quad[:, 0]] ^ words[quad[:, 1]]
+    right = words[quad[:, 2]] ^ words[quad[:, 3]]
+    return 2.0 * float(symplectic_rows(left, right).mean())
+
+
+def all_quadruples_brute(words: np.ndarray, distinct: bool) -> float:
+    """quadruple_mean over every ordered quadruple of rows, of distinct ones if asked."""
+    quad = np.indices((len(words),) * 4).reshape(4, -1).T
+    if distinct:
+        srt = np.sort(quad, axis=1)
+        quad = quad[(srt[:, 1:] != srt[:, :-1]).all(axis=1)]
+    return quadruple_mean(words, quad)
+
+
+LARGE_RESAMPLE_FACTOR = 50  # resampled quadruples per outcome, to inspect "essentially all"
+
+
+def resampled_curve_rep(args) -> list[int]:
+    """experiments._pe_grid_rep with each N_Q prefix scored by 50 N_Q resampled quadruples."""
+    (kind, n, na, phi, depth, nq_values, seed, _) = args
+    rng = np.random.default_rng(seed)
+    if kind == "single":
+        state = single_magic_family(n, phi, depth)(rng)
+    else:
+        state = experiments.build_family_state("magic-input", n, depth, 0, na, phi, rng)
+    _, samples = experiments._bell_samples(state, 0.0, max(nq_values), rng)
+    misses = []
+    for nq in nq_values:
+        n_r = LARGE_RESAMPLE_FACTOR * nq
+        if kind == "many" or nq <= 3:
+            quad = rng.integers(0, nq, size=(n_r, 4))
+        else:
+            quad = distinct_tuples_all_rows(nq, n_r, 4, rng)
+        misses.append(int(quadruple_mean(samples.words[:nq], quad) <= 0.0))
+    return misses
 
 
 def learn_threshold_loop(train) -> float:

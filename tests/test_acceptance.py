@@ -156,7 +156,7 @@ def test_criterion_4_estimator_statistics():
     rng = np.random.default_rng(40)
     dist = bell_distribution(states.t_state())
     vals = [
-        est.estimate_bell_magic(sim.sample(dist, 400, rng), rng=rng, disjoint=True)[0]
+        est.estimate_bell_magic(sim.sample(dist, 400, rng), rng=rng, quadruples="disjoint")[0]
         for _ in range(1000)
     ]
     predicted = est.std_bernoulli(0.5, 400)

@@ -89,14 +89,15 @@ def test_oracles_are_not_in_the_library():
     assert {"bell_magic_brute", "_gf2_eliminate", "conjugation_offset_gf2",
             "apply_tableau_circuit", "apply_tableau_gate", "exact_gradient_batched",
             "_cross_bell_dots", "_BLOCK_ENTRIES", "bell_transform_rows",
-            "fwht_unblocked"} <= defined
+            "fwht_unblocked", "all_quadruples_brute", "resampled_curve_rep",
+            "LARGE_RESAMPLE_FACTOR"} <= defined
     modules = [bellmagic, *_submodules().values()]
     leaked = sorted(f"{mod.__name__}.{name}" for mod in modules for name in defined
                     if hasattr(mod, name))
     assert not leaked, f"oracles importable from the library: {leaked}"
 
 
-SETTABLE_VALUES_CEILING = 309  # raising it needs a CHANGES.md line saying why
+SETTABLE_VALUES_CEILING = 308  # raising it needs a CHANGES.md line saying why
 
 
 def _settable_values() -> int:

@@ -371,7 +371,37 @@ def test_magic_p_hat_just_below_one(tmp_path, monkeypatch):
     (row,) = read_csv(out)
     assert 1.0 - 8.6e-5 < float(row["p_hat"]) < 1.0
     assert row["b_mtg_exact"] == row["b_mtg_approx"] == ""
-    assert json.loads((tmp_path / "magic.csv.summary.json").read_text())["b_mtg_mean"] is None
+    summary = json.loads((tmp_path / "magic.csv.summary.json").read_text())
+    assert summary["b_mtg_mean"] is summary["b_mtg_median"] is None
+    assert summary["b_mtg_out_of_range"] == 0
+
+
+def test_magic_summary_with_a_swamping_repetition(tmp_path, monkeypatch):
+    # the second of four repetitions gets p_hat = 0.999, where the unclamped
+    # mitigated value is astronomically large (mitigate(0.5, 0.999, 0.1, 3).exact
+    # is about -3e23): b_mtg_mean stays the mean of the unclamped values, and the
+    # median and the out-of-range count show that one repetition swamps it
+    assert estimation.mitigate(0.5, 0.999, 0.1, 3).exact < -1e23
+    real, reps = estimation.estimate_purity, iter(range(4))
+
+    def purity(outcomes):  # one call per repetition
+        if next(reps) == 1:
+            return estimation.noisy_purity(0.999, outcomes.n_qubits)
+        return real(outcomes)
+
+    monkeypatch.setattr(estimation, "estimate_purity", purity)
+    out = tmp_path / "magic.csv"
+    assert run(["magic", "--family", "t-product", "--n", "3", "--nq", "200", "--p", "0.05",
+                "--reps", "4", "--seed", "3", "--threads", "1", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    b = np.array([float(r["b_mtg_exact"]) for r in rows])
+    summary = json.loads((tmp_path / "magic.csv.summary.json").read_text())
+    assert float(rows[1]["p_hat"]) == pytest.approx(0.999)
+    assert b[1] < -1e10 and all(0.0 <= v <= 2.0 for v in np.delete(b, 1))
+    assert summary["b_mtg_mean"] == float(b.mean())
+    assert summary["b_mtg_median"] == float(np.median(b))
+    assert 0.0 <= summary["b_mtg_median"] <= 2.0
+    assert summary["b_mtg_out_of_range"] == 1
 
 
 def _sweep(tmp_path, args):
@@ -479,11 +509,30 @@ def test_too_few_outcomes_exit_2(argv):
         assert run(argv + ["--threads", "1"]) == 2
 
 
+def test_curve_nq_above_the_exhaustive_cap_exit_2(monkeypatch, capsys):
+    # a curve scores every quadruple of its outcomes, which the estimator does for
+    # at most EXHAUSTIVE_CAP of them; the grid is rejected before any state is built
+    calls = []
+    monkeypatch.setattr(experiments.simulator, "bell_distribution", calls.append)
+    cap = estimation.EXHAUSTIVE_CAP
+    for kind in ("single", "many"):
+        assert run(["discriminate", "--mode", "curve", "--kind", kind, "--n", "3", "--na", "3",
+                    "--nq-grid", f"5,{cap + 1}", "--threads", "1"]) == 2
+        assert f"at most {cap} outcomes" in capsys.readouterr().err
+    assert calls == []
+    assert str(cap) in cli._OPTIONS["nq_grid"].help
+    # the cap itself, and learn mode, which resamples, pass the checks
+    for argv in (["discriminate", "--nq-grid", f"5,{cap}"],
+                 ["discriminate", "--mode", "learn", "--nq-grid", f"{cap + 1}"]):
+        cli._check_values(cli._merge_config(cli.build_parser().parse_args(argv)))
+
+
 # small runs of every subcommand and mode: the epilog label of their CSV
 # columns, their arguments, and the statistics their summaries carry
 _RUNS = {
     "magic": ("", "magic --family clifford-t --n 2 --nt 1 --p 0.1 --nq 50 --reps 2 "
-              "--bootstrap 3", {"b_exact_mean", "b_hat_mean", "b_mtg_mean"}),
+              "--bootstrap 3", {"b_exact_mean", "b_hat_mean", "b_mtg_mean", "b_mtg_median",
+                               "b_mtg_out_of_range"}),
     "curve-single": ("curve", "discriminate --mode curve --kind single --n 2 --d 1 "
                      "--nq-grid 5,10 --reps 4", {"max_abs_dev"}),
     "curve-many": ("curve", "discriminate --mode curve --kind many --n 3 --na 2 "

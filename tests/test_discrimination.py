@@ -6,12 +6,12 @@ import pytest
 
 from bellmagic import discrimination as dis
 from bellmagic.discrimination import LabeledRun, classify, learn_threshold
-from bellmagic.estimation import estimate_bell_magic
+from bellmagic.estimation import EXHAUSTIVE_CAP, estimate_bell_magic
 from bellmagic import experiments as exp
 from bellmagic.experiments import error_probability_curve, learning_curve
 from bellmagic.simulator import bell_distribution, magic_input_circuit, sample, simulate
 
-from oracles import learn_threshold_loop
+from oracles import learn_threshold_loop, resampled_curve_rep
 
 
 def test_classify_tie_rule():
@@ -146,6 +146,28 @@ def test_curve_rejects_an_unlawful_nq_before_building_states(monkeypatch):
     with pytest.raises(ValueError, match="two outcomes"):
         error_probability_curve("many", 3, np.pi / 4, 2, [1], 5, seed=0)
     assert calls == []
+
+
+def test_curve_rejects_nq_above_the_exhaustive_cap_before_building_states(monkeypatch):
+    calls = _count_bell_distributions(monkeypatch)
+    with pytest.raises(ValueError, match="at most"):
+        error_probability_curve("single", 3, np.pi / 4, 0, [5, EXHAUSTIVE_CAP + 1], 5, seed=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind, n, na, phi, seed, reps", [
+    # acceptance criterion 5's curves, with fewer repetitions
+    ("single", 8, 0, np.pi / 20, 157, 100),
+    ("single", 8, 0, np.pi / 8, 392, 100),
+    ("single", 8, 0, np.pi / 4, 785, 100),
+    ("many", 10, 10, np.pi / 4, 55, 30),
+])
+def test_exact_curve_decisions_match_the_resampled_oracle(kind, n, na, phi, seed, reps):
+    # every repetition misses under the all-quadruple statistic exactly when
+    # 50 N_Q resampled quadruples found no anticommuting pair
+    fixed = (kind, n, na, phi, 4, (5, 10, 20, 50))
+    exact = exp._run_reps(exp._pe_grid_rep, fixed, seed, reps, 1)
+    assert exact == exp._run_reps(resampled_curve_rep, fixed, seed, reps, 1)
 
 
 def test_learning_pipeline_small(monkeypatch):

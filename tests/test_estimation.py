@@ -9,7 +9,7 @@ from bellmagic.pauli import BellSamples
 from bellmagic.simulator import NoiseModel, bell_distribution, noisy_bell_distribution, sample
 from bellmagic.stabilizer import bell_sample_stabilizer, random_clifford
 
-from oracles import distinct_tuples_all_rows
+from oracles import all_quadruples_brute, distinct_tuples_all_rows
 
 
 def t_samples(n_samples, seed):
@@ -44,7 +44,7 @@ def test_estimator_with_replacement_below_four():
         b, _ = est.estimate_bell_magic(s, 500, rng)
         assert 0.0 <= b <= 2.0
     with pytest.raises(ValueError):
-        est.estimate_bell_magic(sample(dist, 3, rng), rng=rng, disjoint=True)
+        est.estimate_bell_magic(sample(dist, 3, rng), rng=rng, quadruples="disjoint")
 
 
 @pytest.mark.parametrize("width", [3, 4])
@@ -80,12 +80,79 @@ def test_stabilizer_outcomes_estimate_zero():
         assert b == 0.0 and ba == 0.0
 
 
+def _haar_and_stabilizer_outcomes(n, m, rng):
+    haar = sample(bell_distribution(magic.sample_haar_state(n, rng)), m, rng)
+    stab = bell_sample_stabilizer(random_clifford(n, 3, rng)[0], m, rng)
+    return haar, stab
+
+
+@pytest.mark.parametrize("block_words", [est._GRAM_BLOCK_WORDS, 1])
+def test_exhaustive_statistics_match_enumeration(block_words, monkeypatch):
+    # B_U over ordered distinct quadruples, B_V over quadruples with replacement;
+    # with one word per block the sign Gram matrix is built one row at a time
+    monkeypatch.setattr(est, "_GRAM_BLOCK_WORDS", block_words)
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            for samples in _haar_and_stabilizer_outcomes(n, 8, rng):
+                for m in range(1, 9):
+                    sub = BellSamples(n, samples.words[:m])
+                    b_v, b_a = est.estimate_bell_magic(sub, quadruples="all")
+                    assert abs(b_v - all_quadruples_brute(sub.words, False)) < 1e-15
+                    assert b_a == magic.additive_magic(b_v)
+                    if m >= 4:
+                        b_u, _ = est.estimate_bell_magic(sub, quadruples="distinct")
+                        assert abs(b_u - all_quadruples_brute(sub.words, True)) < 1e-15
+
+
+def test_exhaustive_statistics_zero_on_stabilizer_outcomes():
+    # every partial sum is an integer, so a commuting outcome set gives exactly 0
+    rng = np.random.default_rng(31)
+    tab, _ = random_clifford(200, 3, rng)
+    s = bell_sample_stabilizer(tab, 300, rng)
+    for quadruples in ("distinct", "all"):
+        assert est.estimate_bell_magic(s, quadruples=quadruples) == (0.0, 0.0)
+
+
+def test_resample_mean_is_the_u_statistic():
+    # given the outcomes, a resampled quadruple is uniform over the distinct ones
+    rng = np.random.default_rng(32)
+    s = sample(bell_distribution(magic.sample_haar_state(3, rng)), 12, rng)
+    b_u, _ = est.estimate_bell_magic(s, quadruples="distinct")
+    draws = [est.estimate_bell_magic(s, 100, rng)[0] for _ in range(2000)]
+    assert abs(np.mean(draws) - b_u) < 5 * np.std(draws) / np.sqrt(len(draws))
+
+
+def test_distinct_below_four_is_the_with_replacement_statistic():
+    rng = np.random.default_rng(33)
+    s = sample(bell_distribution(states.t_state()), 3, rng)
+    for m in (1, 2, 3):
+        sub = BellSamples(1, s.words[:m])
+        assert (est.estimate_bell_magic(sub, quadruples="distinct")
+                == est.estimate_bell_magic(sub, quadruples="all"))
+
+
+def test_exhaustive_modes_draw_nothing_and_have_a_cap():
+    rng = np.random.default_rng(34)
+    s = sample(bell_distribution(states.t_state()), 20, rng)
+    before = rng.bit_generator.state
+    for quadruples in ("distinct", "all"):
+        est.estimate_bell_magic(s, 5, rng, quadruples=quadruples)
+    assert rng.bit_generator.state == before
+    over = BellSamples(1, np.zeros((est.EXHAUSTIVE_CAP + 1, 1), dtype=np.uint64))
+    for quadruples in ("distinct", "all"):
+        with pytest.raises(ValueError, match="at most"):
+            est.estimate_bell_magic(over, quadruples=quadruples)
+    with pytest.raises(ValueError, match="quadruples must be one of"):
+        est.estimate_bell_magic(s, quadruples="every")
+
+
 def test_disjoint_std_matches_bernoulli_formula():
     rng = np.random.default_rng(4)
     dist = bell_distribution(states.t_state())
     nq = 400
     vals = [
-        est.estimate_bell_magic(sample(dist, nq, rng), rng=rng, disjoint=True)[0]
+        est.estimate_bell_magic(sample(dist, nq, rng), rng=rng, quadruples="disjoint")[0]
         for _ in range(400)
     ]
     predicted = est.std_bernoulli(0.5, nq)
@@ -423,5 +490,5 @@ def test_resample_count_below_one_rejected(n_resamples):
     with pytest.raises(ValueError, match="n_resamples"):
         variational.estimate_gradient(s, s, s, n_resamples, rng)
     # the disjoint mode draws no resampling trials, so the count is not read
-    b_hat, _ = est.estimate_bell_magic(s, n_resamples, rng, disjoint=True)
+    b_hat, _ = est.estimate_bell_magic(s, n_resamples, rng, quadruples="disjoint")
     assert 0.0 <= b_hat <= 2.0
