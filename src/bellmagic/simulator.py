@@ -33,10 +33,11 @@ first at N = 8 to 11 and within 20% of the best at N = 12.  Every x gets
 the same sums in the same order as in one whole-array pass, so the output
 is bit-identical for any block size.
 
-The gate loop `_simulate_rows` carries a leading row axis, so one pass
-runs one circuit under R parameter rows on an (R, 2^N) array; `simulate`
-is its R = 1 case, and sampled training runs all 2K shift-rule circuits
-through it at once.
+`_simulate_rows` is the one forward gate walk, one 2x2 matrix or CNOT
+gather per gate on a stack of rows; `simulate` is its one-row case.  As
+Ry(pi/2), Rz(pi/2) = (1 - i sigma)/sqrt(2), the circuit shifted by +-pi/2
+at parameter k outputs (psi -+ i phi_k)/sqrt(2) (Schuld et al.,
+arXiv:1811.11184), so the walk can also carry the directions phi_k.
 
 The exact gradient `variational._exact_gradient` takes two adjoint kernels.
 `_bell_form` applies the Hermitian form M = sum_r h(r) |u_r><u_r| of a
@@ -183,16 +184,9 @@ class CircuitSpec:
 
 
 def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Apply a one-qubit gate to every row of (R, 2^N) amplitudes.
-
-    `u` is a (1, 2, 2) matrix shared by all rows, or an (R, 2, 2) stack
-    with one matrix per row.
-    """
-    if len(u) == 1:
-        t = amps.reshape(len(amps) * 2 ** (q - 1), 2, 2 ** (n - q))
-        return np.einsum("ab,ibj->iaj", u[0], t).reshape(amps.shape)
-    t = amps.reshape(len(amps), 2 ** (q - 1), 2, 2 ** (n - q))
-    return np.matmul(u[:, None], t).reshape(amps.shape)
+    """Apply the 2x2 matrix `u` on qubit q to every row of (R, 2^N) amplitudes."""
+    t = amps.reshape(len(amps) * 2 ** (q - 1), 2, 2 ** (n - q))
+    return np.einsum("ab,ibj->iaj", u, t).reshape(amps.shape)
 
 
 @cache
@@ -205,35 +199,35 @@ def _cnot_permutation(c: int, t: int, n: int) -> np.ndarray:
 
 
 def _simulate_rows(
-    circuit: CircuitSpec, thetas: np.ndarray, initial: StateVector | None = None
+    circuit: CircuitSpec, initial: StateVector | None = None, directions: bool = False
 ) -> np.ndarray:
-    """Run the circuit once per row of the (R, K) parameter matrix `thetas`.
+    """Normalized output psi of the circuit on |0...0> (or `initial`), as a (1, 2^N) array.
 
-    Returns the normalized (R, 2^N) amplitudes of the R output states, all
-    started from |0...0> (or `initial`).  A fixed gate applies one 2x2
-    matrix to all rows, a rotation one matrix per row (the same shared
-    path when R = 1).  Raises FloatingPointError if any row's norm drifts.
+    With `directions`, rows 1..K follow: phi_k = U_{>k} sigma_k psi_k for
+    rotation k = exp(-i t sigma_k / 2), psi_k the state just after it and
+    U_{>k} the gates after it.  Raises FloatingPointError if any row's
+    norm drifts.
     """
     n = circuit.n_qubits
     if initial is None:
         initial = zero_state(n)
     if initial.n_qubits != n:
         raise ValueError("initial state size does not match circuit")
-    if thetas.ndim != 2 or thetas.shape[1] != circuit.n_params:
-        raise ValueError(f"expected (R, {circuit.n_params}) parameters, got {thetas.shape}")
-    mats = {name: gate(thetas) for name, gate in _PARAM_GATES.items()}  # (R, K, 2, 2) each
-    amps = np.repeat(initial.amplitudes[None], len(thetas), axis=0)
+    mats = {name: gate(circuit.params) for name, gate in _PARAM_GATES.items()}  # (K, 2, 2) each
+    amps = initial.amplitudes[None]
     k = 0  # parameter of the next rotation
     for g in circuit.gates:
         if g.name == "cnot":
             amps = np.take(amps, _cnot_permutation(g.qubits[0], g.qubits[1], n), axis=1)
             continue
+        q = g.qubits[0]
         if g.name in _FIXED_GATES:
-            u = _FIXED_GATES[g.name][None]
-        else:
-            u = mats[g.name][:, k]
+            amps = _apply_1q(amps, _FIXED_GATES[g.name], q, n)
+        else:  # rotation k; with `directions`, row k + 1 starts as sigma_k psi_k
+            amps = _apply_1q(amps, mats[g.name][k], q, n)
+            if directions:
+                amps = np.concatenate([amps, _apply_1q(amps[:1], _GENERATORS[g.name], q, n)])
             k += 1
-        amps = _apply_1q(amps, u, g.qubits[0], n)
     norm2 = np.array([np.vdot(row, row).real for row in amps])
     drifted = ~(np.abs(norm2 - 1.0) <= 1e-6)  # `~(<=)` so that NaN counts as drifted
     if drifted.any():
@@ -243,8 +237,7 @@ def _simulate_rows(
 
 def simulate(circuit: CircuitSpec, initial: StateVector | None = None) -> StateVector:
     """Apply the circuit's gates in order to |0...0> (or `initial`)."""
-    amps = _simulate_rows(circuit, circuit.params[None], initial)
-    return StateVector(circuit.n_qubits, amps[0])
+    return StateVector(circuit.n_qubits, _simulate_rows(circuit, initial)[0])
 
 
 def _generator_overlaps(circuit: CircuitSpec, psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -271,7 +264,7 @@ def _generator_overlaps(circuit: CircuitSpec, psi: np.ndarray, lam: np.ndarray) 
             t = pair.reshape(2, 2 ** (q - 1), 2, 2 ** (n - q))
             out[k] = np.einsum("ajb,jk,akb->", t[1].conj(), _GENERATORS[g.name], t[0])
             u = inverses[g.name][k]
-        pair = _apply_1q(pair, u[None], q, n)
+        pair = _apply_1q(pair, u, q, n)
     return out
 
 

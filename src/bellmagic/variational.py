@@ -27,10 +27,10 @@ copies, d_k B = 4 Re <lambda| d_k psi> with lambda = M psi.  One Bell
 transform applies M, and one reverse pass over the gates reads every
 <lambda| d_k psi>: O(G 2^N + N 4^N) work for G gates, in O(4^N) memory.
 Exact training and the trainability experiment both call it.  Sampled
-training keeps the physical protocol: it simulates the 2K shifted circuits
-as one (2K, 2^N) batch and samples each row's cross distribution in turn.
-The per-parameter shift rule, the batched shift-rule gradient and the
-finite difference they are checked against live in `tests/oracles.py`.
+training keeps the physical protocol, sampling each shifted state's cross
+distribution in turn; one forward walk gives the 2K shifted states as
+(psi -+ i phi_k)/sqrt(2).  The per-parameter shift rule, the batched
+shift-rule gradient and the finite difference live in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from .simulator import (
     Gate,
     StateVector,
     _bell_form,
+    _check_depth,
     _generator_overlaps,
     _simulate_rows,
     bell_distribution,
@@ -168,15 +169,6 @@ def near_stabilizer_params(n_params: int, rng: np.random.Generator) -> np.ndarra
     )
 
 
-def _shifted_rows(theta: np.ndarray, shift: float) -> np.ndarray:
-    """(2K, K) parameter rows theta + shift e_k, theta - shift e_k, interleaved in k order."""
-    k = np.arange(len(theta))
-    rows = np.repeat(theta[None], 2 * len(theta), axis=0)
-    rows[2 * k, k] += shift
-    rows[2 * k + 1, k] -= shift
-    return rows
-
-
 def optimize(
     circuit: CircuitSpec,
     epochs: int,
@@ -189,16 +181,19 @@ def optimize(
 
     Each epoch simulates the base circuit and takes its Bell distribution
     P.  n_samples = None uses exact per-epoch magic and `_exact_gradient`.
-    Otherwise the epoch runs all 2K shifted circuits (theta +- pi/2 e_k)
-    through one gate loop over a (2K, 2^N) array and spends n_samples per
-    measurement setting (2K + 3 settings), drawn in the order base, then
-    plus_k and minus_k for each k from that row's
-    `cross_bell_distribution`, and the history records the sampled
-    estimate.  A step that leaves a parameter non-finite (a learning rate
-    grown past the float range) raises FloatingPointError.
+    Otherwise the states shifted by +-pi/2 at parameter k are
+    (psi -+ i phi_k)/sqrt(2) from one walk, and the epoch spends n_samples
+    per setting (2K + 3), drawn in the order base, then plus_k and minus_k
+    for each k from their `cross_bell_distribution`s; the history records
+    the sampled estimate.  A step that leaves a parameter non-finite (a
+    learning rate grown past the float range) raises FloatingPointError.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
+    if lr_decay < 0:
+        raise ValueError(f"learning-rate decay must be non-negative, got {lr_decay}")
     rng = np.random.default_rng(rng)
     k_params = circuit.n_params
     state = TrainState(theta=circuit.params.copy(), m=np.zeros(k_params), v=np.zeros(k_params))
@@ -214,11 +209,11 @@ def optimize(
             base = sample(p, 3 * n_samples, rng)
             b_hat, _ = estimate_bell_magic(base, rng=rng)
             state.history.append(b_hat)
-            shifted = _simulate_rows(circ, _shifted_rows(state.theta, np.pi / 2))
+            psi = base_state.amplitudes
             grad = np.empty(k_params)
-            for k in range(k_params):  # rows plus_0, minus_0, plus_1, ...
-                plus = StateVector(circ.n_qubits, shifted[2 * k])
-                minus = StateVector(circ.n_qubits, shifted[2 * k + 1])
+            for k, phi in enumerate(_simulate_rows(circ, directions=True)[1:]):
+                plus = StateVector(circ.n_qubits, (psi - 1j * phi) / np.sqrt(2))
+                minus = StateVector(circ.n_qubits, (psi + 1j * phi) / np.sqrt(2))
                 plus_outcomes = sample(cross_bell_distribution(plus, base_state), n_samples, rng)
                 minus_outcomes = sample(cross_bell_distribution(minus, base_state), n_samples, rng)
                 grad[k] = estimate_gradient(base, plus_outcomes, minus_outcomes, rng=rng)
@@ -246,6 +241,7 @@ def maximize_magic(
     lr_decay: float = 1.0,
 ) -> TrainState:
     """Near-stabilizer-initialized run of the layered ansatz."""
+    _check_depth(depth)
     rng = np.random.default_rng(rng)
     theta0 = near_stabilizer_params(2 * n_qubits * depth, rng)
     circuit = hardware_efficient_ansatz(n_qubits, depth, theta0)
@@ -271,8 +267,10 @@ def trainability_experiment(
 
     Returns (variance, standard error of the variance estimate); the
     Clifford-dressed single-rotation ansatz has variance 1/2 independent of
-    the qubit count.
+    the qubit count.  Needs at least two draws.
     """
+    if n_draws < 2:
+        raise ValueError(f"need at least two draws, got {n_draws}")
     grads = np.empty(n_draws)
     for i in range(n_draws):
         theta = rng.uniform(0, 2 * np.pi)

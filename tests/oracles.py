@@ -9,11 +9,15 @@ pure-state path is checked against it.  `grad_p_shift` applies the paper's
 two-copy shift rule one parameter at a time, with three `simulate` calls
 and two Bell transforms per parameter, and `grad_bell_magic_exact` reduces
 it against the gradient kernel.  `exact_gradient_batched` runs the same
-rule for all K parameters at once: the 2K shifted circuits through one
-batched gate loop, and their cross distributions against the kernel in
-blocks of `_BLOCK_ENTRIES` (`_cross_bell_dots`).  Together with the
-central finite difference `gradient_finite_difference` they are the
-oracles for the adjoint sweep of `variational._exact_gradient`.
+rule for all K parameters at once: the 2K shifted circuits, whose
+parameter rows `shifted_rows` builds, through `simulate_rows_per_row`, a
+batched gate loop that applies one rotation matrix per row, and their
+cross distributions against the kernel in blocks of `_BLOCK_ENTRIES`
+(`_cross_bell_dots`).  Together with the central finite difference
+`gradient_finite_difference` they are the oracles for the adjoint sweep
+of `variational._exact_gradient`.  `simulate_rows_per_row` is also the
+reference for the shifted states (psi -+ i phi_k)/sqrt(2) that
+`simulator._simulate_rows` builds from one forward walk.
 `bell_transform_rows` is the unblocked Bell transform of R rows against
 one shared state, the whole (2^N, 2^N, R) gather in one array, and
 `fwht_unblocked` the whole-length `_wht` call: the references that
@@ -69,14 +73,16 @@ from bellmagic.simulator import (
     CircuitSpec,
     Gate,
     StateVector,
-    _simulate_rows,
+    _FIXED_GATES,
+    _PARAM_GATES,
+    _cnot_permutation,
     _wht,
     bell_distribution,
     cross_bell_distribution,
     simulate,
 )
 from bellmagic.stabilizer import StabilizerTableau
-from bellmagic.variational import _gradient_kernel, _shifted_rows
+from bellmagic.variational import _gradient_kernel
 
 
 def from_letters(letters: str) -> PauliString:
@@ -414,18 +420,62 @@ def _cross_bell_dots(rows: np.ndarray, b: StateVector, h: np.ndarray) -> np.ndar
     return dots
 
 
+def shifted_rows(theta: np.ndarray, shift: float) -> np.ndarray:
+    """(2K, K) parameter rows theta + shift e_k, theta - shift e_k, interleaved in k order."""
+    k = np.arange(len(theta))
+    rows = np.repeat(theta[None], 2 * len(theta), axis=0)
+    rows[2 * k, k] += shift
+    rows[2 * k + 1, k] -= shift
+    return rows
+
+
+def simulate_rows_per_row(
+    circuit: CircuitSpec, thetas: np.ndarray, initial: StateVector | None = None
+) -> np.ndarray:
+    """Run the circuit once per row of the (R, K) parameter matrix `thetas`.
+
+    Returns the normalized (R, 2^N) amplitudes of the R output states, all
+    started from |0...0> (or `initial`).  A fixed gate applies one 2x2
+    matrix to all rows, a rotation one matrix per row from an (R, K, 2, 2)
+    stack, so no two rows share a rotation path.
+    """
+    n = circuit.n_qubits
+    if thetas.ndim != 2 or thetas.shape[1] != circuit.n_params:
+        raise ValueError(f"expected (R, {circuit.n_params}) parameters, got {thetas.shape}")
+    mats = {name: gate(thetas) for name, gate in _PARAM_GATES.items()}  # (R, K, 2, 2) each
+    start = np.zeros(2**n, dtype=complex) if initial is None else initial.amplitudes
+    if initial is None:
+        start[0] = 1.0
+    amps = np.repeat(start[None], len(thetas), axis=0)
+    k = 0  # parameter of the next rotation
+    for g in circuit.gates:
+        if g.name == "cnot":
+            amps = np.take(amps, _cnot_permutation(g.qubits[0], g.qubits[1], n), axis=1)
+            continue
+        q = g.qubits[0]
+        if g.name in _FIXED_GATES:
+            t = amps.reshape(len(amps) * 2 ** (q - 1), 2, 2 ** (n - q))
+            amps = np.einsum("ab,ibj->iaj", _FIXED_GATES[g.name], t).reshape(amps.shape)
+            continue
+        t = amps.reshape(len(amps), 2 ** (q - 1), 2, 2 ** (n - q))
+        amps = np.matmul(mats[g.name][:, k, None], t).reshape(amps.shape)
+        k += 1
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
 def exact_gradient_batched(
     circuit: CircuitSpec, base_state: StateVector, p: BellDistribution
 ) -> np.ndarray:
     """All K components of the exact Bell-magic gradient by the batched two-copy shift rule.
 
-    The 2K circuits shifted by +-pi/2 run through one gate loop over a
-    (2K, 2^N) array; one gather + Walsh-Hadamard pass over those rows
-    against the base state, in blocks of `_BLOCK_ENTRIES`, reduces each
-    block of cross distributions against the kernel h at once,
-    d_k B = (P_+k - P_-k) . h: O(G K 2^N + K N 4^N) work for G gates.
+    The 2K circuits shifted by +-pi/2 run through `simulate_rows_per_row`,
+    one gate loop over a (2K, 2^N) array with a rotation matrix per row;
+    one gather + Walsh-Hadamard pass over those rows against the base
+    state, in blocks of `_BLOCK_ENTRIES`, reduces each block of cross
+    distributions against the kernel h at once, d_k B = (P_+k - P_-k) . h:
+    O(G K 2^N + K N 4^N) work for G gates.
     """
-    shifted = _simulate_rows(circuit, _shifted_rows(circuit.params, np.pi / 2))
+    shifted = simulate_rows_per_row(circuit, shifted_rows(circuit.params, np.pi / 2))
     dots = _cross_bell_dots(shifted, base_state, _gradient_kernel(p))
     return dots[0::2] - dots[1::2]
 

@@ -88,7 +88,8 @@ def test_oracles_are_not_in_the_library():
                 for t in node.targets if isinstance(t, ast.Name)}
     assert {"bell_magic_brute", "_gf2_eliminate", "conjugation_offset_gf2",
             "apply_tableau_circuit", "apply_tableau_gate", "exact_gradient_batched",
-            "_cross_bell_dots", "_BLOCK_ENTRIES", "bell_transform_rows",
+            "_cross_bell_dots", "_BLOCK_ENTRIES", "simulate_rows_per_row", "shifted_rows",
+            "bell_transform_rows",
             "fwht_unblocked", "all_quadruples_brute", "resampled_curve_rep",
             "LARGE_RESAMPLE_FACTOR"} <= defined
     modules = [bellmagic, *_submodules().values()]

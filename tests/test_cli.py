@@ -2,9 +2,12 @@
 import csv
 import json
 import math
+import os
 import platform
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -56,6 +59,27 @@ def test_determinism_across_threads(tmp_path):
         assert run(base + ["--threads", "1", "--out", str(a)]) == 0, base
         assert run(base + ["--threads", "3", "--out", str(b)]) == 0, base
         assert a.read_bytes() == b.read_bytes(), base
+
+
+@pytest.mark.parametrize("argv", [
+    ["magic", "--family", "haar", "--n", "11", "--nq", "200"],
+    ["train", "--n", "6", "--d", "2", "--nq", "0", "--epochs", "3"],
+    ["train", "--n", "4", "--d", "2", "--nq", "50", "--epochs", "2"],
+], ids=["magic-haar-11", "train-exact", "train-sampled"])
+def test_csv_bytes_do_not_depend_on_blas_threads(argv, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"blas{threads}.csv"
+        proc = subprocess.run([sys.executable, "-m", "bellmagic.cli", *argv, "--seed", "5",
+                               "--threads", "1", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_process_pool_capped_at_the_repetitions(tmp_path, monkeypatch):

@@ -28,6 +28,8 @@ from oracles import (
     magic_input_circuit_gatewise,
     mixed_bell_distribution,
     pauli_expectation,
+    shifted_rows,
+    simulate_rows_per_row,
 )
 
 CHI2_5SIGMA = stats.norm.sf(5.0)  # one-sided 5-sigma tail probability
@@ -209,6 +211,34 @@ def every_gate_circuit(n, rng):
     return CircuitSpec(n, gates, params)
 
 
+def last_qubit_circuit(n, rng):
+    """Ry and Rz rotations all on qubit N between H, S, T and CNOTs over every qubit."""
+    gates = [Gate("h", (q,)) for q in range(1, n + 1)]
+    for _ in range(3):
+        gates += [Gate("ry", (n,)), Gate("t", (1,)), Gate("rz", (n,)), Gate("s", (n,))]
+        gates += [Gate("cnot", (q, q + 1)) for q in range(1, n)]
+    return CircuitSpec(n, gates, rng.uniform(0, 2 * np.pi, size=6))
+
+
+def check_shift_directions(circ, initial):
+    """(psi -+ i phi_k)/sqrt(2) from one walk against the oracle rows and per-circuit runs."""
+    n, k_params = circ.n_qubits, circ.n_params
+    rows = sim._simulate_rows(circ, initial, directions=True)
+    assert rows.shape == (k_params + 1, 2**n)
+    psi, phis = rows[0], rows[1:]
+    assert np.array_equal(psi, simulate(circ, initial).amplitudes)
+    shifted = np.empty((2 * k_params, 2**n), dtype=complex)
+    shifted[0::2] = (psi - 1j * phis) / np.sqrt(2)
+    shifted[1::2] = (psi + 1j * phis) / np.sqrt(2)
+    oracle = simulate_rows_per_row(circ, shifted_rows(circ.params, np.pi / 2), initial)
+    assert oracle.shape == shifted.shape
+    assert np.max(np.abs(shifted - oracle), initial=0.0) <= 1e-12
+    per_circuit = [simulate(circ.shifted(k, sign * np.pi / 2), initial).amplitudes
+                   for k in range(k_params) for sign in (1, -1)]
+    assert np.max(np.abs(shifted - np.reshape(per_circuit, shifted.shape)), initial=0.0) <= 1e-12
+    return shifted
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_batched_rows_match_per_circuit(n):
     # 2K = 4N shifted rows: at N = 6 they fill two blocks of the oracle's _cross_bell_dots
@@ -218,13 +248,10 @@ def test_batched_rows_match_per_circuit(n):
     for initial in (None, magic.sample_haar_state(n, rng)):
         base = simulate(circ, initial)
         assert np.max(np.abs(base.amplitudes - per_state_gate_loop(circ, initial))) <= 1e-12
-        shifted = [circ.shifted(k, sign * np.pi / 2) for k in range(k_params) for sign in (1, -1)]
-        rows = sim._simulate_rows(circ, np.array([c.params for c in shifted]), initial)
-        assert rows.shape == (2 * k_params, 2**n)
-        per_circuit = [simulate(c, initial) for c in shifted]
-        for row, state in zip(rows, per_circuit):
-            assert np.max(np.abs(row - state.amplitudes)) <= 1e-12
-        dists = [cross_bell_distribution(state, base).probabilities for state in per_circuit]
+        rows = check_shift_directions(circ, initial)
+        check_shift_directions(last_qubit_circuit(n, rng), initial)
+        check_shift_directions(CircuitSpec(n, [Gate("h", (1,)), Gate("t", (n,))]), initial)
+        dists = [cross_bell_distribution(StateVector(n, row), base).probabilities for row in rows]
         h = rng.normal(size=4**n)
         dots = _cross_bell_dots(rows, base, h)
         assert np.max(np.abs(dots - np.array(dists) @ h)) <= 1e-12

@@ -260,6 +260,21 @@ def test_optimize_parameter_free_circuit(n_samples):
         assert state.history == [b, b, b]
 
 
+@pytest.mark.parametrize("kwargs, match", [({"epochs": -3}, "epochs"),
+                                           ({"epochs": 2, "lr_decay": -0.5}, "decay")])
+def test_optimize_rejects_negative_epochs_and_decay(kwargs, match):
+    circ = random_circuit(1, 1, np.random.default_rng(15))
+    with pytest.raises(ValueError, match=match):
+        var.optimize(circ, **kwargs)
+    state = var.optimize(circ, epochs=0, lr_decay=0.0)
+    assert state.epoch == 0 and state.history == []
+
+
+def test_maximize_magic_rejects_negative_depth():
+    with pytest.raises(ValueError, match="depth must be non-negative"):
+        var.maximize_magic(2, depth=-1, epochs=1)
+
+
 def test_optimize_sampled_mode_runs():
     rng = np.random.default_rng(9)
     theta0 = var.near_stabilizer_params(4, rng)
@@ -302,3 +317,9 @@ def test_trainability_variance():
     rng = np.random.default_rng(11)
     v, se = var.trainability_experiment(2, 200, rng)
     assert abs(v - 0.5) < 3 * se
+
+
+@pytest.mark.parametrize("n_draws", [0, 1])
+def test_trainability_experiment_needs_two_draws(n_draws):
+    with pytest.raises(ValueError, match="two draws"):
+        var.trainability_experiment(2, n_draws, np.random.default_rng(16))
