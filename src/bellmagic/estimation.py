@@ -35,6 +35,7 @@ QUADRUPLES = ("resample", "disjoint", "distinct", "all")
 # the exhaustive modes cost M^3 and keep every partial sum below M^4 <= 2^44 < 2^53
 EXHAUSTIVE_CAP = 2048
 _GRAM_BLOCK_WORDS = 1 << 20  # packed words per row block of the sign Gram matrix (8 MB)
+_QUAD_BLOCK_WORDS = 1 << 14  # packed words per gathered quadruple side (128 KB)
 
 
 def _resample_count(n_resamples: int | None, n_outcomes: int) -> int:
@@ -55,6 +56,24 @@ def _distinct_tuples(m: int, n_trials: int, width: int, rng: np.random.Generator
         rows = rows[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
         idx[rows] = rng.integers(0, m, size=(len(rows), width))
     return idx
+
+
+def _quadruple_mean(w: np.ndarray, quad: np.ndarray) -> float:
+    """Mean of 2<s_a ^ s_b, s_c ^ s_d> over the rows (a, b, c, d) of quad.
+
+    The quadruples go in blocks of `_QUAD_BLOCK_WORDS` gathered words a side,
+    so memory stays bounded at any count.  The anticommuting count is an
+    exact integer, so the mean is the unblocked mean to the last bit.
+    """
+    step = max(1, _QUAD_BLOCK_WORDS // w.shape[1])
+    count = 0
+    for i in range(0, len(quad), step):
+        a, b, c, d = quad[i : i + step].T
+        left, right = w[a], w[c]
+        left ^= w[b]
+        right ^= w[d]
+        count += int(symplectic_rows(left, right).sum())
+    return 2.0 * (count / len(quad))
 
 
 def _all_quadruples_mean(w: np.ndarray, distinct: bool) -> float:
@@ -118,9 +137,7 @@ def estimate_bell_magic(
     else:
         n_r = _resample_count(n_resamples, m)
         quad = rng.integers(0, m, size=(n_r, 4)) if m <= 3 else _distinct_tuples(m, n_r, 4, rng)
-    left = w[quad[:, 0]] ^ w[quad[:, 1]]
-    right = w[quad[:, 2]] ^ w[quad[:, 3]]
-    b_hat = 2.0 * float(symplectic_rows(left, right).mean())
+    b_hat = _quadruple_mean(w, quad)
     return b_hat, additive_magic(b_hat)
 
 

@@ -142,16 +142,20 @@ _ARITY = dict.fromkeys([*_PARAM_GATES, *_FIXED_GATES], 1) | {"cnot": 2}
 
 def _check_gates(gates, n_qubits: int) -> int:
     """Check gate names, arities and qubits (in range, distinct); return the number of rotations."""
+    rotations = False
     for g in {id(g): g for g in gates}.values():  # builders share frozen gates: check each once
-        arity = _ARITY.get(g.name)
+        name, qubits = g.name, g.qubits
+        arity = _ARITY.get(name)
         if arity is None:
-            raise ValueError(f"unknown gate {g.name!r}")
-        if len(g.qubits) != arity or len(set(g.qubits)) != arity:
-            raise ValueError(f"gate {g.name!r} needs {arity} distinct qubits, got {g.qubits}")
-        for q in g.qubits:
+            raise ValueError(f"unknown gate {name!r}")
+        if len(qubits) != arity or arity > 1 and len(set(qubits)) != arity:
+            raise ValueError(f"gate {name!r} needs {arity} distinct qubits, got {qubits}")
+        for q in qubits:
             if not 1 <= q <= n_qubits:
                 raise ValueError(f"qubit index {q} out of range")
-    return sum(g.name in _PARAM_GATES for g in gates)
+        rotations = rotations or name in _PARAM_GATES
+    # a list comprehension counts faster than sum() over a generator or over ids
+    return len([g for g in gates if g.name in _PARAM_GATES]) if rotations else 0
 
 
 @dataclass

@@ -12,7 +12,14 @@ The sampler packs the N generator rows once (`pauli.pack_zx`) into the
 Russians: for every group of eight generators a 256-entry table holds all
 XOR combinations of their rows, and one byte of random picks indexes it.
 M samples cost M * ceil(N/8) * W word XORs plus 32 * N * W to build the
-tables, with no (M, N) bit matrix product.
+tables, with no (M, N) bit matrix product.  The work goes in cache-sized
+pieces: the tables of 16 groups are built together, and 512 outcomes at a
+time take every group of that chunk before the next 512 do.  At N = 1500
+the chunk's tables (1.5 MB) and the 512 output rows (190 KB) both fit in a
+2 MB L2 cache, where one pass of every group over all M rows would not.
+The picks are the top bits of raw 32-bit draws, packed eight to a byte:
+the same bits, and the same generator state after, as numpy's bounded 0/1
+uint8 draws, for a fraction of their cost.
 
 `random_clifford` applies a whole layer of gates at once, in the style of
 Aaronson and Gottesman (quant-ph/0406196): the tableau is transposed and
@@ -32,26 +39,57 @@ import numpy as np
 from .pauli import BellSamples, PauliString, pack_ints, pack_zx, unpack_int
 from .simulator import CircuitSpec, Gate
 
+_TABLE_GROUPS = 16  # eight-generator groups whose tables are built and read together
+_ROW_CHUNK = 512  # outcomes XORed through one chunk of tables at a time
 
-def _xor_picked_rows(rows: np.ndarray, picks: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """offset XOR the rows each 0/1 pick vector selects, as (M, W) words.
+
+def _pick_bytes(n_samples: int, n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """`rng.integers(0, 2, (M, N), uint8)` packed to (M, ceil(N/8)) bytes, little-endian bits.
+
+    numpy draws bounded uint8 values from the bytes of 32-bit words, lowest
+    byte first, and for the range {0, 1} returns each byte's top bit.  So
+    ceil(M N / 4) raw 32-bit draws shifted right by 7 give the same picks and
+    leave the generator in the same state, without the per-byte bounded path.
+    """
+    size = n_samples * n_qubits
+    stream = rng.integers(0, 2**32, -(-size // 4), dtype=np.uint32).astype("<u4", copy=False)
+    picks = (stream.view(np.uint8)[:size] >> 7).reshape(n_samples, n_qubits)
+    return np.packbits(picks, axis=1, bitorder="little")
+
+
+def _xor_picked_rows(rows: np.ndarray, pick_bytes: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """offset XOR the rows each packed pick vector selects, as (M, W) words.
 
     Method of Four Russians: rows are taken eight at a time, a 256-entry table
-    holds every XOR combination of the group, and one packed byte of picks
-    indexes it, for M * ceil(N/8) * W word XORs in all.
+    holds every XOR combination of the group, and one byte of `pick_bytes`
+    (M, ceil(N/8), from `_pick_bytes`) indexes it, for M * ceil(N/8) * W word
+    XORs in all.  The tables of `_TABLE_GROUPS` groups are built together, by
+    8 doubling XORs for the whole chunk, and then read into `_ROW_CHUNK`
+    outcomes at a time, so an output chunk stays in cache while every group
+    of the chunk is XORed in.
     """
-    pick_bytes = np.packbits(picks, axis=1, bitorder="little")
     m, n_groups = pick_bytes.shape
     n_words = rows.shape[1]
     out = np.repeat(offset, m, axis=0)
-    table = np.zeros((256, n_words), dtype=np.uint64)
-    picked = np.empty((m, n_words), dtype=np.uint64)
-    # packbits zero-pads a short last group's picks, so its stale table entries go unread
-    for j in range(n_groups):
-        for k, row in enumerate(rows[8 * j : 8 * j + 8]):
-            np.bitwise_xor(table[: 1 << k], row, out=table[1 << k : 2 << k])
-        np.take(table, pick_bytes[:, j], axis=0, out=picked)
-        out ^= picked
+    # zero rows pad the groups to whole chunks; packbits zero-pads a short
+    # last group's picks, so the table entries they make go unread
+    groups = np.zeros((-(-n_groups // _TABLE_GROUPS) * _TABLE_GROUPS, 8, n_words), np.uint64)
+    groups.reshape(-1, n_words)[: len(rows)] = rows
+    tables = np.empty((_TABLE_GROUPS, 256, n_words), dtype=np.uint64)
+    tables[:, 0] = 0
+    picked = np.empty((_ROW_CHUNK, n_words), dtype=np.uint64)
+    for g in range(0, n_groups, _TABLE_GROUPS):
+        for k in range(8):
+            np.bitwise_xor(tables[:, : 1 << k], groups[g : g + _TABLE_GROUPS, k, None],
+                           out=tables[:, 1 << k : 2 << k])
+        index = pick_bytes[:, g : g + _TABLE_GROUPS].T.astype(np.intp)
+        for r in range(0, m, _ROW_CHUNK):
+            chunk, buf = out[r : r + _ROW_CHUNK], picked[: min(_ROW_CHUNK, m - r)]
+            # a short last chunk of groups has fewer index rows than tables
+            for table, idx in zip(tables, index[:, r : r + _ROW_CHUNK]):
+                # a byte never leaves the table; "clip" skips "raise"'s copy of `out`
+                np.take(table, idx, axis=0, out=buf, mode="clip")
+                chunk ^= buf
     return out
 
 
@@ -177,15 +215,17 @@ def random_clifford(
     draws = rng.integers(0, 4, size=(depth, n_qubits, 3))
     draws[..., 1] >>= 1
     tab = _layered_tableau(draws)
+    # a layer is every qubit's word slots (S_q, H_q, S_q), taken a, h and b
+    # times, then the chain's CNOTs once each
     qubits = range(1, n_qubits + 1)
-    s_gates = [Gate("s", (q,)) for q in qubits]
-    h_gates = [Gate("h", (q,)) for q in qubits]
-    chain = [Gate("cnot", (q, q + 1)) for q in qubits[:-1]]
-    gates = []
-    for layer in draws.tolist():
-        for s, h, (a, has_h, b) in zip(s_gates, h_gates, layer):
-            gates += [s] * a + [h] * has_h + [s] * b
-        gates += chain
+    slots = np.empty(4 * n_qubits - 1, dtype=object)
+    words = slots[: 3 * n_qubits].reshape(n_qubits, 3)
+    words[:, 0] = words[:, 2] = [Gate("s", (q,)) for q in qubits]
+    words[:, 1] = [Gate("h", (q,)) for q in qubits]
+    slots[3 * n_qubits :] = [Gate("cnot", (q, q + 1)) for q in qubits[:-1]]
+    counts = np.ones((depth, len(slots)), dtype=np.intp)
+    counts[:, : 3 * n_qubits] = draws.reshape(depth, -1)
+    gates = np.repeat(np.tile(slots, depth), counts.ravel()).tolist()
     return tab, CircuitSpec(n_qubits, gates)
 
 
@@ -212,5 +252,5 @@ def bell_sample_stabilizer(
         raise ValueError("need at least one sample")
     n = tableau.n_qubits
     offset = pack_ints(n, [conjugation_offset(tableau).bits])
-    picks = rng.integers(0, 2, size=(n_samples, n), dtype=np.uint8)
+    picks = _pick_bytes(n_samples, n, rng)
     return BellSamples(n, _xor_picked_rows(tableau.generator_words(), picks, offset))

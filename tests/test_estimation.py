@@ -1,5 +1,6 @@
 """Estimator statistics, purity, depolarization fit and mitigation algebra."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from bellmagic.pauli import BellSamples
 from bellmagic.simulator import NoiseModel, bell_distribution, noisy_bell_distribution, sample
 from bellmagic.stabilizer import bell_sample_stabilizer, random_clifford
 
-from oracles import all_quadruples_brute, distinct_tuples_all_rows
+from oracles import all_quadruples_brute, distinct_tuples_all_rows, quadruple_mean
 
 
 def t_samples(n_samples, seed):
@@ -69,6 +70,44 @@ def test_distinct_tuples_keep_the_rng_stream():
                     ref = distinct_tuples_all_rows(m, n_trials, width, ref_rng)
                     assert np.array_equal(fast, ref)
                     assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+@pytest.mark.parametrize("n_qubits", [32, 64, 1504])  # 1, 2 and 47 words
+def test_blocked_estimate_is_the_unblocked_mean(n_qubits):
+    # the quadruples are scored in blocks; the mean must not change in any bit
+    n_words = (2 * n_qubits + 63) // 64
+    block = est._QUAD_BLOCK_WORDS // n_words
+    rng = np.random.default_rng(n_qubits)
+    words = rng.integers(0, 2**64, size=(40, n_words), dtype=np.uint64)
+    for m in (1, 2, 3, 40):
+        s = BellSamples(n_qubits, words[:m])
+        for n_r in (1, block - 1, block, block + 1, 3 * block + 5):
+            rng, ref_rng = np.random.default_rng(n_r), np.random.default_rng(n_r)
+            b, b_a = est.estimate_bell_magic(s, n_r, rng, quadruples="resample")
+            quad = (ref_rng.integers(0, m, size=(n_r, 4)) if m <= 3
+                    else distinct_tuples_all_rows(m, n_r, 4, ref_rng))
+            assert b == quadruple_mean(s.words, quad) and b_a == magic.additive_magic(b)
+            assert rng.integers(2**62) == ref_rng.integers(2**62)
+    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+    s = BellSamples(n_qubits, words)
+    quad = ref_rng.permutation(len(words)).reshape(-1, 4)
+    b, _ = est.estimate_bell_magic(s, rng=rng, quadruples="disjoint")
+    assert b == quadruple_mean(words, quad)
+    assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+@pytest.mark.parametrize("n_resamples, limit_mb", [(20_000, 4), (80_000, 12)])
+def test_resampling_memory_is_bounded(n_resamples, limit_mb):
+    # the unblocked estimator held four (n_resamples, W) gathers: 36 and 146 MB here
+    rng = np.random.default_rng(11)
+    s = bell_sample_stabilizer(random_clifford(1500, 3, rng)[0], 2000, rng)
+    tracemalloc.start()
+    try:
+        est.estimate_bell_magic(s, n_resamples, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
 
 
 def test_stabilizer_outcomes_estimate_zero():

@@ -75,6 +75,28 @@ def test_gate_errors():
             CircuitSpec(2, [gate])
 
 
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_shared_rotation_takes_one_parameter_per_use(k):
+    # gates are checked once per object, but every use of a rotation is counted
+    ry, h = Gate("ry", (1,)), Gate("h", (1,))
+    gates = [ry, h] * k
+    assert CircuitSpec(1, gates, np.zeros(k)).n_params == k
+    for wrong in (k - 1, k + 1):
+        with pytest.raises(ValueError, match="parameter count"):
+            CircuitSpec(1, gates, np.zeros(wrong))
+
+
+@pytest.mark.parametrize("gate, message", [
+    (Gate("bogus", (1,)), "unknown gate 'bogus'"),
+    (Gate("cnot", (2, 2)), r"gate 'cnot' needs 2 distinct qubits, got \(2, 2\)"),
+    (Gate("h", (3,)), "qubit index 3 out of range"),
+])
+def test_repeated_invalid_gate_is_rejected_with_its_message(gate, message):
+    gates = [Gate("h", (1,))] + [gate] * 10_000
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CircuitSpec(2, gates)
+
+
 def test_shifted_parameter_range():
     c = CircuitSpec(1, [Gate("ry", (1,)), Gate("h", (1,)), Gate("rz", (1,))], [0.1, 0.2])
     assert np.array_equal(c.shifted(1, 0.5).params, [0.1, 0.7])

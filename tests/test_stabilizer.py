@@ -314,15 +314,24 @@ def test_large_n_sampling_smoke():
     assert estimation.estimate_purity(s) == 1.0
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 64, 65, 300])
+_GROUP_CHUNK_QUBITS = 8 * st._TABLE_GROUPS
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 64, 65, 300, _GROUP_CHUNK_QUBITS - 1,
+                               _GROUP_CHUNK_QUBITS, _GROUP_CHUNK_QUBITS + 1])
 def test_sampler_bit_identical_to_matmul_oracle(n):
-    # 8-generator table groups and 64-bit word boundaries at every edge
+    # 8-generator table groups, chunks of table groups, chunks of outcomes and
+    # 64-bit word boundaries at every edge; M N runs through every residue mod
+    # 4, as the picks come four to a 32-bit draw
     tab, _ = st.random_clifford(n, 3, np.random.default_rng(100 + n))
-    for m in (1, 3, 257):
-        fast = st.bell_sample_stabilizer(tab, m, np.random.default_rng(m))
-        ref = _oracle_bell_sample(tab, m, np.random.default_rng(m))
+    chunk = st._ROW_CHUNK
+    for m in (1, 2, 3, 257, chunk - 1, chunk, chunk + 1):
+        rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
+        fast = st.bell_sample_stabilizer(tab, m, rng)
+        ref = _oracle_bell_sample(tab, m, ref_rng)
         assert fast.words.shape == (m, words_per_string(n))
         assert np.array_equal(fast.words, ref.words)
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
 
 @pytest.mark.parametrize("n", [1, 7, 32, 33, 65])
