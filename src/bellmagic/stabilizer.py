@@ -1,17 +1,17 @@
 """Stabilizer states as generator tableaux, with scalable Bell-outcome sampling.
 
-A tableau holds N generator Pauli strings as boolean z/x matrices plus sign
-bits, and a conjugation offset g, sigma_g|psi> = +-|psi*>.  Bell sampling
-exploits the coset structure of the two-copy outcome distribution of a
-stabilizer state: outcomes are exactly t XOR g where t ranges over the
-group's bit-span, each with probability 2^-N.  Sampling therefore never
-builds the 4^N distribution and scales to thousands of qubits.
+A tableau holds N generator Pauli strings as (N, W) uint64 rows in the
+`BellSamples` layout, W = ceil(2N/64), plus sign bits and a conjugation
+offset g, sigma_g|psi> = +-|psi*>.  Bell sampling exploits the coset
+structure of the two-copy outcome distribution of a stabilizer state:
+outcomes are exactly t XOR g where t ranges over the group's bit-span, each
+with probability 2^-N.  Sampling therefore never builds the 4^N
+distribution and scales to thousands of qubits.
 
-The sampler packs the N generator rows once (`pauli.pack_zx`) into the
-`BellSamples` uint64 layout, W = ceil(2N/64) words each, and XORs them with the method of Four
-Russians: for every group of eight generators a 256-entry table holds all
-XOR combinations of their rows, and one byte of random picks indexes it.
-M samples cost M * ceil(N/8) * W word XORs plus 32 * N * W to build the
+The sampler XORs the stored generator rows by the method of Four Russians:
+for every group of eight generators a 256-entry table holds all XOR
+combinations of their rows, and one byte of random picks indexes it.  M
+samples cost M * ceil(N/8) * W word XORs plus 32 * N * W to build the
 tables, with no (M, N) bit matrix product.  The work goes in cache-sized
 pieces: the tables of 16 groups are built together, and 512 outcomes at a
 time take every group of that chunk before the next 512 do.  At N = 1500
@@ -27,8 +27,8 @@ bit-packed so that each qubit's z and x bits of all N generators, and of
 the offset g as one more column, are ceil((N+1)/64) uint64 words, the
 layer's S and H gates become masked word operations on every qubit row
 together, and its CNOT chain an XOR prefix scan down the qubits.  That is
-O(depth * N * ceil(N/64)) word operations, plus O(N^2) to unpack into the
-boolean tableau; g needs no linear solve.
+O(depth * N * ceil(N/64)) word operations, plus O(N^2) for one `pack_zx`
+of the unpacked planes into generator rows; g needs no linear solve.
 
 The gate conventions match `simulator` (S = diag(1, -i), so X -> -Y).
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import BellSamples, PauliString, pack_ints, pack_zx, unpack_int
+from .pauli import BellSamples, PauliString, pack_ints, pack_zx, unpack_int, words_per_string
 from .simulator import CircuitSpec, Gate
 
 _TABLE_GROUPS = 16  # eight-generator groups whose tables are built and read together
@@ -96,43 +96,38 @@ def _xor_picked_rows(rows: np.ndarray, pick_bytes: np.ndarray, offset: np.ndarra
 class StabilizerTableau:
     """Generator tableau of an N-qubit stabilizer state, starting from |0...0>.
 
-    `offset` is a conjugation offset g of the state, sigma_g|psi> = +-|psi*>;
-    |0...0> is real, so it starts as the identity.
+    `words` holds the N generators as (N, W) packed rows in the `BellSamples`
+    layout and `signs` their N sign bits; both are read-only.  `offset` is a
+    conjugation offset g of the state, sigma_g|psi> = +-|psi*>; |0...0> is
+    real, so it starts as the identity.
     """
 
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         self.n_qubits = n_qubits
-        self.z = np.eye(n_qubits, dtype=bool)
-        self.x = np.zeros((n_qubits, n_qubits), dtype=bool)
-        self.signs = np.zeros(n_qubits, dtype=bool)
-        self.offset = PauliString.identity(n_qubits)
+        q = np.arange(n_qubits)
+        z_bit = 2 * q[::-1] + 1  # generator q is Z_(q+1)
+        words = np.zeros((n_qubits, words_per_string(n_qubits)), dtype=np.uint64)
+        words[q, z_bit >> 6] = np.uint64(1) << (z_bit & 63).astype(np.uint64)
+        self._set(words, np.zeros(n_qubits, dtype=bool), PauliString.identity(n_qubits))
+
+    def _set(self, words: np.ndarray, signs: np.ndarray, offset: PauliString) -> None:
+        """Hold the generator rows, their signs and the offset; the arrays become read-only."""
+        words.setflags(write=False)
+        signs.setflags(write=False)
+        self.words, self.signs, self.offset = words, signs, offset
 
     def generator(self, i: int) -> tuple[int, PauliString]:
         """Generator i as (sign in {+1,-1}, PauliString)."""
         if not 0 <= i < self.n_qubits:
             raise IndexError(f"generator index {i} out of range")
-        words = pack_zx(self.z[i : i + 1], self.x[i : i + 1])
-        return (-1 if self.signs[i] else 1), PauliString(self.n_qubits, unpack_int(words[0]))
-
-    def generator_words(self) -> np.ndarray:
-        """The N generators as (N, W) packed words, signs dropped."""
-        return pack_zx(self.z, self.x)
+        return (-1 if self.signs[i] else 1), PauliString(self.n_qubits, unpack_int(self.words[i]))
 
     def to_text(self) -> str:
         """One generator per line, sign then letters."""
-        lines = []
-        for i in range(self.n_qubits):
-            sign, p = self.generator(i)
-            lines.append(("+" if sign > 0 else "-") + p.to_letters())
-        return "\n".join(lines)
-
-
-def _unpack_columns(words: np.ndarray, r: int) -> np.ndarray:
-    """(C, W) uint64 rows of r-bit sets as the (r, C) boolean matrix; bit j of row c is [j, c]."""
-    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=-1, count=r, bitorder="little").view(bool).T.copy()
+        gens = map(self.generator, range(self.n_qubits))
+        return "\n".join(("+" if sign > 0 else "-") + p.to_letters() for sign, p in gens)
 
 
 def _masks(flags: np.ndarray) -> np.ndarray:
@@ -188,10 +183,12 @@ def _layered_tableau(draws: np.ndarray) -> StabilizerTableau:
         signs ^= np.bitwise_xor.reduce(x_acc[:-1] & z[1:] & ~(x[1:] ^ z[:-1]), axis=0)
         z[:-1] ^= z[1:]
         x = x_acc
+    # row q of the unpacked planes is qubit q, column j generator j (j = N is g)
+    planes = np.vstack([z, x, signs]).astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(planes, axis=-1, count=n + 1, bitorder="little").view(bool)
+    words = pack_zx(bits[:n].T, bits[n : 2 * n].T)
     tab = StabilizerTableau(n)
-    z, x = _unpack_columns(z, n + 1), _unpack_columns(x, n + 1)
-    tab.z, tab.x, tab.signs = z[:n], x[:n], _unpack_columns(signs, n)
-    tab.offset = PauliString(n, unpack_int(pack_zx(z[n:], x[n:])[0]))
+    tab._set(words[:n], bits[2 * n, :n].copy(), PauliString(n, unpack_int(words[n])))
     return tab
 
 
@@ -253,4 +250,4 @@ def bell_sample_stabilizer(
     n = tableau.n_qubits
     offset = pack_ints(n, [conjugation_offset(tableau).bits])
     picks = _pick_bytes(n_samples, n, rng)
-    return BellSamples(n, _xor_picked_rows(tableau.generator_words(), picks, offset))
+    return BellSamples(n, _xor_picked_rows(tableau.words, picks, offset))

@@ -31,12 +31,14 @@ scalar at a time, the reference for the layer-built
 `simulator.magic_input_circuit`.  `random_clifford_gatewise` draws the
 layered circuit one scalar at a time and applies it gate by gate
 (`tableau_h`, `tableau_s`, `tableau_cnot`, `apply_tableau_gate`,
-`apply_tableau_circuit`), the reference for the packed
-whole-layer `stabilizer.random_clifford`.  `conjugation_offset_gf2` solves
-for a conjugation offset by Gauss-Jordan elimination over GF(2)
+`apply_tableau_circuit`) to a `BooleanTableau`, boolean N x N z/x
+generator matrices, the reference for the packed whole-layer
+`stabilizer.random_clifford`.  `conjugation_offset_gf2` solves for a
+conjugation offset by Gauss-Jordan elimination over GF(2)
 (`_gf2_eliminate`), the reference for the offset the library tracks through
 the layers; the gate-by-gate tableaux take their offset from it.
 `tableau_is_valid` checks the tableau invariants by the same elimination.
+Both read a library `StabilizerTableau` through `unpack_zx` of its words.
 `distinct_tuples_all_rows` re-checks every row in each rejection round, the
 reference for `estimation._distinct_tuples`, which re-checks only the rows
 it redraws.  `all_quadruples_brute` enumerates every ordered quadruple of
@@ -120,25 +122,49 @@ def pauli_expectation(state: StateVector, p: PauliString) -> float:
     return val.real
 
 
-def _tableau_col(tab: StabilizerTableau, q: int) -> int:
+class BooleanTableau:
+    """Gate-by-gate reference tableau: row i of the boolean (N, N) z and x
+    matrices is generator i, column q - 1 qubit q; starts as |0...0>."""
+
+    def __init__(self, n_qubits: int):
+        self.n_qubits = n_qubits
+        self.z = np.eye(n_qubits, dtype=bool)
+        self.x = np.zeros((n_qubits, n_qubits), dtype=bool)
+        self.signs = np.zeros(n_qubits, dtype=bool)
+        self.offset = PauliString.identity(n_qubits)
+
+    def to_text(self) -> str:
+        """One generator per line, sign then letters read off z and x qubit by qubit."""
+        letters = np.array(list(PAULI_LETTERS))[2 * self.z + self.x]
+        return "\n".join(("-" if s else "+") + "".join(row) for s, row in zip(self.signs, letters))
+
+
+def _zx(tab) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (N, N) z/x generator matrices of a `BooleanTableau` or a `StabilizerTableau`."""
+    if isinstance(tab, StabilizerTableau):
+        return unpack_zx(tab.words, tab.n_qubits)
+    return tab.z, tab.x
+
+
+def _tableau_col(tab: BooleanTableau, q: int) -> int:
     if not 1 <= q <= tab.n_qubits:
         raise IndexError(f"qubit index {q} out of range")
     return q - 1
 
 
-def tableau_h(tab: StabilizerTableau, q: int) -> None:
+def tableau_h(tab: BooleanTableau, q: int) -> None:
     c = _tableau_col(tab, q)
     tab.signs ^= tab.z[:, c] & tab.x[:, c]
     tab.z[:, c], tab.x[:, c] = tab.x[:, c].copy(), tab.z[:, c].copy()
 
 
-def tableau_s(tab: StabilizerTableau, q: int) -> None:
+def tableau_s(tab: BooleanTableau, q: int) -> None:
     c = _tableau_col(tab, q)
     tab.signs ^= tab.x[:, c] & ~tab.z[:, c]
     tab.z[:, c] ^= tab.x[:, c]
 
 
-def tableau_cnot(tab: StabilizerTableau, control: int, target: int) -> None:
+def tableau_cnot(tab: BooleanTableau, control: int, target: int) -> None:
     cc, ct = _tableau_col(tab, control), _tableau_col(tab, target)
     if cc == ct:
         raise IndexError("control and target coincide")
@@ -147,7 +173,7 @@ def tableau_cnot(tab: StabilizerTableau, control: int, target: int) -> None:
     tab.z[:, cc] ^= tab.z[:, ct]
 
 
-def apply_tableau_gate(tab: StabilizerTableau, gate: Gate) -> None:
+def apply_tableau_gate(tab: BooleanTableau, gate: Gate) -> None:
     """One h, s or cnot gate on the generators; `tab.offset` is left as it was."""
     if gate.name == "h":
         tableau_h(tab, gate.qubits[0])
@@ -159,7 +185,7 @@ def apply_tableau_gate(tab: StabilizerTableau, gate: Gate) -> None:
         raise ValueError(f"gate {gate.name!r} is not a tableau Clifford gate")
 
 
-def apply_tableau_circuit(tab: StabilizerTableau, circuit: CircuitSpec) -> None:
+def apply_tableau_circuit(tab: BooleanTableau, circuit: CircuitSpec) -> None:
     """The circuit gate by gate, then the offset solved afresh by `conjugation_offset_gf2`."""
     for g in circuit.gates:
         apply_tableau_gate(tab, g)
@@ -168,11 +194,11 @@ def apply_tableau_circuit(tab: StabilizerTableau, circuit: CircuitSpec) -> None:
 
 def random_clifford_gatewise(
     n_qubits: int, depth: int, rng: np.random.Generator
-) -> tuple[StabilizerTableau, CircuitSpec]:
+) -> tuple[BooleanTableau, CircuitSpec]:
     """Layered random Clifford circuit by scalar draws and one gate at a time."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    tab = StabilizerTableau(n_qubits)
+    tab = BooleanTableau(n_qubits)
     gates = []
     for _ in range(depth):
         for q in range(1, n_qubits + 1):
@@ -230,17 +256,18 @@ def _gf2_eliminate(m: np.ndarray, n_pivot_cols: int) -> list[int]:
     return pivots
 
 
-def conjugation_offset_gf2(tab: StabilizerTableau) -> PauliString:
+def conjugation_offset_gf2(tab: BooleanTableau | StabilizerTableau) -> PauliString:
     """A Pauli g with sigma_g|psi> = +-|psi*>, solved from the generators alone.
 
     g must anticommute with exactly the generators that have an odd number of
     Y letters, a linear system over GF(2); free variables are set to 0.
     """
     n = tab.n_qubits
-    y_parity = (tab.z & tab.x).sum(axis=1) % 2
+    z, x = _zx(tab)
+    y_parity = (z & x).sum(axis=1) % 2
     # row i = pair-swapped generator i, so the first 2N columns against (z|x)
     # are the symplectic form
-    m = np.concatenate([tab.x, tab.z, y_parity[:, None]], axis=1).astype(np.uint8)
+    m = np.concatenate([x, z, y_parity[:, None]], axis=1).astype(np.uint8)
     pivots = _gf2_eliminate(m, 2 * n)
     if np.any(m[len(pivots):, -1]):
         raise AssertionError("inconsistent GF(2) system for a valid tableau")
@@ -249,9 +276,9 @@ def conjugation_offset_gf2(tab: StabilizerTableau) -> PauliString:
     return PauliString(n, unpack_int(pack_zx(v[None, :n], v[None, n:])[0]))
 
 
-def tableau_is_valid(tab: StabilizerTableau) -> bool:
+def tableau_is_valid(tab: BooleanTableau | StabilizerTableau) -> bool:
     """Generators pairwise commute and are independent over GF(2)."""
-    zi, xi = tab.z.astype(np.uint8), tab.x.astype(np.uint8)
+    zi, xi = (a.astype(np.uint8) for a in _zx(tab))
     sym = (zi @ xi.T + xi @ zi.T) % 2
     if np.any(sym):
         return False

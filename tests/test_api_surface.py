@@ -87,7 +87,7 @@ def test_oracles_are_not_in_the_library():
     defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
                 for t in node.targets if isinstance(t, ast.Name)}
     assert {"bell_magic_brute", "_gf2_eliminate", "conjugation_offset_gf2",
-            "apply_tableau_circuit", "apply_tableau_gate", "exact_gradient_batched",
+            "apply_tableau_circuit", "apply_tableau_gate", "BooleanTableau", "exact_gradient_batched",
             "_cross_bell_dots", "_BLOCK_ENTRIES", "simulate_rows_per_row", "shifted_rows",
             "bell_transform_rows",
             "fwht_unblocked", "all_quadruples_brute", "resampled_curve_rep",

@@ -10,10 +10,12 @@ from bellmagic.pauli import (
     pack_ints,
     symplectic_rows,
     unpack_int,
+    unpack_zx,
     words_per_string,
 )
 
 from oracles import (
+    BooleanTableau,
     apply_pauli,
     apply_tableau_circuit,
     apply_tableau_gate,
@@ -54,35 +56,34 @@ def _zx_to_pauli(z, x):
 def _oracle_bell_sample(tableau, n_samples, rng):
     """The uint8-matmul coset sampler, kept as the bit-exact reference."""
     n = tableau.n_qubits
+    z, x = unpack_zx(tableau.words, n)
     g = st.conjugation_offset(tableau)
     gz = np.array([(g.digit(q) >> 1) for q in range(1, n + 1)], dtype=np.uint8)
     gx = np.array([(g.digit(q) & 1) for q in range(1, n + 1)], dtype=np.uint8)
     picks = rng.integers(0, 2, size=(n_samples, n), dtype=np.uint8)
-    tz = (picks @ tableau.z.astype(np.uint8)) % 2
-    tx = (picks @ tableau.x.astype(np.uint8)) % 2
+    tz = (picks @ z.astype(np.uint8)) % 2
+    tx = (picks @ x.astype(np.uint8)) % 2
     return BellSamples(n, _oracle_pack_zx((tz ^ gz).astype(bool), (tx ^ gx).astype(bool), n))
 
 
 def test_h_on_zero():
-    tab = st.StabilizerTableau(1)
+    tab = BooleanTableau(1)
     tableau_h(tab, 1)
-    sign, p = tab.generator(0)
-    assert sign == 1 and p.to_letters() == "X"
+    assert tab.to_text() == "+X"
 
 
 def test_s_twice_is_z_action():
     # S^2|+> = Z|+> = |->, stabilized by -X
-    tab = st.StabilizerTableau(1)
+    tab = BooleanTableau(1)
     tableau_h(tab, 1)
     tableau_s(tab, 1)
     tableau_s(tab, 1)
-    sign, p = tab.generator(0)
-    assert sign == -1 and p.to_letters() == "X"
+    assert tab.to_text() == "-X"
 
 
 def test_long_random_circuit_preserves_invariants():
     rng = np.random.default_rng(0)
-    tab = st.StabilizerTableau(5)
+    tab = BooleanTableau(5)
     names = ["h", "s", "cnot"]
     for _ in range(500):
         g = names[rng.integers(0, 3)]
@@ -95,16 +96,17 @@ def test_long_random_circuit_preserves_invariants():
 
 
 def test_gate_errors():
-    tab = st.StabilizerTableau(2)
+    ref = BooleanTableau(2)
     with pytest.raises(IndexError):
-        tableau_h(tab, 3)
+        tableau_h(ref, 3)
+    tab = st.StabilizerTableau(2)
     for i in (-1, 2):
         with pytest.raises(IndexError, match=f"generator index {i}"):
             tab.generator(i)
     with pytest.raises(IndexError):
-        tableau_cnot(tab, 1, 1)
+        tableau_cnot(ref, 1, 1)
     with pytest.raises(ValueError):
-        apply_tableau_gate(tab, sim.Gate("ry", (1,)))
+        apply_tableau_gate(ref, sim.Gate("ry", (1,)))
 
 
 def test_signs_match_dense_simulator():
@@ -122,14 +124,13 @@ def _assert_same_clifford(n, depth, seed):
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ref_tab, ref_circ = random_clifford_gatewise(n, depth, ref_rng)
     tab, circ = st.random_clifford(n, depth, rng)
-    assert np.array_equal(tab.z, ref_tab.z)
-    assert np.array_equal(tab.x, ref_tab.x)
+    assert np.array_equal(tab.words, _oracle_pack_zx(ref_tab.z, ref_tab.x, n))
     assert np.array_equal(tab.signs, ref_tab.signs)
     assert circ.gates == ref_circ.gates
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
-    replay = st.StabilizerTableau(n)
+    replay = BooleanTableau(n)
     apply_tableau_circuit(replay, circ)
-    assert np.array_equal(replay.z, tab.z) and np.array_equal(replay.x, tab.x)
+    assert np.array_equal(tab.words, _oracle_pack_zx(replay.z, replay.x, n))
     assert np.array_equal(replay.signs, tab.signs)
 
 
@@ -186,9 +187,21 @@ def test_single_qubit_orbit_is_stabilizer():
 
 
 def test_conjugation_offset_zero_state():
-    for n in (1, 3, 64):
+    # 32 qubits fill one packed word; 33 opens a second and 64 fills it
+    for n in (1, 3, 31, 32, 33, 64):
         tab = st.StabilizerTableau(n)
         assert tab.offset == st.conjugation_offset(tab) == PauliString.identity(n)
+        ref = BooleanTableau(n)
+        assert np.array_equal(tab.words, _oracle_pack_zx(ref.z, ref.x, n))
+        assert tab.to_text() == "\n".join("+" + "I" * q + "Z" + "I" * (n - 1 - q) for q in range(n))
+
+
+def test_tableau_arrays_are_read_only():
+    for tab in (st.StabilizerTableau(3), st.random_clifford(3, 2, np.random.default_rng(0))[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            tab.words[0, 0] ^= np.uint64(1)
+        with pytest.raises(ValueError, match="read-only"):
+            tab.signs[0] = True
 
 
 def test_conjugation_offset_plus_i():
@@ -216,10 +229,11 @@ def test_conjugation_offset_dense_oracle():
 
 def _assert_offsets_differ_by_stabilizer(n, depth, seed):
     tab, _ = st.random_clifford(n, depth, np.random.default_rng(seed))
-    words = tab.generator_words()
+    words = tab.words
     g = st.conjugation_offset(tab).bits
     # g anticommutes with exactly the generators of odd Y-parity
-    y_odd = (tab.z & tab.x).sum(axis=1) % 2 == 1
+    z, x = unpack_zx(words, n)
+    y_odd = (z & x).sum(axis=1) % 2 == 1
     assert np.array_equal(symplectic_rows(words, np.repeat(pack_ints(n, [g]), n, axis=0)), y_odd)
     t = np.repeat(pack_ints(n, [g ^ conjugation_offset_gf2(tab).bits]), n, axis=0)
     assert not symplectic_rows(words, t).any()
@@ -337,15 +351,17 @@ def test_sampler_bit_identical_to_matmul_oracle(n):
 @pytest.mark.parametrize("n", [1, 7, 32, 33, 65])
 def test_generator_words_match_generators(n):
     tab, _ = st.random_clifford(n, 3, np.random.default_rng(n))
-    words = tab.generator_words()
+    ref, _ = random_clifford_gatewise(n, 3, np.random.default_rng(n))
+    words = tab.words
     assert words.shape == (n, words_per_string(n))
-    assert np.array_equal(words, _oracle_pack_zx(tab.z, tab.x, n))
+    assert np.array_equal(words, _oracle_pack_zx(ref.z, ref.x, n))
     for i in range(n):
-        oracle = _zx_to_pauli(tab.z[i], tab.x[i]).bits
+        oracle = _zx_to_pauli(ref.z[i], ref.x[i]).bits
         assert unpack_int(words[i]) == tab.generator(i)[1].bits == oracle
+    assert tab.to_text() == ref.to_text()
 
 
 def test_to_text():
-    tab = st.StabilizerTableau(2)
-    tableau_h(tab, 1)
+    # H_1, then the chain's CNOT(1, 2) twice, leaves +XI and +IZ
+    tab = st._layered_tableau(np.array([[[0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]]))
     assert tab.to_text() == "+XI\n+IZ"
