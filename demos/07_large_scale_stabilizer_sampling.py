@@ -6,8 +6,9 @@ conjugation offset.  The tableau keeps its generator rows packed in 64-bit
 words, and the sampler combines them eight at a time through 256-entry XOR
 tables (method of Four Russians), so M samples cost M * ceil(N/8) *
 ceil(N/32) word XORs.  The random Clifford tableau itself is built a whole
-gate layer at a time on packed words; at thousands of qubits it costs about
-as much as 2000 samples.
+gate layer at a time on packed words and turned into generator rows by
+64 x 64 bit-block transposes; at thousands of qubits it costs less than
+2000 samples.
 Thousand-qubit states are routine, and their estimated magic is identically
 zero at any sample budget.
 """

@@ -28,9 +28,11 @@ one outcome type: both samplers return it and every estimator reads its
 `words` directly.  This module is the
 only one that knows the bit layout: `pack_zx` turns boolean (M, N) z/x
 matrices into (M, W) words and `unpack_zx` turns words back into them;
-`pack_ints`/`unpack_int` convert between words and packed integers; and
-`zx_axis_order` gives the same (z, x) pair order as axes of a dense
-(2,)^2N view.
+`_pack_qubit_planes` turns bit-packed qubit planes, the transpose of
+`pack_zx`'s input, into words by 64 x 64 bit-block transposes, without a
+boolean matrix; `pack_ints`/`unpack_int` convert between words and packed
+integers; and `zx_axis_order` gives the same (z, x) pair order as axes of
+a dense (2,)^2N view.
 """
 from __future__ import annotations
 
@@ -147,6 +149,45 @@ def pack_zx(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     bits[:, 0 : 2 * n : 2] = x[:, ::-1]
     bits[:, 1 : 2 * n : 2] = z[:, ::-1]
     return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+
+
+# (j, mask) for j = 32, 16, ..., 1: the mask keeps the low j bits of every 2j-bit group
+_BLOCK_MASKS = [(j, np.uint64(sum(1 << b for b in range(64) if not b & j)))
+                for j in (32, 16, 8, 4, 2, 1)]
+
+
+def _pack_qubit_planes(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Packed rows of the strings whose bits (N, C) uint64 qubit planes hold.
+
+    Row n-1 of z and x holds qubit n's bits of up to 64 C strings, string j
+    at bit j % 64 of word j // 64: the transpose of `pack_zx`'s input,
+    bit-packed.  Returns (64 C, W) words, row j for string j; bits past 2N
+    are zero, and so is every row whose string has no bit set.
+
+    The planes' rows are interleaved in the layout's order, x_N, z_N, ...,
+    x_1, z_1, and every 64 x 64 bit block, the 64 words rows[64 w : 64 w +
+    64, c], is transposed in place, so no bit matrix is built.  Round j
+    swaps the two j x j sub-blocks off the diagonal of every 2j x 2j block
+    by one masked shift-XOR over all blocks at once (Hacker's Delight,
+    "Transposing a bit matrix").
+    """
+    n, c = z.shape
+    n_words = words_per_string(n)
+    rows = np.zeros((64 * n_words, c), dtype=np.uint64)
+    rows[0 : 2 * n : 2] = x[::-1]
+    rows[1 : 2 * n : 2] = z[::-1]
+    buf = np.empty(rows.size // 2, dtype=np.uint64)
+    for j, mask in _BLOCK_MASKS:
+        pairs = rows.reshape(n_words, 32 // j, 2, j, c)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        t = buf.reshape(lo.shape)
+        np.right_shift(lo, j, out=t)
+        t ^= hi
+        t &= mask
+        hi ^= t
+        np.left_shift(t, j, out=t)
+        lo ^= t
+    return rows.reshape(n_words, 64, c).transpose(2, 1, 0).reshape(64 * c, n_words)
 
 
 def unpack_zx(words: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:

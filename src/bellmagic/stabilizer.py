@@ -27,16 +27,28 @@ bit-packed so that each qubit's z and x bits of all N generators, and of
 the offset g as one more column, are ceil((N+1)/64) uint64 words, the
 layer's S and H gates become masked word operations on every qubit row
 together, and its CNOT chain an XOR prefix scan down the qubits.  That is
-O(depth * N * ceil(N/64)) word operations, plus O(N^2) for one `pack_zx`
-of the unpacked planes into generator rows; g needs no linear solve.
+O(depth * N * ceil(N/64)) word operations; g needs no linear solve.  The
+packed planes become generator rows by 64 x 64 bit-block transposes
+(`pauli._pack_qubit_planes`), another O(N * ceil(N/64)) word operations,
+and only the sign row is unpacked.  The circuit's gates come from one
+layer of gate slots per N, built once and shared by every call.
 
 The gate conventions match `simulator` (S = diag(1, -i), so X -> -Y).
 """
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from .pauli import BellSamples, PauliString, pack_ints, pack_zx, unpack_int, words_per_string
+from .pauli import (
+    BellSamples,
+    PauliString,
+    _pack_qubit_planes,
+    pack_ints,
+    unpack_int,
+    words_per_string,
+)
 from .simulator import CircuitSpec, Gate
 
 _TABLE_GROUPS = 16  # eight-generator groups whose tables are built and read together
@@ -105,7 +117,6 @@ class StabilizerTableau:
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        self.n_qubits = n_qubits
         q = np.arange(n_qubits)
         z_bit = 2 * q[::-1] + 1  # generator q is Z_(q+1)
         words = np.zeros((n_qubits, words_per_string(n_qubits)), dtype=np.uint64)
@@ -116,6 +127,7 @@ class StabilizerTableau:
         """Hold the generator rows, their signs and the offset; the arrays become read-only."""
         words.setflags(write=False)
         signs.setflags(write=False)
+        self.n_qubits = len(signs)
         self.words, self.signs, self.offset = words, signs, offset
 
     def generator(self, i: int) -> tuple[int, PauliString]:
@@ -183,13 +195,25 @@ def _layered_tableau(draws: np.ndarray) -> StabilizerTableau:
         signs ^= np.bitwise_xor.reduce(x_acc[:-1] & z[1:] & ~(x[1:] ^ z[:-1]), axis=0)
         z[:-1] ^= z[1:]
         x = x_acc
-    # row q of the unpacked planes is qubit q, column j generator j (j = N is g)
-    planes = np.vstack([z, x, signs]).astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(planes, axis=-1, count=n + 1, bitorder="little").view(bool)
-    words = pack_zx(bits[:n].T, bits[n : 2 * n].T)
-    tab = StabilizerTableau(n)
-    tab._set(words[:n], bits[2 * n, :n].copy(), PauliString(n, unpack_int(words[n])))
+    words = _pack_qubit_planes(z, x)  # row j is generator j, row N the offset g
+    sign_bytes = signs.astype("<u8", copy=False).view(np.uint8)
+    sign_bits = np.unpackbits(sign_bytes, count=n, bitorder="little").view(bool)
+    tab = StabilizerTableau.__new__(StabilizerTableau)  # skips __init__'s |0...0> rows
+    tab._set(words[:n], sign_bits, PauliString(n, unpack_int(words[n])))
     return tab
+
+
+@cache
+def _gate_slots(n_qubits: int) -> np.ndarray:
+    """One layer's gate slots, read-only: each qubit's word (S_q, H_q, S_q), then the CNOT chain."""
+    qubits = range(1, n_qubits + 1)
+    slots = np.empty(4 * n_qubits - 1, dtype=object)
+    words = slots[: 3 * n_qubits].reshape(n_qubits, 3)
+    words[:, 0] = words[:, 2] = [Gate("s", (q,)) for q in qubits]
+    words[:, 1] = [Gate("h", (q,)) for q in qubits]
+    slots[3 * n_qubits :] = [Gate("cnot", (q, q + 1)) for q in qubits[:-1]]
+    slots.setflags(write=False)
+    return slots
 
 
 def random_clifford(
@@ -212,14 +236,9 @@ def random_clifford(
     draws = rng.integers(0, 4, size=(depth, n_qubits, 3))
     draws[..., 1] >>= 1
     tab = _layered_tableau(draws)
-    # a layer is every qubit's word slots (S_q, H_q, S_q), taken a, h and b
-    # times, then the chain's CNOTs once each
-    qubits = range(1, n_qubits + 1)
-    slots = np.empty(4 * n_qubits - 1, dtype=object)
-    words = slots[: 3 * n_qubits].reshape(n_qubits, 3)
-    words[:, 0] = words[:, 2] = [Gate("s", (q,)) for q in qubits]
-    words[:, 1] = [Gate("h", (q,)) for q in qubits]
-    slots[3 * n_qubits :] = [Gate("cnot", (q, q + 1)) for q in qubits[:-1]]
+    # each layer takes every qubit's word slots a, h and b times, then the
+    # chain's CNOTs once each
+    slots = _gate_slots(n_qubits)
     counts = np.ones((depth, len(slots)), dtype=np.intp)
     counts[:, : 3 * n_qubits] = draws.reshape(depth, -1)
     gates = np.repeat(np.tile(slots, depth), counts.ravel()).tolist()

@@ -39,6 +39,9 @@ conjugation offset by Gauss-Jordan elimination over GF(2)
 the layers; the gate-by-gate tableaux take their offset from it.
 `tableau_is_valid` checks the tableau invariants by the same elimination.
 Both read a library `StabilizerTableau` through `unpack_zx` of its words.
+`pack_qubit_planes_unpacked` unpacks bit-packed qubit planes into boolean
+matrices and packs their transposed views with `pack_zx`, the reference
+for the bit-block transposes of `pauli._pack_qubit_planes`.
 `distinct_tuples_all_rows` re-checks every row in each rejection round, the
 reference for `estimation._distinct_tuples`, which re-checks only the rows
 it redraws.  `all_quadruples_brute` enumerates every ordered quadruple of
@@ -274,6 +277,14 @@ def conjugation_offset_gf2(tab: BooleanTableau | StabilizerTableau) -> PauliStri
     v = np.zeros(2 * n, dtype=bool)
     v[pivots] = m[: len(pivots), -1]
     return PauliString(n, unpack_int(pack_zx(v[None, :n], v[None, n:])[0]))
+
+
+def pack_qubit_planes_unpacked(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Generator rows of (N, C) uint64 qubit planes through boolean (N, 64C) bit matrices."""
+    n = len(z)
+    planes = np.vstack([z, x]).astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(planes, axis=-1, bitorder="little").view(bool)
+    return pack_zx(bits[:n].T, bits[n:].T)
 
 
 def tableau_is_valid(tab: BooleanTableau | StabilizerTableau) -> bool:

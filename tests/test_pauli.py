@@ -6,7 +6,7 @@ from hypothesis import given, strategies as hs
 from bellmagic import pauli
 from bellmagic.pauli import BellSamples, PauliString, symplectic_product, xor_add
 
-from oracles import from_letters
+from oracles import from_letters, pack_qubit_planes_unpacked
 
 I2 = np.eye(2)
 MATS = {
@@ -115,6 +115,25 @@ def test_pack_zx_unpack_zx_roundtrip(case):
         int("".join(map(str, row)), 4) for row in digits]
     z2, x2 = pauli.unpack_zx(words, n)
     assert np.array_equal(z2, z) and np.array_equal(x2, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1500])
+def test_pack_qubit_planes_matches_unpacked_oracle(n):
+    # 64-row blocks of the transpose and 32-qubit output words at every edge;
+    # string counts that fill no whole plane word, with the bits past them zero
+    rng = np.random.default_rng(n)
+    for n_strings in sorted({1, 63, 65, 130, n + 1}):
+        n_cols = -(-n_strings // 64)
+        z, x = rng.integers(0, 2**64, (2, n, n_cols), dtype=np.uint64)
+        keep = ~np.uint64(0) >> np.uint64(-n_strings % 64)  # the used bits of the last word
+        z[:, -1] &= keep
+        x[:, -1] &= keep
+        words = pauli._pack_qubit_planes(z, x)
+        assert words.shape == (64 * n_cols, pauli.words_per_string(n))
+        assert np.array_equal(words, pack_qubit_planes_unpacked(z, x))
+        assert not words[n_strings:].any()
+        if 2 * n % 64:
+            assert not (words[:, -1] >> np.uint64(2 * n % 64)).any()
 
 
 def test_samples_pack_roundtrip():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bellmagic import estimation, magic, simulator as sim, stabilizer as st, states
+from bellmagic import estimation, magic, pauli, simulator as sim, stabilizer as st, states
 from bellmagic.pauli import (
     BellSamples,
     PauliString,
@@ -134,16 +134,51 @@ def _assert_same_clifford(n, depth, seed):
     assert np.array_equal(replay.signs, tab.signs)
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 130])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_random_clifford_matches_gatewise_oracle(n, depth):
-    # 64-bit word boundaries of the packed generator planes; n = 1 has no CNOT chain
+    # 32-qubit generator words, 64-bit words of the packed planes and 64-row
+    # blocks of their transpose at every edge; n = 1 has no CNOT chain
     for seed in range(3):
         _assert_same_clifford(n, depth, 1000 * n + seed)
 
 
 def test_random_clifford_matches_gatewise_oracle_large():
     _assert_same_clifford(1500, 3, 1)
+
+
+@pytest.mark.parametrize("n", [31, 33, 65, 1500])
+def test_bits_above_2n_are_zero(n):
+    rng = np.random.default_rng(n)
+    tab, _ = st.random_clifford(n, 3, rng)
+    samples = st.bell_sample_stabilizer(tab, 600, rng)
+    for words in (tab.words, samples.words):
+        assert not (words[:, -1] >> np.uint64(2 * n % 64)).any()
+
+
+def test_random_clifford_does_not_pack_boolean_matrices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pack_zx called")
+
+    monkeypatch.setattr(pauli, "pack_zx", refuse)
+    monkeypatch.setattr(st, "pack_zx", refuse, raising=False)
+    tab, _ = st.random_clifford(65, 2, np.random.default_rng(0))
+    ref, _ = random_clifford_gatewise(65, 2, np.random.default_rng(0))
+    assert np.array_equal(tab.words, _oracle_pack_zx(ref.z, ref.x, 65))
+
+
+def test_gate_slots_are_shared_and_gate_lists_fresh():
+    for n in (1, 2, 65):
+        first = st.random_clifford(n, 3, np.random.default_rng(n))[1].gates
+        first.append(sim.Gate("h", (1,)))
+        second = st.random_clifford(n, 3, np.random.default_rng(n))[1].gates
+        _, ref = random_clifford_gatewise(n, 3, np.random.default_rng(n))
+        assert [(g.name, g.qubits) for g in second] == [(g.name, g.qubits) for g in ref.gates]
+        assert first[:-1] == second
+        slots = st._gate_slots(n)
+        assert slots is st._gate_slots(n) and len(slots) == 4 * n - 1
+        with pytest.raises(ValueError, match="read-only"):
+            slots[0] = sim.Gate("h", (1,))
 
 
 @pytest.mark.parametrize("n, depth", [(3, 0), (3, -1), (0, 2), (-2, 2)])
@@ -239,10 +274,11 @@ def _assert_offsets_differ_by_stabilizer(n, depth, seed):
     assert not symplectic_rows(words, t).any()
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 130])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_tracked_offset_differs_from_gf2_by_stabilizer(n, depth):
-    # the offset column is bit N of the packed planes, so at n = 64 it opens a second word
+    # the offset column is bit N of the packed planes, so at n = 64 and 128 it
+    # opens a new word, and row N of their transpose
     for seed in range(3):
         _assert_offsets_differ_by_stabilizer(n, depth, 2000 * n + seed)
 
