@@ -17,8 +17,9 @@ magic only depends on the commutator norm, which is phase-free.
 
 Within the packed integer the x bit of qubit n sits at bit 2(N - n) and
 its z bit at the odd position above, so the x bits form the mask
-(4^N - 1) / 3 and the symplectic form reduces to
-popcount(a & swap_pairs(b)) mod 2 regardless of qubit order.
+(4^N - 1) / 3 and the symplectic form reduces to popcount(a & b') mod 2,
+b' being b with the bits of every (z, x) pair exchanged, regardless of
+qubit order.
 
 Measurement-outcome batches are stored bit-packed in uint64 words
 (`BellSamples`), little-endian limbs of the same integer, so XOR,
@@ -26,13 +27,12 @@ commutation checks and parity extractions stay O(N/64) numpy word
 operations per sample even for thousands of qubits.  `BellSamples` is the
 one outcome type: both samplers return it and every estimator reads its
 `words` directly.  This module is the
-only one that knows the bit layout: `pack_zx` turns boolean (M, N) z/x
-matrices into (M, W) words and `unpack_zx` turns words back into them;
-`_pack_qubit_planes` turns bit-packed qubit planes, the transpose of
-`pack_zx`'s input, into words by 64 x 64 bit-block transposes, without a
-boolean matrix; `pack_ints`/`unpack_int` convert between words and packed
-integers; and `zx_axis_order` gives the same (z, x) pair order as axes of
-a dense (2,)^2N view.
+only one that knows the bit layout: `unpack_zx` turns (M, W) words into
+boolean (M, N) z/x matrices; `_pack_qubit_planes` turns bit-packed qubit
+planes, the transpose of `unpack_zx`'s output, into words by 64 x 64
+bit-block transposes, without a boolean matrix; `pack_ints`/`unpack_int`
+convert between words and packed integers; and `zx_axis_order` gives the
+same (z, x) pair order as axes of a dense (2,)^2N view.
 """
 from __future__ import annotations
 
@@ -44,21 +44,7 @@ PAULI_LETTERS = "IXZY"  # indexed by the per-qubit digit 2*z + x
 
 _MAX_INDEX_QUBITS = 31  # 2N bits must fit a non-negative int64 outcome index
 
-
-def _x_mask(n_qubits: int) -> int:
-    """All x-bit positions of an n-qubit string as an int mask."""
-    return (4**n_qubits - 1) // 3
-
-
-_WORD_X_MASK = np.uint64(_x_mask(32))  # the x bits of one uint64 word
-
-
-def swap_pairs(bits: int) -> int:
-    """Exchange the (z, x) bits within every pair of a packed string."""
-    mask = _x_mask(bits.bit_length() // 2 + 1)
-    x = bits & mask
-    z = (bits >> 1) & mask
-    return (x << 1) | z
+_WORD_X_MASK = np.uint64((4**32 - 1) // 3)  # the x bits of one uint64 word
 
 
 def zx_axis_order(z_axes, x_axes) -> list[int]:
@@ -85,10 +71,6 @@ class PauliString:
         if not 0 <= self.bits < 4**self.n_qubits:
             raise ValueError("bit pattern does not fit the qubit count")
 
-    @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0)
-
     def to_letters(self) -> str:
         """Render as letters over {I,X,Y,Z}, qubit 1 leftmost."""
         return "".join(PAULI_LETTERS[self.digit(n)] for n in range(1, self.n_qubits + 1))
@@ -104,21 +86,11 @@ class PauliString:
         return self.to_letters()
 
 
-def _check_same_size(a: PauliString, b: PauliString) -> None:
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit-count mismatch: {a.n_qubits} vs {b.n_qubits}")
-
-
 def xor_add(a: PauliString, b: PauliString) -> PauliString:
     """Bitwise-XOR product of two Pauli strings (phase dropped)."""
-    _check_same_size(a, b)
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(f"qubit-count mismatch: {a.n_qubits} vs {b.n_qubits}")
     return PauliString(a.n_qubits, a.bits ^ b.bits)
-
-
-def symplectic_product(a: PauliString, b: PauliString) -> int:
-    """GF(2) symplectic form; 1 iff the two strings anticommute."""
-    _check_same_size(a, b)
-    return int.bit_count(a.bits & swap_pairs(b.bits)) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +113,6 @@ def unpack_int(words_row: np.ndarray) -> int:
     return int.from_bytes(np.asarray(words_row, dtype="<u8").tobytes(), "little")
 
 
-def pack_zx(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Pack 0/1 (M, N) z/x matrices, column n-1 for qubit n, into (M, W) uint64 words."""
-    m, n = z.shape
-    bits = np.zeros((m, 64 * words_per_string(n)), dtype=np.uint8)
-    # LSB-first bit sequence: x_N, z_N, x_{N-1}, z_{N-1}, ..., x_1, z_1
-    bits[:, 0 : 2 * n : 2] = x[:, ::-1]
-    bits[:, 1 : 2 * n : 2] = z[:, ::-1]
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
-
-
 # (j, mask) for j = 32, 16, ..., 1: the mask keeps the low j bits of every 2j-bit group
 _BLOCK_MASKS = [(j, np.uint64(sum(1 << b for b in range(64) if not b & j)))
                 for j in (32, 16, 8, 4, 2, 1)]
@@ -160,7 +122,7 @@ def _pack_qubit_planes(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Packed rows of the strings whose bits (N, C) uint64 qubit planes hold.
 
     Row n-1 of z and x holds qubit n's bits of up to 64 C strings, string j
-    at bit j % 64 of word j // 64: the transpose of `pack_zx`'s input,
+    at bit j % 64 of word j // 64: the transpose of `unpack_zx`'s output,
     bit-packed.  Returns (64 C, W) words, row j for string j; bits past 2N
     are zero, and so is every row whose string has no bit set.
 
@@ -191,14 +153,14 @@ def _pack_qubit_planes(z: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def unpack_zx(words: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (M, N) z and x matrices of (M, W) packed words; inverse of `pack_zx`."""
+    """Boolean (M, N) z and x matrices of (M, W) packed words, column n-1 for qubit n."""
     bytes_ = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
     bits = np.unpackbits(bytes_, axis=1, bitorder="little").view(bool)
     return bits[:, 2 * n_qubits - 1 :: -2], bits[:, 2 * n_qubits - 2 :: -2]
 
 
 def swap_pair_words(words: np.ndarray) -> np.ndarray:
-    """swap_pairs applied wordwise to an (..., W) uint64 array."""
+    """Exchange the (z, x) bits within every pair of an (..., W) uint64 array."""
     x = words & _WORD_X_MASK
     z = words >> np.uint64(1) & _WORD_X_MASK
     return (x << np.uint64(1)) | z

@@ -202,10 +202,8 @@ def _cnot_permutation(c: int, t: int, n: int) -> np.ndarray:
     return perm
 
 
-def _simulate_rows(
-    circuit: CircuitSpec, initial: StateVector | None = None, directions: bool = False
-) -> np.ndarray:
-    """Normalized output psi of the circuit on |0...0> (or `initial`), as a (1, 2^N) array.
+def _simulate_rows(circuit: CircuitSpec, directions: bool = False) -> np.ndarray:
+    """Normalized output psi of the circuit on |0...0>, as a (1, 2^N) array.
 
     With `directions`, rows 1..K follow: phi_k = U_{>k} sigma_k psi_k for
     rotation k = exp(-i t sigma_k / 2), psi_k the state just after it and
@@ -213,12 +211,8 @@ def _simulate_rows(
     norm drifts.
     """
     n = circuit.n_qubits
-    if initial is None:
-        initial = zero_state(n)
-    if initial.n_qubits != n:
-        raise ValueError("initial state size does not match circuit")
     mats = {name: gate(circuit.params) for name, gate in _PARAM_GATES.items()}  # (K, 2, 2) each
-    amps = initial.amplitudes[None]
+    amps = zero_state(n).amplitudes[None]
     k = 0  # parameter of the next rotation
     for g in circuit.gates:
         if g.name == "cnot":
@@ -239,9 +233,9 @@ def _simulate_rows(
     return amps / np.sqrt(norm2)[:, None]
 
 
-def simulate(circuit: CircuitSpec, initial: StateVector | None = None) -> StateVector:
-    """Apply the circuit's gates in order to |0...0> (or `initial`)."""
-    return StateVector(circuit.n_qubits, _simulate_rows(circuit, initial)[0])
+def simulate(circuit: CircuitSpec) -> StateVector:
+    """Apply the circuit's gates in order to |0...0>."""
+    return StateVector(circuit.n_qubits, _simulate_rows(circuit)[0])
 
 
 def _generator_overlaps(circuit: CircuitSpec, psi: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ pieces: the tables of 16 groups are built together, and 512 outcomes at a
 time take every group of that chunk before the next 512 do.  At N = 1500
 the chunk's tables (1.5 MB) and the 512 output rows (190 KB) both fit in a
 2 MB L2 cache, where one pass of every group over all M rows would not.
-The picks are the top bits of raw 32-bit draws, packed eight to a byte:
-the same bits, and the same generator state after, as numpy's bounded 0/1
-uint8 draws, for a fraction of their cost.
+The picks are the top bits of raw 32-bit draws, packed eight to a byte and
+drawn 512 outcomes at a time: the same bits, and the same generator state
+after, as numpy's bounded 0/1 uint8 draws, for a fraction of their cost.
 
 `random_clifford` applies a whole layer of gates at once, in the style of
 Aaronson and Gottesman (quant-ph/0406196): the tableau is transposed and
@@ -30,13 +30,15 @@ together, and its CNOT chain an XOR prefix scan down the qubits.  That is
 O(depth * N * ceil(N/64)) word operations; g needs no linear solve.  The
 packed planes become generator rows by 64 x 64 bit-block transposes
 (`pauli._pack_qubit_planes`), another O(N * ceil(N/64)) word operations,
-and only the sign row is unpacked.  The circuit's gates come from one
+and only the sign row is unpacked.  This is the one way a tableau is
+built: with no layers it gives |0...0>.  The circuit's gates come from one
 layer of gate slots per N, built once and shared by every call.
 
 The gate conventions match `simulator` (S = diag(1, -i), so X -> -Y).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -62,11 +64,19 @@ def _pick_bytes(n_samples: int, n_qubits: int, rng: np.random.Generator) -> np.n
     byte first, and for the range {0, 1} returns each byte's top bit.  So
     ceil(M N / 4) raw 32-bit draws shifted right by 7 give the same picks and
     leave the generator in the same state, without the per-byte bounded path.
+    The draws come `_ROW_CHUNK` outcomes at a time, so no temporary exceeds
+    one chunk; a whole chunk takes 128 N 32-bit draws, a whole number of
+    64-bit generator outputs, so the stream is the same as in one call.
     """
-    size = n_samples * n_qubits
-    stream = rng.integers(0, 2**32, -(-size // 4), dtype=np.uint32).astype("<u4", copy=False)
-    picks = (stream.view(np.uint8)[:size] >> 7).reshape(n_samples, n_qubits)
-    return np.packbits(picks, axis=1, bitorder="little")
+    out = np.empty((n_samples, -(-n_qubits // 8)), dtype=np.uint8)
+    for r in range(0, n_samples, _ROW_CHUNK):
+        rows = min(_ROW_CHUNK, n_samples - r)
+        size = rows * n_qubits
+        stream = rng.integers(0, 2**32, -(-size // 4), dtype=np.uint32).astype("<u4", copy=False)
+        picks = stream.view(np.uint8)[:size]
+        picks >>= 7
+        out[r : r + rows] = np.packbits(picks.reshape(rows, n_qubits), axis=1, bitorder="little")
+    return out
 
 
 def _xor_picked_rows(rows: np.ndarray, pick_bytes: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -105,30 +115,31 @@ def _xor_picked_rows(rows: np.ndarray, pick_bytes: np.ndarray, offset: np.ndarra
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class StabilizerTableau:
-    """Generator tableau of an N-qubit stabilizer state, starting from |0...0>.
+    """Generator tableau of an N-qubit stabilizer state.
 
     `words` holds the N generators as (N, W) packed rows in the `BellSamples`
     layout and `signs` their N sign bits; both are read-only.  `offset` is a
-    conjugation offset g of the state, sigma_g|psi> = +-|psi*>; |0...0> is
-    real, so it starts as the identity.
+    conjugation offset g of the state, sigma_g|psi> = +-|psi*>.
+    `random_clifford` builds tableaux; `_layered_tableau` of no layers is
+    |0...0>, with generators Z_q and the identity as offset.
     """
 
-    def __init__(self, n_qubits: int):
-        if n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        q = np.arange(n_qubits)
-        z_bit = 2 * q[::-1] + 1  # generator q is Z_(q+1)
-        words = np.zeros((n_qubits, words_per_string(n_qubits)), dtype=np.uint64)
-        words[q, z_bit >> 6] = np.uint64(1) << (z_bit & 63).astype(np.uint64)
-        self._set(words, np.zeros(n_qubits, dtype=bool), PauliString.identity(n_qubits))
+    words: np.ndarray
+    signs: np.ndarray
+    offset: PauliString
 
-    def _set(self, words: np.ndarray, signs: np.ndarray, offset: PauliString) -> None:
-        """Hold the generator rows, their signs and the offset; the arrays become read-only."""
-        words.setflags(write=False)
-        signs.setflags(write=False)
-        self.n_qubits = len(signs)
-        self.words, self.signs, self.offset = words, signs, offset
+    def __post_init__(self):
+        n = len(self.signs)
+        if self.words.shape != (n, words_per_string(n)):
+            raise ValueError("words array has wrong shape for the qubit count")
+        self.words.setflags(write=False)
+        self.signs.setflags(write=False)
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.signs)
 
     def generator(self, i: int) -> tuple[int, PauliString]:
         """Generator i as (sign in {+1,-1}, PauliString)."""
@@ -163,11 +174,11 @@ def _s_power(z: np.ndarray, x: np.ndarray, p: np.ndarray, offset_bit: np.ndarray
 def _layered_tableau(draws: np.ndarray) -> StabilizerTableau:
     """The tableau of |0...0> after layers of S^a H^h S^b words and CNOT chains.
 
-    draws is (depth, N, 3) of per-qubit (a, h, b).  The tableau is worked on
-    transposed and bit-packed: row q of z and x holds qubit q's bits of all N
-    generators, bit j for generator j, and the signs are one such row.  Every
-    gate of a layer then acts on whole rows at once, and each sign update is
-    an XOR reduction over qubits.
+    draws is (depth, N, 3) of per-qubit (a, h, b); depth 0 gives |0...0>.
+    The tableau is worked on transposed and bit-packed: row q of z and x
+    holds qubit q's bits of all N generators, bit j for generator j, and the
+    signs are one such row.  Every gate of a layer then acts on whole rows at
+    once, and each sign update is an XOR reduction over qubits.
 
     Bit N carries the conjugation offset g.  After a gate G the offset of the
     new state is conj(G) sigma_g G^dagger: plain conjugation for the real H
@@ -198,9 +209,7 @@ def _layered_tableau(draws: np.ndarray) -> StabilizerTableau:
     words = _pack_qubit_planes(z, x)  # row j is generator j, row N the offset g
     sign_bytes = signs.astype("<u8", copy=False).view(np.uint8)
     sign_bits = np.unpackbits(sign_bytes, count=n, bitorder="little").view(bool)
-    tab = StabilizerTableau.__new__(StabilizerTableau)  # skips __init__'s |0...0> rows
-    tab._set(words[:n], sign_bits, PauliString(n, unpack_int(words[n])))
-    return tab
+    return StabilizerTableau(words[:n], sign_bits, PauliString(n, unpack_int(words[n])))
 
 
 @cache

@@ -17,7 +17,10 @@ cross distributions against the kernel in blocks of `_BLOCK_ENTRIES`
 `gradient_finite_difference` they are the oracles for the adjoint sweep
 of `variational._exact_gradient`.  `simulate_rows_per_row` is also the
 reference for the shifted states (psi -+ i phi_k)/sqrt(2) that
-`simulator._simulate_rows` builds from one forward walk.
+`simulator._simulate_rows` builds from one forward walk.  `apply_circuit`
+applies a circuit to any state, one gate at a time on one amplitude vector:
+the one-state loop the batched walk replaced, and the way tests run a
+circuit on a state other than |0...0>, which `simulate` does not take.
 `bell_transform_rows` is the unblocked Bell transform of R rows against
 one shared state, the whole (2^N, 2^N, R) gather in one array, and
 `fwht_unblocked` the whole-length `_wht` call: the references that
@@ -39,9 +42,16 @@ conjugation offset by Gauss-Jordan elimination over GF(2)
 the layers; the gate-by-gate tableaux take their offset from it.
 `tableau_is_valid` checks the tableau invariants by the same elimination.
 Both read a library `StabilizerTableau` through `unpack_zx` of its words.
+`pack_zx` packs boolean (M, N) z/x matrices into words through a bit
+matrix and `np.packbits`: the reference packer for tableau words, sampler
+output and the round trip of `pauli.unpack_zx`.
 `pack_qubit_planes_unpacked` unpacks bit-packed qubit planes into boolean
 matrices and packs their transposed views with `pack_zx`, the reference
 for the bit-block transposes of `pauli._pack_qubit_planes`.
+`symplectic_product` is the symplectic form of two `PauliString`s by
+integer bit operations, with `swap_pairs` exchanging the bits of every
+(z, x) pair: the scalar reference for `pauli.symplectic_rows` and
+`pauli.swap_pair_words`.
 `distinct_tuples_all_rows` re-checks every row in each rejection round, the
 reference for `estimation._distinct_tuples`, which re-checks only the rows
 it redraws.  `all_quadruples_brute` enumerates every ordered quadruple of
@@ -65,11 +75,11 @@ from bellmagic.pauli import (
     PAULI_LETTERS,
     PauliString,
     pack_ints,
-    pack_zx,
     swap_pair_words,
     symplectic_rows,
     unpack_int,
     unpack_zx,
+    words_per_string,
     zx_axis_order,
 )
 from bellmagic.simulator import (
@@ -99,6 +109,31 @@ def from_letters(letters: str) -> PauliString:
         except ValueError:
             raise ValueError(f"invalid Pauli letter {c!r}") from None
     return PauliString(len(letters), bits)
+
+
+def swap_pairs(bits: int) -> int:
+    """Exchange the (z, x) bits within every pair of a packed string."""
+    mask = (4 ** (bits.bit_length() // 2 + 1) - 1) // 3  # every x bit, and one pair spare
+    x = bits & mask
+    z = (bits >> 1) & mask
+    return (x << 1) | z
+
+
+def symplectic_product(a: PauliString, b: PauliString) -> int:
+    """GF(2) symplectic form of two strings by integer bit operations; 1 iff they anticommute."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(f"qubit-count mismatch: {a.n_qubits} vs {b.n_qubits}")
+    return int.bit_count(a.bits & swap_pairs(b.bits)) & 1
+
+
+def pack_zx(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Pack 0/1 (M, N) z/x matrices, column n-1 for qubit n, into (M, W) uint64 words."""
+    m, n = z.shape
+    bits = np.zeros((m, 64 * words_per_string(n)), dtype=np.uint8)
+    # LSB-first bit sequence: x_N, z_N, x_{N-1}, z_{N-1}, ..., x_1, z_1
+    bits[:, 0 : 2 * n : 2] = x[:, ::-1]
+    bits[:, 1 : 2 * n : 2] = z[:, ::-1]
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
 
 
 def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
@@ -134,7 +169,7 @@ class BooleanTableau:
         self.z = np.eye(n_qubits, dtype=bool)
         self.x = np.zeros((n_qubits, n_qubits), dtype=bool)
         self.signs = np.zeros(n_qubits, dtype=bool)
-        self.offset = PauliString.identity(n_qubits)
+        self.offset = PauliString(n_qubits, 0)
 
     def to_text(self) -> str:
         """One generator per line, sign then letters read off z and x qubit by qubit."""
@@ -467,24 +502,20 @@ def shifted_rows(theta: np.ndarray, shift: float) -> np.ndarray:
     return rows
 
 
-def simulate_rows_per_row(
-    circuit: CircuitSpec, thetas: np.ndarray, initial: StateVector | None = None
-) -> np.ndarray:
+def simulate_rows_per_row(circuit: CircuitSpec, thetas: np.ndarray) -> np.ndarray:
     """Run the circuit once per row of the (R, K) parameter matrix `thetas`.
 
     Returns the normalized (R, 2^N) amplitudes of the R output states, all
-    started from |0...0> (or `initial`).  A fixed gate applies one 2x2
-    matrix to all rows, a rotation one matrix per row from an (R, K, 2, 2)
-    stack, so no two rows share a rotation path.
+    started from |0...0>.  A fixed gate applies one 2x2 matrix to all rows,
+    a rotation one matrix per row from an (R, K, 2, 2) stack, so no two rows
+    share a rotation path.
     """
     n = circuit.n_qubits
     if thetas.ndim != 2 or thetas.shape[1] != circuit.n_params:
         raise ValueError(f"expected (R, {circuit.n_params}) parameters, got {thetas.shape}")
     mats = {name: gate(thetas) for name, gate in _PARAM_GATES.items()}  # (R, K, 2, 2) each
-    start = np.zeros(2**n, dtype=complex) if initial is None else initial.amplitudes
-    if initial is None:
-        start[0] = 1.0
-    amps = np.repeat(start[None], len(thetas), axis=0)
+    amps = np.zeros((len(thetas), 2**n), dtype=complex)
+    amps[:, 0] = 1.0
     k = 0  # parameter of the next rotation
     for g in circuit.gates:
         if g.name == "cnot":
@@ -499,6 +530,43 @@ def simulate_rows_per_row(
         amps = np.matmul(mats[g.name][:, k, None], t).reshape(amps.shape)
         k += 1
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def apply_circuit(circuit: CircuitSpec, state: StateVector) -> StateVector:
+    """The circuit's gates applied to `state` one by one, on one amplitude vector.
+
+    A CNOT swaps two slices of the (2,)^N view, any other gate is one 2x2
+    matrix contracted into its qubit's axis.  The one-state loop that the
+    batched `simulator._simulate_rows` replaced, and the way tests apply a
+    circuit to a state other than |0...0>.
+    """
+    n = circuit.n_qubits
+    amps = state.amplitudes.astype(complex)
+    k = 0  # the k-th rotation takes params[k]
+    for g in circuit.gates:
+        if g.name == "cnot":
+            c, t = g.qubits
+            out = amps.copy().reshape((2,) * n)
+            sel1 = [slice(None)] * n
+            sel1[c - 1] = 1
+            lo, hi = list(sel1), list(sel1)
+            lo[t - 1], hi[t - 1] = 0, 1
+            out[tuple(lo)], out[tuple(hi)] = out[tuple(hi)].copy(), out[tuple(lo)].copy()
+            amps = out.reshape(-1)
+            continue
+        q = g.qubits[0]
+        if g.name in ("ry", "rz"):
+            half = circuit.params[k] / 2
+            k += 1
+            if g.name == "ry":
+                u = np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]])
+            else:
+                u = np.diag([np.exp(-1j * half), np.exp(1j * half)])
+        else:
+            u = _FIXED_GATES[g.name]
+        t = amps.reshape(2 ** (q - 1), 2, 2 ** (n - q))
+        amps = np.einsum("ab,ibj->iaj", u, t).reshape(-1)
+    return StateVector(n, amps / np.linalg.norm(amps))
 
 
 def exact_gradient_batched(

@@ -18,8 +18,6 @@ CLOSED_FORMS = {
     "noisy_purity",
     "qfim_diagonal",
 }
-# the scalar form that tests check the packed row kernels against
-REFERENCES = {"pauli.symplectic_product"}
 
 
 def _submodules():
@@ -58,7 +56,7 @@ def test_every_export_has_a_caller():
               and (inspect.isfunction(obj) or inspect.isclass(obj))
               and obj.__module__ == mod.__name__}
     used = _used_names() | CLOSED_FORMS
-    unused = sorted(p for p in public - REFERENCES if p.split(".")[1] not in used)
+    unused = sorted(p for p in public if p.split(".")[1] not in used)
     assert not unused, f"public but only tests call: {unused}"
 
 
@@ -91,14 +89,15 @@ def test_oracles_are_not_in_the_library():
             "_cross_bell_dots", "_BLOCK_ENTRIES", "simulate_rows_per_row", "shifted_rows",
             "bell_transform_rows",
             "fwht_unblocked", "all_quadruples_brute", "resampled_curve_rep",
-            "LARGE_RESAMPLE_FACTOR", "pack_qubit_planes_unpacked"} <= defined
+            "LARGE_RESAMPLE_FACTOR", "pack_qubit_planes_unpacked", "pack_zx",
+            "symplectic_product", "swap_pairs"} <= defined
     modules = [bellmagic, *_submodules().values()]
     leaked = sorted(f"{mod.__name__}.{name}" for mod in modules for name in defined
                     if hasattr(mod, name))
     assert not leaked, f"oracles importable from the library: {leaked}"
 
 
-SETTABLE_VALUES_CEILING = 308  # raising it needs a CHANGES.md line saying why
+SETTABLE_VALUES_CEILING = 303  # raising it needs a CHANGES.md line saying why
 
 
 def _settable_values() -> int:

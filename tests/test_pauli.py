@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, strategies as hs
 
 from bellmagic import pauli
-from bellmagic.pauli import BellSamples, PauliString, symplectic_product, xor_add
+from bellmagic.pauli import BellSamples, PauliString, xor_add
 
-from oracles import from_letters, pack_qubit_planes_unpacked
+from oracles import (
+    from_letters,
+    pack_qubit_planes_unpacked,
+    pack_zx,
+    swap_pairs,
+    symplectic_product,
+)
 
 I2 = np.eye(2)
 MATS = {
@@ -34,7 +40,7 @@ P = from_letters
 
 def test_xor_add_examples():
     assert (P("X") ^ P("Z")).to_letters() == "Y"
-    assert P("XZY") ^ P("XZY") == PauliString.identity(3)
+    assert P("XZY") ^ P("XZY") == PauliString(3, 0)
     assert (P("XX") ^ P("IX")).to_letters() == "XI"
 
 
@@ -45,7 +51,7 @@ def test_xor_add_properties():
         a, b, c = (PauliString(n, int(rng.integers(0, 4**n))) for _ in range(3))
         assert xor_add(a, b) == xor_add(b, a)
         assert xor_add(xor_add(a, b), c) == xor_add(a, xor_add(b, c))
-        assert xor_add(a, PauliString.identity(n)) == a
+        assert xor_add(a, PauliString(n, 0)) == a
 
 
 def test_symplectic_examples():
@@ -109,7 +115,7 @@ def test_pack_zx_unpack_zx_roundtrip(case):
     n, digits = case
     d = np.array(digits)
     z, x = d >> 1 == 1, d & 1 == 1
-    words = pauli.pack_zx(z, x)
+    words = pack_zx(z, x)
     assert words.dtype == np.uint64 and words.shape == (len(digits), pauli.words_per_string(n))
     assert [pauli.unpack_int(row) for row in words] == [
         int("".join(map(str, row)), 4) for row in digits]
@@ -196,7 +202,7 @@ def test_samples_word_helpers_match_int_ops():
     vals = [int.from_bytes(rng.bytes(11), "big") % 4**n for _ in range(16)]
     words = pauli.pack_ints(n, vals)
     for i, v in enumerate(vals):
-        assert pauli.unpack_int(pauli.swap_pair_words(words[i : i + 1])[0]) == pauli.swap_pairs(v)
+        assert pauli.unpack_int(pauli.swap_pair_words(words[i : i + 1])[0]) == swap_pairs(v)
         assert pauli.popcount_rows(words[i : i + 1])[0] == int.bit_count(v)
     a, b = words[:8], words[8:]
     sym = pauli.symplectic_rows(a, b)

@@ -23,6 +23,7 @@ from bellmagic.simulator import (
 from oracles import (
     _BLOCK_ENTRIES,
     _cross_bell_dots,
+    apply_circuit,
     bell_transform_rows,
     from_letters,
     magic_input_circuit_gatewise,
@@ -185,35 +186,6 @@ def test_cross_distribution():
     assert d.probabilities.sum() == pytest.approx(1.0)
 
 
-def per_state_gate_loop(circuit, initial=None):
-    """The one-state gate loop that the batched `_simulate_rows` replaced (reference copy)."""
-    ry = lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]])
-    rz = lambda t: np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
-    n = circuit.n_qubits
-    amps = (initial if initial is not None else zero_state(n)).amplitudes.astype(complex)
-    k = 0  # the k-th rotation takes params[k]
-    for g in circuit.gates:
-        if g.name == "cnot":
-            c, t = g.qubits
-            out = amps.copy().reshape((2,) * n)
-            sel1 = [slice(None)] * n
-            sel1[c - 1] = 1
-            lo, hi = list(sel1), list(sel1)
-            lo[t - 1], hi[t - 1] = 0, 1
-            out[tuple(lo)], out[tuple(hi)] = out[tuple(hi)].copy(), out[tuple(lo)].copy()
-            amps = out.reshape(-1)
-        else:
-            q = g.qubits[0]
-            if g.name in ("ry", "rz"):
-                u = {"ry": ry, "rz": rz}[g.name](circuit.params[k])
-                k += 1
-            else:
-                u = sim._FIXED_GATES[g.name]
-            t = amps.reshape(2 ** (q - 1), 2, 2 ** (n - q))
-            amps = np.einsum("ab,ibj->iaj", u, t).reshape(-1)
-    return amps / np.linalg.norm(amps)
-
-
 def every_gate_circuit(n, rng):
     """A shuffled random circuit with an Ry and an Rz on every qubit plus H, S, T and CNOTs."""
     ops = [("ry", q) for q in range(1, n + 1)] + [("rz", q) for q in range(1, n + 1)]
@@ -242,20 +214,20 @@ def last_qubit_circuit(n, rng):
     return CircuitSpec(n, gates, rng.uniform(0, 2 * np.pi, size=6))
 
 
-def check_shift_directions(circ, initial):
+def check_shift_directions(circ):
     """(psi -+ i phi_k)/sqrt(2) from one walk against the oracle rows and per-circuit runs."""
     n, k_params = circ.n_qubits, circ.n_params
-    rows = sim._simulate_rows(circ, initial, directions=True)
+    rows = sim._simulate_rows(circ, directions=True)
     assert rows.shape == (k_params + 1, 2**n)
     psi, phis = rows[0], rows[1:]
-    assert np.array_equal(psi, simulate(circ, initial).amplitudes)
+    assert np.array_equal(psi, simulate(circ).amplitudes)
     shifted = np.empty((2 * k_params, 2**n), dtype=complex)
     shifted[0::2] = (psi - 1j * phis) / np.sqrt(2)
     shifted[1::2] = (psi + 1j * phis) / np.sqrt(2)
-    oracle = simulate_rows_per_row(circ, shifted_rows(circ.params, np.pi / 2), initial)
+    oracle = simulate_rows_per_row(circ, shifted_rows(circ.params, np.pi / 2))
     assert oracle.shape == shifted.shape
     assert np.max(np.abs(shifted - oracle), initial=0.0) <= 1e-12
-    per_circuit = [simulate(circ.shifted(k, sign * np.pi / 2), initial).amplitudes
+    per_circuit = [simulate(circ.shifted(k, sign * np.pi / 2)).amplitudes
                    for k in range(k_params) for sign in (1, -1)]
     assert np.max(np.abs(shifted - np.reshape(per_circuit, shifted.shape)), initial=0.0) <= 1e-12
     return shifted
@@ -267,16 +239,16 @@ def test_batched_rows_match_per_circuit(n):
     rng = np.random.default_rng(40 + n)
     circ = every_gate_circuit(n, rng)
     k_params = circ.n_params
-    for initial in (None, magic.sample_haar_state(n, rng)):
-        base = simulate(circ, initial)
-        assert np.max(np.abs(base.amplitudes - per_state_gate_loop(circ, initial))) <= 1e-12
-        rows = check_shift_directions(circ, initial)
-        check_shift_directions(last_qubit_circuit(n, rng), initial)
-        check_shift_directions(CircuitSpec(n, [Gate("h", (1,)), Gate("t", (n,))]), initial)
-        dists = [cross_bell_distribution(StateVector(n, row), base).probabilities for row in rows]
-        h = rng.normal(size=4**n)
-        dots = _cross_bell_dots(rows, base, h)
-        assert np.max(np.abs(dots - np.array(dists) @ h)) <= 1e-12
+    base = simulate(circ)
+    reference = apply_circuit(circ, zero_state(n)).amplitudes
+    assert np.max(np.abs(base.amplitudes - reference)) <= 1e-12
+    rows = check_shift_directions(circ)
+    check_shift_directions(last_qubit_circuit(n, rng))
+    check_shift_directions(CircuitSpec(n, [Gate("h", (1,)), Gate("t", (n,))]))
+    dists = [cross_bell_distribution(StateVector(n, row), base).probabilities for row in rows]
+    h = rng.normal(size=4**n)
+    dots = _cross_bell_dots(rows, base, h)
+    assert np.max(np.abs(dots - np.array(dists) @ h)) <= 1e-12
     assert n < 6 or 2 * k_params > _BLOCK_ENTRIES // 4**n
 
 

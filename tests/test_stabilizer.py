@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bellmagic import estimation, magic, pauli, simulator as sim, stabilizer as st, states
+from bellmagic import estimation, magic, simulator as sim, stabilizer as st, states
 from bellmagic.pauli import (
     BellSamples,
     PauliString,
@@ -16,10 +16,12 @@ from bellmagic.pauli import (
 
 from oracles import (
     BooleanTableau,
+    apply_circuit,
     apply_pauli,
     apply_tableau_circuit,
     apply_tableau_gate,
     conjugation_offset_gf2,
+    pack_zx,
     pauli_expectation,
     random_clifford_gatewise,
     tableau_cnot,
@@ -29,19 +31,9 @@ from oracles import (
 )
 
 
-def _oracle_pack_zx(z, x, n_qubits):
-    """Bit-by-bit packer of boolean (M, N) z/x matrices (reference copy)."""
-    m = z.shape[0]
-    bits = np.zeros((m, 2 * n_qubits), dtype=np.uint64)
-    bits[:, 0::2] = x[:, ::-1]
-    bits[:, 1::2] = z[:, ::-1]
-    n_words = words_per_string(n_qubits)
-    out = np.zeros((m, n_words), dtype=np.uint64)
-    for w in range(n_words):
-        chunk = bits[:, 64 * w : 64 * (w + 1)]
-        shifts = np.arange(chunk.shape[1], dtype=np.uint64)
-        out[:, w] = (chunk << shifts).sum(axis=1, dtype=np.uint64)
-    return out
+def _zero_tableau(n):
+    """|0...0>: the layered tableau of no layers."""
+    return st._layered_tableau(np.zeros((0, n, 3), dtype=np.int64))
 
 
 def _zx_to_pauli(z, x):
@@ -63,7 +55,7 @@ def _oracle_bell_sample(tableau, n_samples, rng):
     picks = rng.integers(0, 2, size=(n_samples, n), dtype=np.uint8)
     tz = (picks @ z.astype(np.uint8)) % 2
     tx = (picks @ x.astype(np.uint8)) % 2
-    return BellSamples(n, _oracle_pack_zx((tz ^ gz).astype(bool), (tx ^ gx).astype(bool), n))
+    return BellSamples(n, pack_zx(tz ^ gz, tx ^ gx))
 
 
 def test_h_on_zero():
@@ -99,7 +91,7 @@ def test_gate_errors():
     ref = BooleanTableau(2)
     with pytest.raises(IndexError):
         tableau_h(ref, 3)
-    tab = st.StabilizerTableau(2)
+    tab = _zero_tableau(2)
     for i in (-1, 2):
         with pytest.raises(IndexError, match=f"generator index {i}"):
             tab.generator(i)
@@ -124,13 +116,13 @@ def _assert_same_clifford(n, depth, seed):
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ref_tab, ref_circ = random_clifford_gatewise(n, depth, ref_rng)
     tab, circ = st.random_clifford(n, depth, rng)
-    assert np.array_equal(tab.words, _oracle_pack_zx(ref_tab.z, ref_tab.x, n))
+    assert np.array_equal(tab.words, pack_zx(ref_tab.z, ref_tab.x))
     assert np.array_equal(tab.signs, ref_tab.signs)
     assert circ.gates == ref_circ.gates
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
     replay = BooleanTableau(n)
     apply_tableau_circuit(replay, circ)
-    assert np.array_equal(tab.words, _oracle_pack_zx(replay.z, replay.x, n))
+    assert np.array_equal(tab.words, pack_zx(replay.z, replay.x))
     assert np.array_equal(replay.signs, tab.signs)
 
 
@@ -154,17 +146,6 @@ def test_bits_above_2n_are_zero(n):
     samples = st.bell_sample_stabilizer(tab, 600, rng)
     for words in (tab.words, samples.words):
         assert not (words[:, -1] >> np.uint64(2 * n % 64)).any()
-
-
-def test_random_clifford_does_not_pack_boolean_matrices(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("pack_zx called")
-
-    monkeypatch.setattr(pauli, "pack_zx", refuse)
-    monkeypatch.setattr(st, "pack_zx", refuse, raising=False)
-    tab, _ = st.random_clifford(65, 2, np.random.default_rng(0))
-    ref, _ = random_clifford_gatewise(65, 2, np.random.default_rng(0))
-    assert np.array_equal(tab.words, _oracle_pack_zx(ref.z, ref.x, 65))
 
 
 def test_gate_slots_are_shared_and_gate_lists_fresh():
@@ -221,22 +202,40 @@ def test_single_qubit_orbit_is_stabilizer():
         assert max(overlaps) == pytest.approx(1.0, abs=1e-9)
 
 
+# 32 qubits fill one generator word and 33 open a second; 64 qubits fill a
+# plane word, so the offset column opens a new one, and 128 rows fill two
+# transpose blocks
+_ZERO_STATE_SIZES = (1, 3, 31, 32, 33, 63, 64, 65, 130)
+
+
 def test_conjugation_offset_zero_state():
-    # 32 qubits fill one packed word; 33 opens a second and 64 fills it
-    for n in (1, 3, 31, 32, 33, 64):
-        tab = st.StabilizerTableau(n)
-        assert tab.offset == st.conjugation_offset(tab) == PauliString.identity(n)
+    for n in _ZERO_STATE_SIZES:
+        tab = _zero_tableau(n)
+        assert tab.n_qubits == n
+        assert tab.offset == st.conjugation_offset(tab) == PauliString(n, 0)
         ref = BooleanTableau(n)
-        assert np.array_equal(tab.words, _oracle_pack_zx(ref.z, ref.x, n))
+        assert np.array_equal(tab.words, pack_zx(ref.z, ref.x))
+        assert not tab.signs.any() and tab.signs.shape == (n,)
         assert tab.to_text() == "\n".join("+" + "I" * q + "Z" + "I" * (n - 1 - q) for q in range(n))
 
 
 def test_tableau_arrays_are_read_only():
-    for tab in (st.StabilizerTableau(3), st.random_clifford(3, 2, np.random.default_rng(0))[0]):
-        with pytest.raises(ValueError, match="read-only"):
-            tab.words[0, 0] ^= np.uint64(1)
-        with pytest.raises(ValueError, match="read-only"):
-            tab.signs[0] = True
+    for n in _ZERO_STATE_SIZES:
+        for tab in (_zero_tableau(n), st.random_clifford(n, 2, np.random.default_rng(n))[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                tab.words[0, 0] ^= np.uint64(1)
+            with pytest.raises(ValueError, match="read-only"):
+                tab.signs[0] = True
+
+
+def test_tableau_rejects_mis_shaped_words():
+    tab = _zero_tableau(33)
+    bad = (tab.words[:-1], tab.words[:, :1], tab.words[0], np.zeros((33, 3), np.uint64))
+    for words in bad:
+        with pytest.raises(ValueError, match="wrong shape"):
+            st.StabilizerTableau(words, tab.signs, tab.offset)
+    copy = st.StabilizerTableau(tab.words.copy(), tab.signs.copy(), tab.offset)
+    assert copy.n_qubits == 33 and copy.to_text() == tab.to_text()
 
 
 def test_conjugation_offset_plus_i():
@@ -294,10 +293,10 @@ def test_tracked_offset_maps_circuit_to_its_conjugate():
         for _ in range(25):
             tab, circ = st.random_clifford(n, int(rng.integers(1, 5)), rng)
             thetas, phis = rng.uniform(0, 2 * np.pi, size=(2, n))
-            out = sim.simulate(circ, states.product_state(thetas, phis))
+            out = apply_circuit(circ, states.product_state(thetas, phis))
             out = apply_pauli(out, st.conjugation_offset(tab)).amplitudes
             # conj(C)|phi> = conj(C conj(phi)), and conj(phi) negates the phases
-            conj_out = np.conj(sim.simulate(circ, states.product_state(thetas, -phis)).amplitudes)
+            conj_out = np.conj(apply_circuit(circ, states.product_state(thetas, -phis)).amplitudes)
             assert abs(np.vdot(out, conj_out)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -364,6 +363,19 @@ def test_large_n_sampling_smoke():
     assert estimation.estimate_purity(s) == 1.0
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 513), (2, 513), (3, 1025), (7, 2000),
+                                  (33, 511), (1500, 2000), (1501, 2001)])
+def test_pick_bytes_match_bounded_draws(n, m):
+    # one short chunk of outcomes, whole chunks and a short last one; the
+    # last chunk's picks run through every residue mod 4, as they come four
+    # to a 32-bit draw
+    rng, ref_rng = np.random.default_rng(n + m), np.random.default_rng(n + m)
+    picks = st._pick_bytes(m, n, rng)
+    ref = np.packbits(ref_rng.integers(0, 2, (m, n), dtype=np.uint8), axis=1, bitorder="little")
+    assert np.array_equal(picks, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 _GROUP_CHUNK_QUBITS = 8 * st._TABLE_GROUPS
 
 
@@ -390,7 +402,7 @@ def test_generator_words_match_generators(n):
     ref, _ = random_clifford_gatewise(n, 3, np.random.default_rng(n))
     words = tab.words
     assert words.shape == (n, words_per_string(n))
-    assert np.array_equal(words, _oracle_pack_zx(ref.z, ref.x, n))
+    assert np.array_equal(words, pack_zx(ref.z, ref.x))
     for i in range(n):
         oracle = _zx_to_pauli(ref.z[i], ref.x[i]).bits
         assert unpack_int(words[i]) == tab.generator(i)[1].bits == oracle
