@@ -11,17 +11,23 @@ XOR convolutions diagonalize under the +-1 character transform, and the
 anticommutation indicator is itself a character evaluated at the pair-swapped
 index, giving B = 1 - sum_n Q(n) Qhat(J n) with J the (z, x) bit swap.
 Each pass of the transform applies a 16 x 16 Hadamard matrix to four index
-bits as one GEMM (`simulator._wht`), and J is an axis transpose of the
-(2, 2)^N view.  Above 2^16 entries `fwht` applies `_wht`'s leading groups
-of four bits in place, one GEMM pass over the whole array each, then
-finishes every contiguous 2^16-entry (512 KB) chunk in L2 cache; at 4^12
-two of the six passes go over the whole array.  In a sweep of 2^12 to
-2^18 entries on a 2-vCPU Xeon with one BLAS thread, 2^14 to 2^17 timed
-alike, while 4^11 took 1.4 to 2 times as long with the smaller and larger
-chunks, which leave one more whole-array pass.  The groups and their order
-are `_wht`'s, so every sum is rounded as in the whole-length transform and
-the output is bit-identical.  The O(16^N) double loop that the tests check
-B against lives in `tests/oracles.py`.
+bits as one GEMM (`simulator._wht`).  Above 2^16 entries `fwht` applies
+`_wht`'s leading groups of four bits with one output buffer: the first
+GEMM pass reads the input into it, and each later leading pass works in
+place on one (16, -1) batch of the (2^k, 16, -1) view at a time through
+a batch-sized temporary (8 MB at 4^12).  It then finishes every contiguous
+2^16-entry (512 KB) chunk in L2 cache; at 4^12 two of the six passes go
+over the whole array.  In a sweep of 2^12 to 2^18 entries on a 2-vCPU
+Xeon with one BLAS thread, 2^14 to 2^17 timed alike, while 4^11 took 1.4
+to 2 times as long with the smaller and larger chunks, which leave one
+more whole-array pass.  The groups and their order are `_wht`'s, so
+every sum is rounded as in the whole-length transform and the output is
+bit-identical.  J is applied in place on the transform's output
+(`_swap_pairs`): chunks of 4^8 entries trade places by their high pairs
+and are gathered through one cached 4^8-entry index of their low pairs.
+So `fwht` holds one 4^N array besides its input, and `bell_magic_exact`
+two besides P.  The O(16^N) double loop that the tests check B against
+lives in `tests/oracles.py`.
 
 All logarithms are base 2, so the additive quantities count injected
 T-states: B_a(|T>^k tensored into any Clifford circuit) = k.
@@ -29,14 +35,16 @@ T-states: B_a(|T>^k tensored into any Clifford circuit) = k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .pauli import zx_axis_order
+from .pauli import swap_pair_words
 from .simulator import BellDistribution, StateVector, _hadamard, _wht, bell_distribution
 
 _ADDITIVE_OVERFLOW = 1e-15
 _FWHT_CHUNK_BITS = 16  # `fwht` finishes each contiguous run of 2^16 entries in cache
+_SWAP_CHUNK_PAIRS = 8  # `_swap_pairs` gathers 4^8-entry (512 KB) chunks
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -53,16 +61,21 @@ def fwht(a: np.ndarray) -> np.ndarray:
     hi = 4 * -(-max(m - _FWHT_CHUNK_BITS, 0) // 4)  # leading bits, in _wht's groups of four
     if not hi:
         return _wht(a, m)
-    # _wht's first hi / 4 passes, each a GEMM that leaves the index order as it is
-    v, out, spare = a, np.empty(size), np.empty(size)
-    for k in range(0, hi, 4):
-        np.matmul(_hadamard(4), v.reshape(2**k, 16, -1), out=out.reshape(2**k, 16, -1))
-        v, out = out, spare if v is a else v
-    for chunk in v.reshape(-1, 2 ** (m - hi)):  # then the low m - hi bits, a chunk at a time
+    # _wht's first hi / 4 passes, each a GEMM that leaves the index order as it is:
+    # the first reads `a` into `out`, later ones go through `out` one batch at a time
+    out = np.empty(size)
+    np.matmul(_hadamard(4), a.reshape(16, -1), out=out.reshape(16, -1))
+    for k in range(4, hi, 4):
+        batches = out.reshape(2**k, 16, -1)
+        spare = np.empty(batches.shape[1:])
+        for batch in batches:
+            np.matmul(_hadamard(4), batch, out=spare)
+            batch[...] = spare
+    for chunk in out.reshape(-1, 2 ** (m - hi)):  # then the low m - hi bits, a chunk at a time
         r = _wht(chunk, m - hi, scratch=chunk)
         if r is not chunk:
             chunk[:] = r
-    return v
+    return out
 
 
 def xor_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,11 +89,27 @@ def xor_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def _pair_swapped(v: np.ndarray, n_qubits: int) -> np.ndarray:
-    """v[J r] over r: v with the (z, x) bits of every pair exchanged."""
-    # the x axis of each pair moves into the z slot and vice versa
-    axes = zx_axis_order(z_axes=range(1, 2 * n_qubits, 2), x_axes=range(0, 2 * n_qubits, 2))
-    return v.reshape((2,) * (2 * n_qubits)).transpose(axes).reshape(-1)
+@cache
+def _pair_swap_index(n_pairs: int) -> np.ndarray:
+    """J r for r < 4^n_pairs, as an index array."""
+    j = swap_pair_words(np.arange(4**n_pairs, dtype=np.uint64)).astype(np.intp)
+    j.setflags(write=False)
+    return j
+
+
+def _swap_pairs(v: np.ndarray, n_qubits: int) -> None:
+    """v[r] <- v[J r] in place: the (z, x) bits of every pair exchanged.
+
+    The 4^`_SWAP_CHUNK_PAIRS`-entry chunks trade places by their high pairs,
+    each gathered through one cached index of its low pairs on the way.
+    """
+    lo = min(n_qubits, _SWAP_CHUNK_PAIRS)
+    chunks, j = v.reshape(-1, 4**lo), _pair_swap_index(lo)
+    for h, jh in enumerate(_pair_swap_index(n_qubits - lo)):
+        if h == jh:
+            chunks[h] = chunks[h][j]
+        elif h < jh:
+            chunks[h], chunks[jh] = chunks[jh][j], chunks[h][j]
 
 
 def q_distribution(dist: BellDistribution) -> np.ndarray:
@@ -106,7 +135,9 @@ class MagicValue:
 def bell_magic_exact(dist: BellDistribution) -> MagicValue:
     """Exact Bell magic of a distribution via the fast transform path."""
     q = q_distribution(dist)
-    b = max(1.0 - float(np.dot(q, _pair_swapped(fwht(q), dist.n_qubits))), 0.0)
+    qhat = fwht(q)
+    _swap_pairs(qhat, dist.n_qubits)
+    b = max(1.0 - float(np.dot(q, qhat)), 0.0)
     return MagicValue(b, additive_magic(b))
 
 

@@ -20,18 +20,24 @@ copy B:
 
     <Bell_r | a (x) b> = 2^-N/2 (-i)^{#Y(r)} sum_j (-1)^{z.j} a[j XOR x] b[j],
 
-so `_bell_transform` gathers g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard
+so `_bell_blocks` gathers g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard
 transforms it over j.  The transform (`_wht`, also behind `magic.fwht`)
 runs four index bits per pass as one real matrix product, so each pass
-reads and writes the whole array it is given.  `_bell_transform` therefore
+reads and writes the whole array it is given.  `_bell_blocks` therefore
 gives it one block of x values at a time, `_BELL_BLOCK` = 2^15 float
 entries (256 KB), which stays in the 2 MB per-core L2 cache through the
-gather, all passes and the store; at N = 12 the whole gather would be
-256 MB, and each of its three passes would go to main memory.  A sweep
-of 2^12 to 2^18 entries on a 2-vCPU Xeon with one BLAS thread put 2^15
-first at N = 8 to 11 and within 20% of the best at N = 12.  Every x gets
-the same sums in the same order as in one whole-array pass, so the output
-is bit-identical for any block size.
+gather and all passes.  A sweep of 2^12 to 2^18 entries on a 2-vCPU Xeon
+with one BLAS thread put 2^15 first at N = 8 to 11 and within 20% of the
+best at N = 12.  Every x gets the same sums in the same order as in one
+whole-array pass, so the output is bit-identical for any block size.
+`bell_amplitudes` copies each block into its interleaved place in the
+complex output while it is still in cache, so the distribution path never
+holds the whole (x, re/im, z) transform, 256 MB at N = 12; its phases and
+the squares of the Bell distribution also go through cache-sized blocks.
+Built this way, the Bell distribution holds at most three 4^N float
+arrays at once: the complex amplitudes and the probabilities.
+`_bell_transform` assembles the same blocks into the whole transform for
+`_bell_form`.
 
 `_simulate_rows` is the one forward gate walk, one 2x2 matrix or CNOT
 gather per gate on a stack of rows; `simulate` is its one-row case.  As
@@ -355,39 +361,43 @@ def _bell_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
     return halves[0][:, None], halves[1]
 
 
-_BELL_BLOCK = 2**15  # float entries of one gather + transform block of `_bell_transform`; L2-sized
+_BELL_BLOCK = 2**15  # float entries of one gather + transform block of `_bell_blocks`; L2-sized
+_ROW_BLOCK = 2**15  # complex entries per block of `bell_amplitudes`' phases and the squares of P
 
 
-def _bell_transform(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Unscaled Bell amplitudes of the 2^N amplitudes `a` against `b`.
+def _bell_blocks(a: np.ndarray, b: np.ndarray, n: int):
+    """Unscaled Bell amplitudes of the 2^N amplitudes `a` against `b`, in blocks of x.
 
     A CNOT from copy B onto copy A, then Hadamards on copy B: gathers
     g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard transforms the float view
-    of g over j.  Returns the transform as a flat float array whose axes run
-    (x, re/im, z); the amplitude of outcome (z, x) is 2^-N/2 (-i)^{#Y}
-    times it.  The x values go through in blocks of `_BELL_BLOCK` float
-    entries (4 x values at N = 12, one block for N <= 7), each gathered
-    through its own j XOR x index, transformed and stored while it sits in
-    cache; every x gets the same sums as in one whole-array pass, so the
-    output does not depend on the block size.
+    of g over j.  Yields the transform for one run of x values after the
+    other, each a flat float array of `_BELL_BLOCK` entries (4 x values at
+    N = 12, one block for N <= 7) whose axes run (x, re/im, z); the
+    amplitude of outcome (z, x) is 2^-N/2 (-i)^{#Y} times it.  Each block
+    is gathered through its own j XOR x index and transformed with itself
+    as `_wht`'s scratch; every x gets the same sums as in one whole-array
+    pass, so the output does not depend on the block size.
     """
     j = np.arange(2**n, dtype=np.uint16)  # n <= DENSE_CAP fits uint16
-    step = max(1, _BELL_BLOCK >> (n + 1))  # x values per block
-    if step >= 2**n:  # one block holds every x
-        return _gather_wht(a, b, j, j, n)
-    out = np.empty((2**n // step, 2 ** (n + 1) * step))
-    for i in range(len(out)):
-        out[i] = _gather_wht(a, b, j, j[i * step : (i + 1) * step], n)
+    step = min(2**n, max(1, _BELL_BLOCK >> (n + 1)))  # x values per block
+    for x0 in range(0, 2**n, step):
+        g = np.take(a, j[:, None] ^ j[x0 : x0 + step])
+        g *= b[:, None]
+        gf = g.view(float).reshape(-1)
+        yield _wht(gf, n, scratch=gf)
+
+
+def _bell_transform(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """`_bell_blocks` assembled into one flat float array with axes (x, re/im, z)."""
+    blocks = _bell_blocks(a, b, n)
+    first = next(blocks)
+    if first.size == 2 * 4**n:  # one block holds every x
+        return first
+    out = np.empty((2 * 4**n // first.size, first.size))
+    out[0] = first
+    for i, block in enumerate(blocks, 1):
+        out[i] = block
     return out.reshape(-1)
-
-
-def _gather_wht(a: np.ndarray, b: np.ndarray, j: np.ndarray, xs: np.ndarray,
-                n: int) -> np.ndarray:
-    """g[j, x] = a[j XOR x] b[j] for the x values `xs`, transformed over j: (x, re/im, z) floats."""
-    g = np.take(a, j[:, None] ^ xs)
-    g *= b[:, None]
-    gf = g.view(float).reshape(-1)
-    return _wht(gf, n, scratch=gf)
 
 
 def _bell_form(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
@@ -417,33 +427,42 @@ def _bell_form(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
 def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
     """Bell-basis amplitudes <Bell_r | a (x) b> as a 4^N complex vector.
 
-    Transposes the (x, re/im, z) axes of `_bell_transform`'s output into
-    the interleaved (z_q x_q) outcome digits in one copy, and
-    multiplies by 2^-N/2 (-i)^{#Y(r)}, one -i per qubit whose digit is Y.
+    Copies each (x, re/im, z) block of `_bell_blocks` into the interleaved
+    (z_q x_q) outcome digits while it is in cache, and multiplies by
+    2^-N/2 (-i)^{#Y(r)}, one -i per qubit whose digit is Y, a row block of
+    `_ROW_BLOCK` complex entries at a time.
     """
     if a.n_qubits != b.n_qubits:
         raise ValueError("qubit-count mismatch")
     n = a.n_qubits
     if n > DENSE_CAP:
         raise ValueError(f"dense Bell distributions are capped at {DENSE_CAP} qubits")
-    f = _bell_transform(a.amplitudes, b.amplitudes, n)
-    # float axes (x_1..x_n, re/im, z_1..z_n) -> (z_1, x_1, ..., z_n, x_n, re/im)
-    order = zx_axis_order(z_axes=range(n + 1, 2 * n + 1), x_axes=range(n)) + [n]
     out = np.empty(4**n, dtype=complex)
-    np.copyto(out.view(float).reshape((2,) * (2 * n + 1)),
-              f.reshape((2,) * (2 * n + 1)).transpose(order))
+    # out's float axes (z_1, x_1, ..., z_n, x_n, re/im) in the blocks' order
+    # (x_1..x_n, re/im, z_1..z_n); a block fills the view whose leading x bits are i
+    order = list(range(1, 2 * n, 2)) + [2 * n] + list(range(0, 2 * n, 2))
+    dest = out.view(float).reshape((2,) * (2 * n + 1)).transpose(order)
+    for i, block in enumerate(_bell_blocks(a.amplitudes, b.amplitudes, n)):
+        axes = block.size.bit_length() - 1  # the last `axes` of dest's 2N + 1
+        np.copyto(dest[np.unravel_index(i, (2,) * (2 * n + 1 - axes))], block.reshape((2,) * axes))
     lead, trail = _bell_phases(n)
     halves = out.reshape(len(lead), len(trail))
-    halves *= lead
-    halves *= trail
+    rows = max(1, _ROW_BLOCK // len(trail))
+    for r in range(0, len(lead), rows):
+        halves[r : r + rows] *= lead[r : r + rows]
+        halves[r : r + rows] *= trail
     return out
 
 
 def cross_bell_distribution(a: StateVector, b: StateVector) -> BellDistribution:
     """Outcome distribution of a Bell measurement across |a> and |b>."""
     amps = bell_amplitudes(a, b)
-    probs = np.square(amps.real)
-    probs += np.square(amps.imag)
+    probs = np.empty(len(amps))
+    imag = np.empty(min(len(amps), _ROW_BLOCK))  # reused by every block
+    for s in range(0, len(amps), _ROW_BLOCK):
+        block = amps[s : s + _ROW_BLOCK]
+        np.square(block.real, out=probs[s : s + _ROW_BLOCK])
+        probs[s : s + _ROW_BLOCK] += np.square(block.imag, out=imag)
     assert probs.max() <= 2.0**-a.n_qubits + 1e-12
     return BellDistribution(a.n_qubits, probs)
 

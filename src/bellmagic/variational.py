@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import _distinct_tuples, _resample_count, estimate_bell_magic, estimate_purity
-from .magic import _pair_swapped, bell_magic_exact, fwht
+from .magic import _swap_pairs, bell_magic_exact, fwht
 from .pauli import BellSamples, symplectic_rows
 from .simulator import (
     BellDistribution,
@@ -64,7 +64,9 @@ def _gradient_kernel(p: BellDistribution) -> np.ndarray:
     # dB = <dP, h>: B is quadratic in Q = P*P and XOR convolution is self-adjoint;
     # Qhat = Phat^2, so h = -4 W(Phat . W(J Phat^2)) / 4^N takes three transforms
     phat = fwht(p.probabilities)
-    return -4.0 / len(phat) * fwht(phat * fwht(_pair_swapped(phat * phat, p.n_qubits)))
+    sq = phat * phat
+    _swap_pairs(sq, p.n_qubits)
+    return -4.0 / len(phat) * fwht(phat * fwht(sq))
 
 
 def _exact_gradient(

@@ -25,7 +25,14 @@ circuit on a state other than |0...0>, which `simulate` does not take.
 one shared state, the whole (2^N, 2^N, R) gather in one array, and
 `fwht_unblocked` the whole-length `_wht` call: the references that
 `simulator._bell_transform` and `magic.fwht`, which work through
-cache-sized blocks, must match bit for bit.
+cache-sized blocks, must match bit for bit.  `bell_amplitudes_whole`
+transposes the whole (x, re/im, z) transform into the interleaved outcome
+digits in one (2N+1)-axis copy, `fwht_two_buffer` runs `fwht`'s leading
+passes between two whole-length buffers, and `pair_swapped_copy` swaps
+the (z, x) bits of every pair by an axis transpose into a new array: the
+code that `simulator.bell_amplitudes`, `magic.fwht` and
+`magic._swap_pairs` replaced in block-sized and in-place form, which they
+must match bit for bit.
 `pauli_expectation` reads <psi|sigma_p|psi> off one explicit application
 of sigma_p, independently of the Bell-transform path behind
 `simulator.pauli_expectation_table`.
@@ -70,7 +77,13 @@ import numpy as np
 
 from bellmagic import experiments
 from bellmagic.discrimination import single_magic_family
-from bellmagic.magic import MagicValue, additive_magic, bell_magic_exact, q_distribution
+from bellmagic.magic import (
+    _FWHT_CHUNK_BITS,
+    MagicValue,
+    additive_magic,
+    bell_magic_exact,
+    q_distribution,
+)
 from bellmagic.pauli import (
     PAULI_LETTERS,
     PauliString,
@@ -90,7 +103,9 @@ from bellmagic.simulator import (
     StateVector,
     _FIXED_GATES,
     _PARAM_GATES,
+    _bell_phases,
     _cnot_permutation,
+    _hadamard,
     _wht,
     bell_distribution,
     cross_bell_distribution,
@@ -333,7 +348,7 @@ def tableau_is_valid(tab: BooleanTableau | StabilizerTableau) -> bool:
 
 
 def pair_swap_permutation(n_qubits: int) -> np.ndarray:
-    """Index permutation J r swapping the (z, x) bits of every pair; oracle for `_pair_swapped`."""
+    """Index permutation J r swapping the (z, x) bits of every pair; oracle for `_swap_pairs`."""
     return swap_pair_words(np.arange(4**n_qubits, dtype=np.uint64)[:, None])[:, 0]
 
 
@@ -460,6 +475,46 @@ def fwht_unblocked(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of a power-of-two length, in whole-length passes."""
     a = np.asarray(a, dtype=float)
     return _wht(a, a.size.bit_length() - 1)
+
+
+def bell_amplitudes_whole(a: StateVector, b: StateVector) -> np.ndarray:
+    """`simulator.bell_amplitudes` from the whole (x, re/im, z) transform and one copy."""
+    n = a.n_qubits
+    f = bell_transform_rows(a.amplitudes[None], b.amplitudes, n)
+    # float axes (x_1..x_n, re/im, z_1..z_n) -> (z_1, x_1, ..., z_n, x_n, re/im)
+    order = zx_axis_order(z_axes=range(n + 1, 2 * n + 1), x_axes=range(n)) + [n]
+    out = np.empty(4**n, dtype=complex)
+    np.copyto(out.view(float).reshape((2,) * (2 * n + 1)),
+              f.reshape((2,) * (2 * n + 1)).transpose(order))
+    lead, trail = _bell_phases(n)
+    halves = out.reshape(len(lead), len(trail))
+    halves *= lead
+    halves *= trail
+    return out
+
+
+def fwht_two_buffer(a: np.ndarray) -> np.ndarray:
+    """`magic.fwht` with its leading passes between two whole-length buffers."""
+    a = np.asarray(a, dtype=float)
+    m = a.size.bit_length() - 1
+    hi = 4 * -(-max(m - _FWHT_CHUNK_BITS, 0) // 4)
+    if not hi:
+        return _wht(a, m)
+    v, out, spare = a, np.empty(a.size), np.empty(a.size)
+    for k in range(0, hi, 4):
+        np.matmul(_hadamard(4), v.reshape(2**k, 16, -1), out=out.reshape(2**k, 16, -1))
+        v, out = out, spare if v is a else v
+    for chunk in v.reshape(-1, 2 ** (m - hi)):
+        r = _wht(chunk, m - hi, scratch=chunk)
+        if r is not chunk:
+            chunk[:] = r
+    return v
+
+
+def pair_swapped_copy(v: np.ndarray, n_qubits: int) -> np.ndarray:
+    """v[J r] over r as a new array, by transposing the (2, 2)^N view."""
+    axes = zx_axis_order(z_axes=range(1, 2 * n_qubits, 2), x_axes=range(0, 2 * n_qubits, 2))
+    return v.reshape((2,) * (2 * n_qubits)).transpose(axes).reshape(-1)
 
 
 _BLOCK_ENTRIES = 2**16  # complex entries of one gather + transform block of `_cross_bell_dots`

@@ -87,7 +87,7 @@ def test_oracles_are_not_in_the_library():
     assert {"bell_magic_brute", "_gf2_eliminate", "conjugation_offset_gf2",
             "apply_tableau_circuit", "apply_tableau_gate", "BooleanTableau", "exact_gradient_batched",
             "_cross_bell_dots", "_BLOCK_ENTRIES", "simulate_rows_per_row", "shifted_rows",
-            "bell_transform_rows",
+            "bell_transform_rows", "bell_amplitudes_whole", "fwht_two_buffer", "pair_swapped_copy",
             "fwht_unblocked", "all_quadruples_brute", "resampled_curve_rep",
             "LARGE_RESAMPLE_FACTOR", "pack_qubit_planes_unpacked", "pack_zx",
             "symplectic_product", "swap_pairs"} <= defined

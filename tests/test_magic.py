@@ -1,4 +1,6 @@
 """Magic measures: golden values, transform-vs-brute oracle, invariances."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,17 @@ from bellmagic.magic import (
     xor_convolve,
 )
 from bellmagic.simulator import DENSE_CAP, BellDistribution, bell_distribution
+from bellmagic.variational import _gradient_kernel
 
 from oracles import (
     apply_circuit,
+    bell_amplitudes_whole,
     bell_magic_brute,
-    bell_transform_rows,
+    fwht_two_buffer,
     fwht_unblocked,
     mixed_bell_distribution,
     pair_swap_permutation,
+    pair_swapped_copy,
 )
 
 R_ANGLE = np.arccos(1 / np.sqrt(3))
@@ -105,9 +110,9 @@ def test_blocked_fwht_matches_whole_length_passes():
 
 
 def _assert_dense_layers_match_unblocked(ns, monkeypatch):
-    """Every Bell transform and fwht behind the Pauli table, the Bell distribution
-    and its exact B equals the unblocked kernel's output bit for bit, so the
-    layers' outputs equal the unblocked ones too."""
+    """Every Bell amplitude vector and fwht behind the Pauli table, the Bell
+    distribution and its exact B equals the whole-array kernels' output bit
+    for bit, so the layers' outputs equal the unblocked ones too."""
     calls = []
 
     def checked(kernel, reference):
@@ -118,15 +123,14 @@ def _assert_dense_layers_match_unblocked(ns, monkeypatch):
             return out
         return call
 
-    monkeypatch.setattr(sim, "_bell_transform", checked(
-        sim._bell_transform, lambda a, b, k: bell_transform_rows(a[None], b, k)))
+    monkeypatch.setattr(sim, "bell_amplitudes", checked(sim.bell_amplitudes, bell_amplitudes_whole))
     monkeypatch.setattr(magic, "fwht", checked(magic.fwht, fwht_unblocked))
     for n in ns:
         calls.clear()
         state = sample_haar_state(n, np.random.default_rng(100 + n))
         sim.pauli_expectation_table(state)  # a against conj(a)
         bell_magic_exact(bell_distribution(state))  # a against itself, then three fwht
-        assert calls == ["_bell_transform"] * 2 + ["fwht"] * 3, n
+        assert calls == ["bell_amplitudes"] * 2 + ["fwht"] * 3, n
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -138,11 +142,78 @@ def test_dense_layers_match_unblocked_kernels_up_to_dense_cap(monkeypatch):
     _assert_dense_layers_match_unblocked([11, DENSE_CAP], monkeypatch)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def test_pair_swap_transpose_matches_index_permutation():
+    # the in-place swap against J as an index and the copying transpose it
+    # replaced: one swap chunk up to N = 8, several from N = 9
     rng = np.random.default_rng(12)
-    for n in range(1, 6):
+    for n in range(1, 12):
         v = rng.normal(size=4**n)
-        assert np.array_equal(magic._pair_swapped(v, n), v[pair_swap_permutation(n)])
+        w = v.copy()
+        magic._swap_pairs(w, n)
+        assert np.array_equal(w, v[pair_swap_permutation(n)]), n
+        assert np.array_equal(_bits(w), _bits(pair_swapped_copy(v, n))), n
+
+
+def test_single_buffer_fwht_matches_two_buffer_passes():
+    # one leading pass from 2^17, in-place batch passes from 2^21 on
+    data = np.random.default_rng(20).random(2**22) - 0.5
+    data.setflags(write=False)
+    before = data.tobytes()
+    for m in (0, 1, 4, 15, 16, 17, 18, 20, 21, 22):
+        a = data[: 2**m]
+        w = fwht(a)
+        assert w.flags.writeable and not np.shares_memory(w, data), m
+        assert np.array_equal(_bits(w), _bits(fwht_two_buffer(a))), m
+    assert data.tobytes() == before
+
+
+def test_exact_magic_and_gradient_kernel_match_copying_swap():
+    # B and h as computed before the pair swap went in place on fwht's output
+    rng = np.random.default_rng(21)
+    for n in range(1, 12):
+        d = bell_distribution(sample_haar_state(n, rng))
+        q = q_distribution(d)
+        b = max(1.0 - float(np.dot(q, pair_swapped_copy(fwht_two_buffer(q), n))), 0.0)
+        assert bell_magic_exact(d).bell_magic.hex() == b.hex(), n
+        if n <= 9:
+            phat = fwht_two_buffer(d.probabilities)
+            sq = fwht_two_buffer(pair_swapped_copy(phat * phat, n))
+            h = -4.0 / len(phat) * fwht_two_buffer(phat * sq)
+            assert np.array_equal(_bits(_gradient_kernel(d)), _bits(h)), n
+
+
+# peak traced memory of each dense call at N = 11, in 4^11-entry float arrays
+# (32 MB); the whole-array kernels they replaced held 4, 4, 3 and 2
+DENSE_CALL_ARRAYS = {
+    "bell_amplitudes": 2.1,
+    "bell_distribution": 3.1,
+    "bell_magic_exact": 2.15,
+    "fwht": 1.15,
+}
+
+
+@pytest.mark.parametrize("call", sorted(DENSE_CALL_ARRAYS))
+def test_dense_memory_is_bounded(call):
+    n = 11
+    state = sample_haar_state(n, np.random.default_rng(22))
+    dist = bell_distribution(state)
+    run = {
+        "bell_amplitudes": lambda: sim.bell_amplitudes(state, state),
+        "bell_distribution": lambda: bell_distribution(state),
+        "bell_magic_exact": lambda: bell_magic_exact(dist),
+        "fwht": lambda: fwht(dist.probabilities),
+    }[call]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < DENSE_CALL_ARRAYS[call] * 8 * 4**n, peak / (8 * 4**n)
 
 
 def test_bell_magic_exact_matches_stacked_transform_form():

@@ -24,6 +24,7 @@ from oracles import (
     _BLOCK_ENTRIES,
     _cross_bell_dots,
     apply_circuit,
+    bell_amplitudes_whole,
     bell_transform_rows,
     from_letters,
     magic_input_circuit_gatewise,
@@ -319,6 +320,21 @@ def test_blocked_bell_transform_matches_unblocked_rows():
         for x, y in ((a, a), (a, b), (b, a)):
             ref = bell_transform_rows(x[None], y, n)
             assert np.array_equal(sim._bell_transform(x, y, n), ref), n
+
+
+def test_blocked_bell_amplitudes_match_whole_transform_copy():
+    # one Bell block up to N = 7, several from N = 8: each block is copied into
+    # its interleaved place, and the squares go through 2^16-entry blocks
+    rng = np.random.default_rng(18)
+    for n in range(1, 12):
+        a, b = magic.sample_haar_state(n, rng), magic.sample_haar_state(n, rng)
+        for x, y in ((a, b), (a, a)):
+            ref = bell_amplitudes_whole(x, y)
+            assert np.array_equal(sim.bell_amplitudes(x, y).view(np.uint64), ref.view(np.uint64)), n
+            probs = np.square(ref.real)
+            probs += np.square(ref.imag)
+            got = sim.cross_bell_distribution(x, y).probabilities
+            assert np.array_equal(got.view(np.uint64), probs.view(np.uint64)), n
 
 
 def test_bell_amplitudes_match_pair_kernel_construction():
