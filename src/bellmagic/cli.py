@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -295,6 +296,7 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parse_args only reads it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bellmagic",

@@ -14,8 +14,6 @@ the closed forms and the learner.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 from . import discrimination, estimation, magic, simulator, states, variational
@@ -40,6 +38,7 @@ def _run_reps(worker, fixed: tuple, seed: int, repetitions: int, threads: int) -
     threads = min(threads, len(args))  # a fork pool starts all its workers at once
     if threads <= 1:
         return [worker(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # slow to import: the pool path only
     with ProcessPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(worker, args, chunksize=max(1, len(args) // (4 * threads))))
 

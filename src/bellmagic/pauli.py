@@ -30,9 +30,8 @@ one outcome type: both samplers return it and every estimator reads its
 only one that knows the bit layout: `unpack_zx` turns (M, W) words into
 boolean (M, N) z/x matrices; `_pack_qubit_planes` turns bit-packed qubit
 planes, the transpose of `unpack_zx`'s output, into words by 64 x 64
-bit-block transposes, without a boolean matrix; `pack_ints`/`unpack_int`
-convert between words and packed integers; and `zx_axis_order` gives the
-same (z, x) pair order as axes of a dense (2,)^2N view.
+bit-block transposes, without a boolean matrix; and `pack_ints`/`unpack_int`
+convert between words and packed integers.
 """
 from __future__ import annotations
 
@@ -45,17 +44,6 @@ PAULI_LETTERS = "IXZY"  # indexed by the per-qubit digit 2*z + x
 _MAX_INDEX_QUBITS = 31  # 2N bits must fit a non-negative int64 outcome index
 
 _WORD_X_MASK = np.uint64((4**32 - 1) // 3)  # the x bits of one uint64 word
-
-
-def zx_axis_order(z_axes, x_axes) -> list[int]:
-    """Axis order that interleaves per-qubit z and x axes as (z_1, x_1, ..., z_N, x_N).
-
-    A dense 4^N array indexed by packed strings, viewed as (2,)^2N, has its
-    axes in this order: the base-4 digit 2*z + x of qubit 1 leads.  So
-    `view.transpose(zx_axis_order(z_axes, x_axes))` of a view whose qubit-q
-    z and x bits sit on axes z_axes[q-1] and x_axes[q-1] is in index order.
-    """
-    return [ax for pair in zip(z_axes, x_axes) for ax in pair]
 
 
 @dataclass(frozen=True)

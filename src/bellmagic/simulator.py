@@ -30,14 +30,13 @@ gather and all passes.  A sweep of 2^12 to 2^18 entries on a 2-vCPU Xeon
 with one BLAS thread put 2^15 first at N = 8 to 11 and within 20% of the
 best at N = 12.  Every x gets the same sums in the same order as in one
 whole-array pass, so the output is bit-identical for any block size.
-`bell_amplitudes` copies each block into its interleaved place in the
-complex output while it is still in cache, so the distribution path never
-holds the whole (x, re/im, z) transform, 256 MB at N = 12; its phases and
-the squares of the Bell distribution also go through cache-sized blocks.
-Built this way, the Bell distribution holds at most three 4^N float
-arrays at once: the complex amplitudes and the probabilities.
-`_bell_transform` assembles the same blocks into the whole transform for
-`_bell_form`.
+`_block_views` alone maps packed outcome order, digits (z_1 x_1 ...
+z_N x_N), to the blocks' (x, re/im, z) layout, one view per block.
+`bell_amplitudes` copies each block into its view of the complex output
+while it is in cache, so the distribution path never holds the whole
+transform (256 MB at N = 12), only three 4^N float arrays at most; its
+phases and squares also go through cache-sized blocks.  `_bell_form`
+weights each block by h through its view, holding four arrays at most.
 
 `_simulate_rows` is the one forward gate walk, one 2x2 matrix or CNOT
 gather per gate on a stack of rows; `simulate` is its one-row case.  As
@@ -48,8 +47,8 @@ arXiv:1811.11184), so the walk can also carry the directions phi_k.
 The exact gradient `variational._exact_gradient` takes two adjoint kernels.
 `_bell_form` applies the Hermitian form M = sum_r h(r) |u_r><u_r| of a
 weighted cross distribution, <Bell_r | a (x) psi> = <u_r|a>, to psi: one
-Bell transform of psi against itself, the weights, one Walsh-Hadamard
-transform back over z and the adjoint XOR gather, O(N 4^N).
+Bell transform of psi against itself, weighted block by block, one
+Walsh-Hadamard transform back over z and the adjoint XOR gather, O(N 4^N).
 `_generator_overlaps` walks the gates backwards on the pair (psi, lambda),
 applying U^dagger to both, and reads <lambda|sigma psi> at each rotation
 exp(-i t sigma / 2), O(G 2^N) for G gates.
@@ -66,7 +65,7 @@ from functools import cache
 
 import numpy as np
 
-from .pauli import PAULI_LETTERS, BellSamples, zx_axis_order
+from .pauli import PAULI_LETTERS, BellSamples
 
 DENSE_CAP = 12  # exact 4^N distributions get large quickly
 
@@ -333,7 +332,7 @@ def _wht(v: np.ndarray, nbits: int, scratch: np.ndarray | None = None) -> np.nda
         return v.copy()
     out, spare = np.empty(v.size), scratch
     while True:
-        # 16 x 16 blocks: one pass over v per four bits, so `_bell_transform` and
+        # 16 x 16 blocks: one pass over v per four bits, so `_bell_blocks` and
         # `magic.fwht` hand it L2-sized pieces (`_BELL_BLOCK`, `_FWHT_CHUNK_BITS`)
         c = min(nbits, 4)
         np.matmul(v.reshape(2**c, -1).T, _hadamard(c), out=out.reshape(-1, 2**c))
@@ -365,6 +364,11 @@ _BELL_BLOCK = 2**15  # float entries of one gather + transform block of `_bell_b
 _ROW_BLOCK = 2**15  # complex entries per block of `bell_amplitudes`' phases and the squares of P
 
 
+def _x_per_block(n: int) -> int:
+    """x values in one block of `_bell_blocks`: `_BELL_BLOCK` floats, or every x up to N = 7."""
+    return min(2**n, max(1, _BELL_BLOCK >> (n + 1)))
+
+
 def _bell_blocks(a: np.ndarray, b: np.ndarray, n: int):
     """Unscaled Bell amplitudes of the 2^N amplitudes `a` against `b`, in blocks of x.
 
@@ -379,7 +383,7 @@ def _bell_blocks(a: np.ndarray, b: np.ndarray, n: int):
     pass, so the output does not depend on the block size.
     """
     j = np.arange(2**n, dtype=np.uint16)  # n <= DENSE_CAP fits uint16
-    step = min(2**n, max(1, _BELL_BLOCK >> (n + 1)))  # x values per block
+    step = _x_per_block(n)
     for x0 in range(0, 2**n, step):
         g = np.take(a, j[:, None] ^ j[x0 : x0 + step])
         g *= b[:, None]
@@ -387,36 +391,37 @@ def _bell_blocks(a: np.ndarray, b: np.ndarray, n: int):
         yield _wht(gf, n, scratch=gf)
 
 
-def _bell_transform(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """`_bell_blocks` assembled into one flat float array with axes (x, re/im, z)."""
-    blocks = _bell_blocks(a, b, n)
-    first = next(blocks)
-    if first.size == 2 * 4**n:  # one block holds every x
-        return first
-    out = np.empty((2 * 4**n // first.size, first.size))
-    out[0] = first
-    for i, block in enumerate(blocks, 1):
-        out[i] = block
-    return out.reshape(-1)
+def _block_views(v: np.ndarray, n: int):
+    """Views of (4^N, c) float `v`, rows in packed digit order, one per `_bell_blocks` block.
+
+    A view has axes (x_1..x_N, c, z_1..z_N) less the x bits its block fixes,
+    so it lines up with `block.reshape((2,) * view.ndim)`, broadcast if c = 1.
+    """
+    order = [*range(1, 2 * n, 2), 2 * n, *range(0, 2 * n, 2)]
+    view = v.reshape((2,) * (2 * n) + v.shape[1:]).transpose(order)
+    fixed = n - (_x_per_block(n).bit_length() - 1)
+    for i in np.ndindex(view.shape[:fixed]):
+        yield view[i]
 
 
 def _bell_form(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """M psi for M = sum_r h(r) |u_r><u_r|, where <u_r|a> = <Bell_r | a (x) psi>.
 
     `h` is a 4^N vector over outcomes, so <a|M|a> = sum_r h(r) P_x(a, psi)(r).
-    The Bell transform T[x, z] of psi against itself is weighted by h
-    (permuted once into that (x, z) layout) and transformed back over z
-    into S[x, j]; the adjoint of the XOR gather contracted with conj(psi)
-    then gives (M psi)[i] = 2^-N sum_j conj(psi[j]) S[i XOR j, j].  Of the
-    amplitude factor 2^-N/2 (-i)^{#Y}, only its squared modulus 2^-N is
-    left in |u_r><u_r|.  O(N 4^N) work in O(4^N) memory.
+    Each block of the Bell transform T[x, z] of psi against itself is
+    weighted by h through `_block_views` and moved into (z, x) order, then
+    transformed back over z into S[x, j]; the adjoint of the XOR gather
+    contracted with conj(psi) gives (M psi)[i] = 2^-N sum_j conj(psi[j])
+    S[i XOR j, j].  Of the amplitude factor 2^-N/2 (-i)^{#Y}, only its
+    squared modulus 2^-N is left in |u_r><u_r|.  O(N 4^N) work in O(4^N).
     """
-    digits = zx_axis_order(z_axes=range(n, 2 * n), x_axes=range(n))
-    h_xz = h.reshape((2,) * (2 * n)).transpose(np.argsort(digits)).reshape(2**n, 1, 2**n)
-    f = _bell_transform(psi, psi, n).reshape(2**n, 2, 2**n)  # T: (x, re/im, z)
-    f *= h_xz
-    f = f.transpose(2, 0, 1).reshape(-1)  # (z, x, re/im): z leads for the transform
-    f = _wht(f, n, scratch=f).reshape(2**n, 2, 2**n)  # S: (x, re/im, j)
+    f = np.empty((2**n, 2**n, 2))  # (z, x, re/im): z leads for the transform back
+    step = _x_per_block(n)
+    blocks = zip(_bell_blocks(psi, psi, n), _block_views(h.reshape(-1, 1), n))
+    for x0, (block, w) in zip(range(0, 2**n, step), blocks):
+        block.reshape((2,) * w.ndim)[...] *= w
+        f[:, x0 : x0 + step] = block.reshape(step, 2, 2**n).transpose(2, 0, 1)
+    f = _wht(f.reshape(-1), n, scratch=f.reshape(-1)).reshape(2**n, 2, 2**n)  # S: (x, re/im, j)
     j = np.arange(2**n, dtype=np.uint16)  # n <= DENSE_CAP fits uint16
     g = np.take_along_axis(f, (j[:, None] ^ j)[:, None], axis=0)  # g[i, :, j] = S[i ^ j, :, j]
     # r[i, re/im, a/b]: (g_re + i g_im)(a - i b) summed over j, for psi = a + i b
@@ -427,10 +432,10 @@ def _bell_form(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
 def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
     """Bell-basis amplitudes <Bell_r | a (x) b> as a 4^N complex vector.
 
-    Copies each (x, re/im, z) block of `_bell_blocks` into the interleaved
-    (z_q x_q) outcome digits while it is in cache, and multiplies by
-    2^-N/2 (-i)^{#Y(r)}, one -i per qubit whose digit is Y, a row block of
-    `_ROW_BLOCK` complex entries at a time.
+    Copies each (x, re/im, z) block of `_bell_blocks` into its
+    `_block_views` view of the output while it is in cache, and multiplies
+    by 2^-N/2 (-i)^{#Y(r)}, one -i per qubit whose digit is Y, a row block
+    of `_ROW_BLOCK` complex entries at a time.
     """
     if a.n_qubits != b.n_qubits:
         raise ValueError("qubit-count mismatch")
@@ -438,13 +443,9 @@ def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
     if n > DENSE_CAP:
         raise ValueError(f"dense Bell distributions are capped at {DENSE_CAP} qubits")
     out = np.empty(4**n, dtype=complex)
-    # out's float axes (z_1, x_1, ..., z_n, x_n, re/im) in the blocks' order
-    # (x_1..x_n, re/im, z_1..z_n); a block fills the view whose leading x bits are i
-    order = list(range(1, 2 * n, 2)) + [2 * n] + list(range(0, 2 * n, 2))
-    dest = out.view(float).reshape((2,) * (2 * n + 1)).transpose(order)
-    for i, block in enumerate(_bell_blocks(a.amplitudes, b.amplitudes, n)):
-        axes = block.size.bit_length() - 1  # the last `axes` of dest's 2N + 1
-        np.copyto(dest[np.unravel_index(i, (2,) * (2 * n + 1 - axes))], block.reshape((2,) * axes))
+    views = _block_views(out.view(float).reshape(-1, 2), n)
+    for block, dest in zip(_bell_blocks(a.amplitudes, b.amplitudes, n), views):
+        np.copyto(dest, block.reshape(dest.shape))
     lead, trail = _bell_phases(n)
     halves = out.reshape(len(lead), len(trail))
     rows = max(1, _ROW_BLOCK // len(trail))

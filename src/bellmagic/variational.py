@@ -64,9 +64,14 @@ def _gradient_kernel(p: BellDistribution) -> np.ndarray:
     # dB = <dP, h>: B is quadratic in Q = P*P and XOR convolution is self-adjoint;
     # Qhat = Phat^2, so h = -4 W(Phat . W(J Phat^2)) / 4^N takes three transforms
     phat = fwht(p.probabilities)
-    sq = phat * phat
-    _swap_pairs(sq, p.n_qubits)
-    return -4.0 / len(phat) * fwht(phat * fwht(sq))
+    t = phat * phat
+    _swap_pairs(t, p.n_qubits)
+    t = fwht(t)
+    t *= phat
+    del phat  # so at most three 4^N arrays are live at once
+    h = fwht(t)
+    h *= -4.0 / len(h)
+    return h
 
 
 def _exact_gradient(

@@ -24,8 +24,12 @@ circuit on a state other than |0...0>, which `simulate` does not take.
 `bell_transform_rows` is the unblocked Bell transform of R rows against
 one shared state, the whole (2^N, 2^N, R) gather in one array, and
 `fwht_unblocked` the whole-length `_wht` call: the references that
-`simulator._bell_transform` and `magic.fwht`, which work through
-cache-sized blocks, must match bit for bit.  `bell_amplitudes_whole`
+`simulator._bell_blocks` and `magic.fwht`, which work through
+cache-sized blocks, must match bit for bit.  `bell_form_whole` weights the
+whole (x, re/im, z) transform by h permuted into that layout with
+`zx_axis_order`, then transposes it whole for the transform back over z:
+the reference that the block loop of `simulator._bell_form` must match
+bit for bit.  `bell_amplitudes_whole`
 transposes the whole (x, re/im, z) transform into the interleaved outcome
 digits in one (2N+1)-axis copy, `fwht_two_buffer` runs `fwht`'s leading
 passes between two whole-length buffers, and `pair_swapped_copy` swaps
@@ -93,7 +97,6 @@ from bellmagic.pauli import (
     unpack_int,
     unpack_zx,
     words_per_string,
-    zx_axis_order,
 )
 from bellmagic.simulator import (
     DENSE_CAP,
@@ -469,6 +472,31 @@ def bell_transform_rows(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     g *= b[:, None, None]
     gf = g.view(float).reshape(-1)
     return _wht(gf, n, scratch=gf)
+
+
+def zx_axis_order(z_axes, x_axes) -> list[int]:
+    """Axis order that interleaves per-qubit z and x axes as (z_1, x_1, ..., z_N, x_N).
+
+    A dense 4^N array indexed by packed strings, viewed as (2,)^2N, has its
+    axes in this order, so `view.transpose(zx_axis_order(z_axes, x_axes))`
+    of a view whose qubit-q z and x bits sit on axes z_axes[q-1] and
+    x_axes[q-1] is in index order.
+    """
+    return [ax for pair in zip(z_axes, x_axes) for ax in pair]
+
+
+def bell_form_whole(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """`simulator._bell_form` through the whole transform, h permuted and T transposed whole."""
+    digits = zx_axis_order(z_axes=range(n, 2 * n), x_axes=range(n))
+    h_xz = h.reshape((2,) * (2 * n)).transpose(np.argsort(digits)).reshape(2**n, 1, 2**n)
+    f = bell_transform_rows(psi[None], psi, n).reshape(2**n, 2, 2**n)  # T: (x, re/im, z)
+    f *= h_xz
+    f = f.transpose(2, 0, 1).reshape(-1)  # (z, x, re/im): z leads for the transform
+    f = _wht(f, n, scratch=f).reshape(2**n, 2, 2**n)  # S: (x, re/im, j)
+    j = np.arange(2**n, dtype=np.uint16)
+    g = np.take_along_axis(f, (j[:, None] ^ j)[:, None], axis=0)  # g[i, :, j] = S[i ^ j, :, j]
+    r = (g.reshape(-1, 2**n) @ np.stack([psi.real, psi.imag], axis=1)).reshape(-1, 2, 2)
+    return 2.0**-n * (r[:, 0, 0] + r[:, 1, 1] + 1j * (r[:, 1, 0] - r[:, 0, 1]))
 
 
 def fwht_unblocked(a: np.ndarray) -> np.ndarray:

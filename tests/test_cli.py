@@ -1,4 +1,5 @@
 """CLI contract: subcommands, config merging, determinism, exit codes."""
+import concurrent.futures
 import csv
 import json
 import math
@@ -100,7 +101,8 @@ def test_process_pool_capped_at_the_repetitions(tmp_path, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    # experiments imports the pool class when it starts a pool, not at import
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["magic", "--n", "2", "--nq", "50", "--reps", "2", "--seed", "3"]
     assert run(argv + ["--threads", "64", "--out", str(a)]) == 0

@@ -187,12 +187,14 @@ def test_exact_magic_and_gradient_kernel_match_copying_swap():
 
 
 # peak traced memory of each dense call at N = 11, in 4^11-entry float arrays
-# (32 MB); the whole-array kernels they replaced held 4, 4, 3 and 2
+# (32 MB); the whole-array kernels they replaced held 4, 4, 3, 2, 5.26 and 4.07
 DENSE_CALL_ARRAYS = {
     "bell_amplitudes": 2.1,
     "bell_distribution": 3.1,
     "bell_magic_exact": 2.15,
     "fwht": 1.15,
+    "_bell_form": 4.3,
+    "_gradient_kernel": 3.1,
 }
 
 
@@ -201,11 +203,14 @@ def test_dense_memory_is_bounded(call):
     n = 11
     state = sample_haar_state(n, np.random.default_rng(22))
     dist = bell_distribution(state)
+    h = _gradient_kernel(dist)
     run = {
         "bell_amplitudes": lambda: sim.bell_amplitudes(state, state),
         "bell_distribution": lambda: bell_distribution(state),
         "bell_magic_exact": lambda: bell_magic_exact(dist),
         "fwht": lambda: fwht(dist.probabilities),
+        "_bell_form": lambda: sim._bell_form(state.amplitudes, h, n),
+        "_gradient_kernel": lambda: _gradient_kernel(dist),
     }[call]
     tracemalloc.start()
     try:

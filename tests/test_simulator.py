@@ -19,12 +19,14 @@ from bellmagic.simulator import (
     simulate,
     zero_state,
 )
+from bellmagic.variational import _gradient_kernel
 
 from oracles import (
     _BLOCK_ENTRIES,
     _cross_bell_dots,
     apply_circuit,
     bell_amplitudes_whole,
+    bell_form_whole,
     bell_transform_rows,
     from_letters,
     magic_input_circuit_gatewise,
@@ -319,7 +321,7 @@ def test_blocked_bell_transform_matches_unblocked_rows():
         a, b = (magic.sample_haar_state(n, rng).amplitudes for _ in range(2))
         for x, y in ((a, a), (a, b), (b, a)):
             ref = bell_transform_rows(x[None], y, n)
-            assert np.array_equal(sim._bell_transform(x, y, n), ref), n
+            assert np.array_equal(np.concatenate(list(sim._bell_blocks(x, y, n))), ref), n
 
 
 def test_blocked_bell_amplitudes_match_whole_transform_copy():
@@ -335,6 +337,19 @@ def test_blocked_bell_amplitudes_match_whole_transform_copy():
             probs += np.square(ref.imag)
             got = sim.cross_bell_distribution(x, y).probabilities
             assert np.array_equal(got.view(np.uint64), probs.view(np.uint64)), n
+
+
+def test_blocked_bell_form_matches_whole_transform():
+    # each block weighted through `_block_views` and moved into (z, x) order,
+    # against h permuted and the transform transposed whole: one block up to
+    # N = 7, several from N = 8
+    rng = np.random.default_rng(19)
+    for n in range(1, 12):
+        state = magic.sample_haar_state(n, rng)
+        psi = state.amplitudes
+        for h in (_gradient_kernel(bell_distribution(state)), rng.standard_normal(4**n)):
+            got, ref = sim._bell_form(psi, h, n), bell_form_whole(psi, h, n)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), n
 
 
 def test_bell_amplitudes_match_pair_kernel_construction():
