@@ -137,7 +137,9 @@ def bell_magic_exact(dist: BellDistribution) -> MagicValue:
     q = q_distribution(dist)
     qhat = fwht(q)
     _swap_pairs(qhat, dist.n_qubits)
-    b = max(1.0 - float(np.dot(q, qhat)), 0.0)
+    # numpy's own loop: a BLAS ddot splits long sums across threads, so its
+    # rounding, and the CSV bytes, would depend on the BLAS thread count
+    b = max(1.0 - float(np.einsum("i,i->", q, qhat)), 0.0)
     return MagicValue(b, additive_magic(b))
 
 
@@ -182,7 +184,8 @@ def stabilizer_renyi(dist: BellDistribution) -> tuple[float, float]:
 
     M2 = -log2(2^N sum_r P(r)^2), M_lin = 1 - 2^N sum_r P(r)^2.
     """
-    s = float(np.dot(dist.probabilities, dist.probabilities))
+    p = dist.probabilities
+    s = float(np.einsum("i,i->", p, p))  # not np.dot, as in bell_magic_exact
     scaled = 2**dist.n_qubits * s
     return float(-np.log2(scaled)), float(1.0 - scaled)
 

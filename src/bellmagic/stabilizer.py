@@ -17,9 +17,9 @@ pieces: the tables of 16 groups are built together, and 512 outcomes at a
 time take every group of that chunk before the next 512 do.  At N = 1500
 the chunk's tables (1.5 MB) and the 512 output rows (190 KB) both fit in a
 2 MB L2 cache, where one pass of every group over all M rows would not.
-The picks are the top bits of raw 32-bit draws, packed eight to a byte and
-drawn 512 outcomes at a time: the same bits, and the same generator state
-after, as numpy's bounded 0/1 uint8 draws, for a fraction of their cost.
+The picks are raw random bytes, one per group and outcome, each bit a fair
+coin.  When N is not a multiple of 8, the last byte's bits past N select
+the zero rows that pad the last group, so they change no outcome.
 
 `random_clifford` applies a whole layer of gates at once, in the style of
 Aaronson and Gottesman (quant-ph/0406196): the tableau is transposed and
@@ -57,44 +57,22 @@ _TABLE_GROUPS = 16  # eight-generator groups whose tables are built and read tog
 _ROW_CHUNK = 512  # outcomes XORed through one chunk of tables at a time
 
 
-def _pick_bytes(n_samples: int, n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """`rng.integers(0, 2, (M, N), uint8)` packed to (M, ceil(N/8)) bytes, little-endian bits.
-
-    numpy draws bounded uint8 values from the bytes of 32-bit words, lowest
-    byte first, and for the range {0, 1} returns each byte's top bit.  So
-    ceil(M N / 4) raw 32-bit draws shifted right by 7 give the same picks and
-    leave the generator in the same state, without the per-byte bounded path.
-    The draws come `_ROW_CHUNK` outcomes at a time, so no temporary exceeds
-    one chunk; a whole chunk takes 128 N 32-bit draws, a whole number of
-    64-bit generator outputs, so the stream is the same as in one call.
-    """
-    out = np.empty((n_samples, -(-n_qubits // 8)), dtype=np.uint8)
-    for r in range(0, n_samples, _ROW_CHUNK):
-        rows = min(_ROW_CHUNK, n_samples - r)
-        size = rows * n_qubits
-        stream = rng.integers(0, 2**32, -(-size // 4), dtype=np.uint32).astype("<u4", copy=False)
-        picks = stream.view(np.uint8)[:size]
-        picks >>= 7
-        out[r : r + rows] = np.packbits(picks.reshape(rows, n_qubits), axis=1, bitorder="little")
-    return out
-
-
 def _xor_picked_rows(rows: np.ndarray, pick_bytes: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """offset XOR the rows each packed pick vector selects, as (M, W) words.
 
     Method of Four Russians: rows are taken eight at a time, a 256-entry table
     holds every XOR combination of the group, and one byte of `pick_bytes`
-    (M, ceil(N/8), from `_pick_bytes`) indexes it, for M * ceil(N/8) * W word
-    XORs in all.  The tables of `_TABLE_GROUPS` groups are built together, by
-    8 doubling XORs for the whole chunk, and then read into `_ROW_CHUNK`
-    outcomes at a time, so an output chunk stays in cache while every group
-    of the chunk is XORed in.
+    (M, ceil(N/8)) indexes it, for M * ceil(N/8) * W word XORs in all.  The
+    tables of `_TABLE_GROUPS` groups are built together, by 8 doubling XORs
+    for the whole chunk, and then read into `_ROW_CHUNK` outcomes at a time,
+    so an output chunk stays in cache while every group of the chunk is
+    XORed in.
     """
     m, n_groups = pick_bytes.shape
     n_words = rows.shape[1]
     out = np.repeat(offset, m, axis=0)
-    # zero rows pad the groups to whole chunks; packbits zero-pads a short
-    # last group's picks, so the table entries they make go unread
+    # zero rows pad the groups to whole chunks: a short last group's pick
+    # bits past N select only these rows, so they XOR in nothing
     groups = np.zeros((-(-n_groups // _TABLE_GROUPS) * _TABLE_GROUPS, 8, n_words), np.uint64)
     groups.reshape(-1, n_words)[: len(rows)] = rows
     tables = np.empty((_TABLE_GROUPS, 256, n_words), dtype=np.uint64)
@@ -277,5 +255,5 @@ def bell_sample_stabilizer(
         raise ValueError("need at least one sample")
     n = tableau.n_qubits
     offset = pack_ints(n, [conjugation_offset(tableau).bits])
-    picks = _pick_bytes(n_samples, n, rng)
+    picks = rng.integers(0, 256, (n_samples, -(-n // 8)), dtype=np.uint8)
     return BellSamples(n, _xor_picked_rows(tableau.words, picks, offset))

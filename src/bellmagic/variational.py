@@ -38,9 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import _distinct_tuples, _resample_count, estimate_bell_magic, estimate_purity
+from .estimation import (
+    _distinct_tuples,
+    _quadruple_mean,
+    _resample_count,
+    estimate_bell_magic,
+    estimate_purity,
+)
 from .magic import _swap_pairs, bell_magic_exact, fwht
-from .pauli import BellSamples, symplectic_rows
+from .pauli import BellSamples
 from .simulator import (
     BellDistribution,
     CircuitSpec,
@@ -115,12 +121,12 @@ def estimate_gradient(
     n_r = _resample_count(n_resamples, len(plus_outcomes))
     triples = _distinct_tuples(len(base_outcomes), n_r, 3, rng)
     ms = rng.integers(0, len(plus_outcomes), size=n_r)
-    base = base_outcomes.words
-    left = base[triples[:, 0]] ^ base[triples[:, 1]]
-    third = base[triples[:, 2]]
-    vals_plus = 2.0 * symplectic_rows(left, third ^ plus_outcomes.words[ms])
-    vals_minus = 2.0 * symplectic_rows(left, third ^ minus_outcomes.words[ms])
-    return 4.0 * float(vals_plus.mean() - vals_minus.mean())
+    # quadruples (a, b, c, m) over the base, plus and minus rows stacked in that order
+    words = np.concatenate([base_outcomes.words, plus_outcomes.words, minus_outcomes.words])
+    quad = np.column_stack([triples, len(base_outcomes) + ms])
+    vals_plus = _quadruple_mean(words, quad)
+    quad[:, 3] += len(plus_outcomes)
+    return 4.0 * (vals_plus - _quadruple_mean(words, quad))
 
 
 def qfim_diagonal(

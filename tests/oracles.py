@@ -75,12 +75,18 @@ indices for 'single', with replacement for 'many'): the oracle for
 `experiments._pe_grid_rep`.  `learn_threshold_loop` scores each candidate
 threshold in a Python loop, the reference for the one sorted pass of
 `discrimination.learn_threshold`.
+`gradient_estimate_unstacked` scores the plus and minus settings of the
+sampled gradient in two whole-array passes over their own words, with the
+same draws: the reference for `variational.estimate_gradient`, which stacks
+the three settings and scores them through the blocked
+`estimation._quadruple_mean`.
 `from_letters` parses readable Pauli literals such as "XZY" for the tests.
 """
 import numpy as np
 
 from bellmagic import experiments
 from bellmagic.discrimination import single_magic_family
+from bellmagic.estimation import _distinct_tuples, _resample_count
 from bellmagic.magic import (
     _FWHT_CHUNK_BITS,
     MagicValue,
@@ -696,6 +702,18 @@ def quadruple_mean(words: np.ndarray, quad: np.ndarray) -> float:
     left = words[quad[:, 0]] ^ words[quad[:, 1]]
     right = words[quad[:, 2]] ^ words[quad[:, 3]]
     return 2.0 * float(symplectic_rows(left, right).mean())
+
+
+def gradient_estimate_unstacked(base, plus, minus, n_resamples, rng) -> float:
+    """variational.estimate_gradient with each shifted setting scored on its own words."""
+    n_r = _resample_count(n_resamples, len(plus))
+    triples = _distinct_tuples(len(base), n_r, 3, rng)
+    ms = rng.integers(0, len(plus), size=n_r)
+    left = base.words[triples[:, 0]] ^ base.words[triples[:, 1]]
+    third = base.words[triples[:, 2]]
+    vals_plus = 2.0 * symplectic_rows(left, third ^ plus.words[ms])
+    vals_minus = 2.0 * symplectic_rows(left, third ^ minus.words[ms])
+    return 4.0 * float(vals_plus.mean() - vals_minus.mean())
 
 
 def all_quadruples_brute(words: np.ndarray, distinct: bool) -> float:

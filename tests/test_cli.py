@@ -66,7 +66,10 @@ def test_determinism_across_threads(tmp_path):
     ["magic", "--family", "haar", "--n", "11", "--nq", "200"],
     ["train", "--n", "6", "--d", "2", "--nq", "0", "--epochs", "3"],
     ["train", "--n", "4", "--d", "2", "--nq", "50", "--epochs", "2"],
-], ids=["magic-haar-11", "train-exact", "train-sampled"])
+    ["magic", "--family", "clifford-t", "--n", "8", "--d", "2", "--nt", "3", "--nq", "100",
+     "--reps", "2"],
+    ["train", "--n", "8", "--d", "1", "--nq", "0", "--epochs", "2"],
+], ids=["magic-haar-11", "train-exact", "train-sampled", "magic-clifford-t-8", "train-exact-8"])
 def test_csv_bytes_do_not_depend_on_blas_threads(argv, tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []

@@ -1,8 +1,9 @@
 """The byte contract across commits: pinned runs must keep their output hashes.
 
-Each CLI configuration in `CLI_RUNS` runs with --threads 1 in one child
-process whose BLAS and OpenMP thread counts are pinned to 1, as the
-benchmark pins them, and its CSV and JSON summary are hashed with sha256.
+Each CLI configuration in `CLI_RUNS` runs in-process with --threads 1, and
+its CSV and JSON summary are hashed with sha256.  The runs take the BLAS
+thread count the process has, as output bytes do not depend on it
+(`test_cli.test_csv_bytes_do_not_depend_on_blas_threads`).
 The summary is hashed without its "versions" entry, which names the
 interpreter and package versions rather than anything computed.  `LIBRARY_RUNS` adds digests of
 library paths that no CLI command reaches.  `tests/golden_outputs.json`
@@ -13,18 +14,13 @@ a different BLAS or SIMD kernel may round differently; that is not a code
 change.
 
 A change that claims bit-identical output leaves the file alone.  A change
-that moves output on purpose regenerates it and names the runs whose
-hashes moved:
+that moves output on purpose regenerates it, and the command prints the
+runs whose hashes moved, for CHANGES.md to name:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
-
-The pinned BLAS thread count matters: a 4^N `np.dot` (BLAS ddot) rounds
-differently with two threads from N = 7 on, which moves `b_exact`.
 """
 import hashlib
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -113,34 +109,28 @@ def digests(tmp: Path) -> dict:
             "library": {name: run() for name, run in LIBRARY_RUNS.items()}}
 
 
-def pinned_digests() -> dict:
-    """`digests` from a child process with one BLAS and OpenMP thread."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, __file__, "--print"], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(proc.stdout)
+def moved_runs(golden: dict, got: dict) -> list[str]:
+    """Names of the runs whose entries differ between two digest files."""
+    return sorted(name for kind in ("cli", "library")
+                  for name in golden[kind].keys() | got[kind].keys()
+                  if golden[kind].get(name) != got[kind].get(name))
 
 
-def test_outputs_match_golden_hashes():
+def test_outputs_match_golden_hashes(tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    got = pinned_digests()
+    got = digests(tmp_path)
     assert golden["environment"] == got["environment"], (
         f"the hashes were made with {golden['environment']}, this run has "
         f"{got['environment']}; regenerate them here from the reference commit "
         "before comparing")
-    moved = sorted(name for kind in ("cli", "library")
-                   for name in golden[kind].keys() | got[kind].keys()
-                   if golden[kind].get(name) != got[kind].get(name))
+    moved = moved_runs(golden, got)
     assert not moved, f"output hashes moved for {moved}"
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--print"]:
-        with tempfile.TemporaryDirectory() as tmp:
-            print(json.dumps(digests(Path(tmp))))
-    else:
-        GOLDEN.write_text(json.dumps(pinned_digests(), indent=1) + "\n")
-        print(f"wrote {GOLDEN}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        got = digests(Path(tmp))
+    old = json.loads(GOLDEN.read_text())
+    GOLDEN.write_text(json.dumps(got, indent=1) + "\n")
+    print(f"wrote {GOLDEN}; hashes moved for: {', '.join(moved_runs(old, got)) or 'none'}",
+          file=sys.stderr)

@@ -177,7 +177,8 @@ def test_exact_magic_and_gradient_kernel_match_copying_swap():
     for n in range(1, 12):
         d = bell_distribution(sample_haar_state(n, rng))
         q = q_distribution(d)
-        b = max(1.0 - float(np.dot(q, pair_swapped_copy(fwht_two_buffer(q), n))), 0.0)
+        qhat = pair_swapped_copy(fwht_two_buffer(q), n)
+        b = max(1.0 - float(np.einsum("i,i->", q, qhat)), 0.0)
         assert bell_magic_exact(d).bell_magic.hex() == b.hex(), n
         if n <= 9:
             phat = fwht_two_buffer(d.probabilities)

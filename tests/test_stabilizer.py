@@ -46,13 +46,18 @@ def _zx_to_pauli(z, x):
 
 
 def _oracle_bell_sample(tableau, n_samples, rng):
-    """The uint8-matmul coset sampler, kept as the bit-exact reference."""
+    """The uint8-matmul coset sampler, kept as the bit-exact reference.
+
+    It draws the sampler's pick bytes and keeps the first N bits of each row,
+    so the bits past N in a short last byte play no part here.
+    """
     n = tableau.n_qubits
     z, x = unpack_zx(tableau.words, n)
     g = st.conjugation_offset(tableau)
     gz = np.array([(g.digit(q) >> 1) for q in range(1, n + 1)], dtype=np.uint8)
     gx = np.array([(g.digit(q) & 1) for q in range(1, n + 1)], dtype=np.uint8)
-    picks = rng.integers(0, 2, size=(n_samples, n), dtype=np.uint8)
+    pick_bytes = rng.integers(0, 256, (n_samples, -(-n // 8)), dtype=np.uint8)
+    picks = np.unpackbits(pick_bytes, axis=1, count=n, bitorder="little")
     tz = (picks @ z.astype(np.uint8)) % 2
     tx = (picks @ x.astype(np.uint8)) % 2
     return BellSamples(n, pack_zx(tz ^ gz, tx ^ gx))
@@ -363,19 +368,6 @@ def test_large_n_sampling_smoke():
     assert estimation.estimate_purity(s) == 1.0
 
 
-@pytest.mark.parametrize("n, m", [(1, 1), (1, 513), (2, 513), (3, 1025), (7, 2000),
-                                  (33, 511), (1500, 2000), (1501, 2001)])
-def test_pick_bytes_match_bounded_draws(n, m):
-    # one short chunk of outcomes, whole chunks and a short last one; the
-    # last chunk's picks run through every residue mod 4, as they come four
-    # to a 32-bit draw
-    rng, ref_rng = np.random.default_rng(n + m), np.random.default_rng(n + m)
-    picks = st._pick_bytes(m, n, rng)
-    ref = np.packbits(ref_rng.integers(0, 2, (m, n), dtype=np.uint8), axis=1, bitorder="little")
-    assert np.array_equal(picks, ref)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
 _GROUP_CHUNK_QUBITS = 8 * st._TABLE_GROUPS
 
 
@@ -383,8 +375,8 @@ _GROUP_CHUNK_QUBITS = 8 * st._TABLE_GROUPS
                                _GROUP_CHUNK_QUBITS, _GROUP_CHUNK_QUBITS + 1])
 def test_sampler_bit_identical_to_matmul_oracle(n):
     # 8-generator table groups, chunks of table groups, chunks of outcomes and
-    # 64-bit word boundaries at every edge; M N runs through every residue mod
-    # 4, as the picks come four to a 32-bit draw
+    # 64-bit word boundaries at every edge; where N is not a multiple of 8 the
+    # oracle ignores the last pick byte's bits past N, so they must be inert
     tab, _ = st.random_clifford(n, 3, np.random.default_rng(100 + n))
     chunk = st._ROW_CHUNK
     for m in (1, 2, 3, 257, chunk - 1, chunk, chunk + 1):

@@ -19,7 +19,9 @@ from oracles import (
     exact_gradient_batched,
     grad_bell_magic_exact,
     grad_p_shift,
+    gradient_estimate_unstacked,
     gradient_finite_difference,
+    pack_zx,
 )
 from test_simulator import every_gate_circuit
 
@@ -187,6 +189,20 @@ def test_estimate_gradient_symmetry_and_determinism():
     g1 = var.estimate_gradient(base, shifted, shifted, 1000, np.random.default_rng(6))
     g2 = var.estimate_gradient(base, shifted, shifted, 1000, np.random.default_rng(6))
     assert g1 == g2
+
+
+@pytest.mark.parametrize("n, n_resamples", [(1, None), (2, 7), (33, 1000), (2, 40_000)])
+def test_estimate_gradient_bit_identical_to_unstacked_oracle(n, n_resamples):
+    # random outcomes of every setting; the largest case takes several
+    # blocks of the quadruple kernel
+    rng = np.random.default_rng(n)
+    base, plus, minus = (BellSamples(n, pack_zx(*rng.integers(0, 2, (2, m, n), dtype=np.uint8)))
+                         for m in (30, 20, 20))
+    got_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = var.estimate_gradient(base, plus, minus, n_resamples, got_rng)
+    ref = gradient_estimate_unstacked(base, plus, minus, n_resamples, ref_rng)
+    assert got.hex() == ref.hex()
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n_resamples", [None, 5])
