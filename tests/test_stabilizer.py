@@ -368,6 +368,26 @@ def test_large_n_sampling_smoke():
     assert estimation.estimate_purity(s) == 1.0
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 513), (2, 513), (3, 1025), (7, 2000),
+                                  (33, 511), (1500, 2000), (1501, 2001)])
+def test_pick_bytes_match_bounded_draws(n, m):
+    # raw pick bytes and their bounded 0/1 form (the first N bits, padding
+    # bits cleared) XOR in the same rows: short and whole chunks of outcomes,
+    # short and whole chunks of table groups, and N off a multiple of 8
+    rng = np.random.default_rng(n + m)
+    n_words = -(-2 * n // 64)
+    rows = rng.integers(0, 2**64, (n, n_words), dtype=np.uint64)
+    offset = rng.integers(0, 2**64, (1, n_words), dtype=np.uint64)
+    raw = rng.integers(0, 256, (m, -(-n // 8)), dtype=np.uint8)
+    bounded = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+    ref = np.repeat(offset, m, axis=0)
+    for j in range(n):
+        ref ^= np.where(bounded[:, j : j + 1] == 1, rows[j], np.uint64(0))
+    cleared = np.packbits(bounded, axis=1, bitorder="little")
+    assert np.array_equal(st._xor_picked_rows(rows, raw, offset), ref)
+    assert np.array_equal(st._xor_picked_rows(rows, cleared, offset), ref)
+
+
 _GROUP_CHUNK_QUBITS = 8 * st._TABLE_GROUPS
 
 
