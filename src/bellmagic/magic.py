@@ -11,18 +11,20 @@ XOR convolutions diagonalize under the +-1 character transform, and the
 anticommutation indicator is itself a character evaluated at the pair-swapped
 index, giving B = 1 - sum_n Q(n) Qhat(J n) with J the (z, x) bit swap.
 Each pass of the transform applies a 16 x 16 Hadamard matrix to four index
-bits as one GEMM (`simulator._wht`).  Above 2^16 entries `fwht` applies
-`_wht`'s leading groups of four bits with one output buffer: the first
-GEMM pass reads the input into it, and each later leading pass works in
-place on one (16, -1) batch of the (2^k, 16, -1) view at a time through
-a batch-sized temporary (8 MB at 4^12).  It then finishes every contiguous
-2^16-entry (512 KB) chunk in L2 cache; at 4^12 two of the six passes go
-over the whole array.  In a sweep of 2^12 to 2^18 entries on a 2-vCPU
-Xeon with one BLAS thread, 2^14 to 2^17 timed alike, while 4^11 took 1.4
-to 2 times as long with the smaller and larger chunks, which leave one
-more whole-array pass.  The groups and their order are `_wht`'s, so
-every sum is rounded as in the whole-length transform and the output is
-bit-identical.  J is applied in place on the transform's output
+bits as GEMMs of at most 2^15 floats each (`simulator._wht`), which OpenBLAS
+runs in its small-matrix kernel without packing.  Above 2^16 entries `fwht`
+applies `_wht`'s leading groups of four bits with one output buffer: each
+leading pass multiplies every (16, -1) batch of the (2^k, 16, -1) view from
+the left by H_4, 2^11 columns at a time; the first reads the input into the
+buffer, later ones work in place through one 16 x 2^11 spare (256 KB).  It
+then finishes every contiguous 2^16-entry (512 KB) chunk in L2 cache; at
+4^12 two of the six passes go over the whole array.  In a sweep of 2^12
+to 2^18 entries on a 2-vCPU Xeon with one BLAS thread, 2^14 to 2^17
+timed alike, while 4^11 took 1.4 to 2 times as long with the smaller and
+larger chunks, which leave one more whole-array pass.  The groups and
+their order are `_wht`'s and each slice computes the same 16-term sums,
+so every sum is rounded as in one whole-length GEMM per pass and the
+output is bit-identical.  J is applied in place on the transform's output
 (`_swap_pairs`): chunks of 4^8 entries trade places by their high pairs
 and are gathered through one cached 4^8-entry index of their low pairs.
 So `fwht` holds one 4^N array besides its input, and `bell_magic_exact`
@@ -40,7 +42,14 @@ from functools import cache
 import numpy as np
 
 from .pauli import swap_pair_words
-from .simulator import BellDistribution, StateVector, _hadamard, _wht, bell_distribution
+from .simulator import (
+    _GEMM_FLOATS,
+    BellDistribution,
+    StateVector,
+    _hadamard,
+    _wht,
+    bell_distribution,
+)
 
 _ADDITIVE_OVERFLOW = 1e-15
 _FWHT_CHUNK_BITS = 16  # `fwht` finishes each contiguous run of 2^16 entries in cache
@@ -61,16 +70,21 @@ def fwht(a: np.ndarray) -> np.ndarray:
     hi = 4 * -(-max(m - _FWHT_CHUNK_BITS, 0) // 4)  # leading bits, in _wht's groups of four
     if not hi:
         return _wht(a, m)
-    # _wht's first hi / 4 passes, each a GEMM that leaves the index order as it is:
-    # the first reads `a` into `out`, later ones go through `out` one batch at a time
-    out = np.empty(size)
-    np.matmul(_hadamard(4), a.reshape(16, -1), out=out.reshape(16, -1))
+    # _wht's first hi / 4 passes, each H_4 from the left on every (16, -1) batch,
+    # which leaves the index order as it is, 2^11 columns per GEMM so that each
+    # stays small (`_GEMM_FLOATS`): the first reads `a` into `out`, later ones
+    # work in place through one 16 x 2^11 spare
+    out, h = np.empty(size), _hadamard(4)
+    spare = np.empty((16, _GEMM_FLOATS >> 4))
+    w = spare.shape[1]
+    first, dest = a.reshape(16, -1), out.reshape(16, -1)
+    for s in range(0, dest.shape[1], w):
+        np.matmul(h, first[:, s : s + w], out=dest[:, s : s + w])
     for k in range(4, hi, 4):
-        batches = out.reshape(2**k, 16, -1)
-        spare = np.empty(batches.shape[1:])
-        for batch in batches:
-            np.matmul(_hadamard(4), batch, out=spare)
-            batch[...] = spare
+        for batch in out.reshape(2**k, 16, -1):
+            for s in range(0, batch.shape[1], w):
+                np.matmul(h, batch[:, s : s + w], out=spare)
+                batch[:, s : s + w] = spare
     for chunk in out.reshape(-1, 2 ** (m - hi)):  # then the low m - hi bits, a chunk at a time
         r = _wht(chunk, m - hi, scratch=chunk)
         if r is not chunk:

@@ -22,14 +22,18 @@ copy B:
 
 so `_bell_blocks` gathers g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard
 transforms it over j.  The transform (`_wht`, also behind `magic.fwht`)
-runs four index bits per pass as one real matrix product, so each pass
+runs four index bits per pass as real matrix products, so each pass
 reads and writes the whole array it is given.  `_bell_blocks` therefore
 gives it one block of x values at a time, `_BELL_BLOCK` = 2^15 float
 entries (256 KB), which stays in the 2 MB per-core L2 cache through the
 gather and all passes.  A sweep of 2^12 to 2^18 entries on a 2-vCPU Xeon
 with one BLAS thread put 2^15 first at N = 8 to 11 and within 20% of the
-best at N = 12.  Every x gets the same sums in the same order as in one
-whole-array pass, so the output is bit-identical for any block size.
+best at N = 12.  2^15 is also the largest power of two whose 16 x 16 pass
+OpenBLAS runs as one unpacked small-matrix dgemm (M N K <= 10^6, up to
+62k floats); past that it packs the operands and the cost per entry
+doubles, so `_wht` issues the passes of larger arrays in 2^15-float row
+slices (`_GEMM_FLOATS`).  Every x gets the same sums in the same order as
+in one whole-array pass, so the output is bit-identical for any block size.
 `_block_views` alone maps packed outcome order, digits (z_1 x_1 ...
 z_N x_N), to the blocks' (x, re/im, z) layout, one view per block.
 `bell_amplitudes` copies each block into its view of the complex output
@@ -316,17 +320,29 @@ def _hadamard(c: int) -> np.ndarray:
     return h
 
 
+# Floats per Walsh-Hadamard GEMM.  OpenBLAS (0.3.31, SkylakeX kernels) runs a
+# dgemm through its unpacked small-matrix kernel only while M N K <= 10^6; a
+# 16 x 16 pass over R rows crosses that at R = 3907, and on a 2-vCPU Xeon with
+# one BLAS thread its cost per entry doubled there (1.08 -> 2.44 ns).  2^15
+# floats, R = 2^11 at c = 4, give M N K = 2^19.  `_BELL_BLOCK`'s 2^15-float
+# blocks already sit under it, which is why its block-size sweep put 2^15 first.
+_GEMM_FLOATS = 2**15
+
+
 def _wht(v: np.ndarray, nbits: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform over the `nbits` leading index bits.
 
     `v` is a flat float64 array whose length is a multiple of 2^nbits.  A
-    pass transforms c <= 4 leading bits as one GEMM on the transposed view,
+    pass transforms c <= 4 leading bits as a GEMM on the transposed view,
     out = v.reshape(2^c, -1).T @ H_c, which also rotates those c bits to the
     least significant end; after all passes the transformed bits come last,
-    in their original order, below the untouched ones.  The first pass reads
-    `v` into a fresh array; later passes alternate between that array and
-    `scratch` (fresh when None, and it may be `v` itself).  Returns the
-    array holding the result, which is never `v` unless `v` is `scratch`.
+    in their original order, below the untouched ones.  Above `_GEMM_FLOATS`
+    entries a pass is issued in row slices of `_GEMM_FLOATS` floats, each
+    within OpenBLAS's small-matrix kernel; every row gets the same 2^c-term
+    sum, so the output is bit-identical to one GEMM per pass.  The first
+    pass reads `v` into a fresh array; later passes alternate between that
+    array and `scratch` (fresh when None, and it may be `v` itself).  Returns
+    the array holding the result, which is never `v` unless `v` is `scratch`.
     """
     if nbits == 0:
         return v.copy()
@@ -335,7 +351,13 @@ def _wht(v: np.ndarray, nbits: int, scratch: np.ndarray | None = None) -> np.nda
         # 16 x 16 blocks: one pass over v per four bits, so `_bell_blocks` and
         # `magic.fwht` hand it L2-sized pieces (`_BELL_BLOCK`, `_FWHT_CHUNK_BITS`)
         c = min(nbits, 4)
-        np.matmul(v.reshape(2**c, -1).T, _hadamard(c), out=out.reshape(-1, 2**c))
+        rows, dest, h = v.reshape(2**c, -1).T, out.reshape(-1, 2**c), _hadamard(c)
+        if v.size <= _GEMM_FLOATS:  # one call, so small arrays pay no per-slice Python
+            np.matmul(rows, h, out=dest)
+        else:
+            step = _GEMM_FLOATS >> c
+            for s in range(0, len(dest), step):
+                np.matmul(rows[s : s + step], h, out=dest[s : s + step])
         nbits -= c
         if not nbits:
             return out
@@ -461,10 +483,10 @@ def cross_bell_distribution(a: StateVector, b: StateVector) -> BellDistribution:
     probs = np.empty(len(amps))
     imag = np.empty(min(len(amps), _ROW_BLOCK))  # reused by every block
     for s in range(0, len(amps), _ROW_BLOCK):
-        block = amps[s : s + _ROW_BLOCK]
-        np.square(block.real, out=probs[s : s + _ROW_BLOCK])
-        probs[s : s + _ROW_BLOCK] += np.square(block.imag, out=imag)
-    assert probs.max() <= 2.0**-a.n_qubits + 1e-12
+        block, dest = amps[s : s + _ROW_BLOCK], probs[s : s + _ROW_BLOCK]
+        np.square(block.real, out=dest)
+        dest += np.square(block.imag, out=imag)
+        assert dest.max() <= 2.0**-a.n_qubits + 1e-12  # checked while the block is in cache
     return BellDistribution(a.n_qubits, probs)
 
 
@@ -485,10 +507,9 @@ def noisy_bell_distribution(dist: BellDistribution, noise: NoiseModel) -> BellDi
     p = noise.p
     if p == 0.0:
         return dist
-    dim = 4**dist.n_qubits
-    return BellDistribution(
-        dist.n_qubits, (1 - p) ** 2 * dist.probabilities + p * (2 - p) / dim
-    )
+    probs = np.multiply(dist.probabilities, (1 - p) ** 2)  # the one 4^N allocation
+    probs += p * (2 - p) / 4**dist.n_qubits
+    return BellDistribution(dist.n_qubits, probs)
 
 
 def sample(dist: BellDistribution, n_samples: int, rng: np.random.Generator) -> BellSamples:

@@ -21,9 +21,12 @@ reference for the shifted states (psi -+ i phi_k)/sqrt(2) that
 applies a circuit to any state, one gate at a time on one amplitude vector:
 the one-state loop the batched walk replaced, and the way tests run a
 circuit on a state other than |0...0>, which `simulate` does not take.
+`wht_one_gemm` is `simulator._wht` with each pass one GEMM over the
+whole array, the reference for its small-GEMM row slices and the
+transform behind every whole-array reference below.
 `bell_transform_rows` is the unblocked Bell transform of R rows against
 one shared state, the whole (2^N, 2^N, R) gather in one array, and
-`fwht_unblocked` the whole-length `_wht` call: the references that
+`fwht_unblocked` the whole-length `wht_one_gemm` call: the references that
 `simulator._bell_blocks` and `magic.fwht`, which work through
 cache-sized blocks, must match bit for bit.  `bell_form_whole` weights the
 whole (x, re/im, z) transform by h permuted into that layout with
@@ -115,7 +118,6 @@ from bellmagic.simulator import (
     _bell_phases,
     _cnot_permutation,
     _hadamard,
-    _wht,
     bell_distribution,
     cross_bell_distribution,
     simulate,
@@ -466,6 +468,26 @@ def grad_bell_magic_exact(circuit: CircuitSpec, k: int, v: float = 0.5) -> float
     return float(np.dot(d, _gradient_kernel(p)))
 
 
+def wht_one_gemm(v: np.ndarray, nbits: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """`simulator._wht` with each pass issued as one GEMM over the whole array.
+
+    Same passes, buffers and return rule as the library transform, which
+    splits a pass over more than `_GEMM_FLOATS` entries into row slices.
+    """
+    if nbits == 0:
+        return v.copy()
+    out, spare = np.empty(v.size), scratch
+    while True:
+        c = min(nbits, 4)
+        np.matmul(v.reshape(2**c, -1).T, _hadamard(c), out=out.reshape(-1, 2**c))
+        nbits -= c
+        if not nbits:
+            return out
+        if spare is None:
+            spare = np.empty(v.size)
+        v, out, spare = out, spare, out
+
+
 def bell_transform_rows(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Unscaled Bell amplitudes of each row of (R, 2^N) `rows` against `b`, unblocked.
 
@@ -477,7 +499,7 @@ def bell_transform_rows(rows: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     g = np.take(np.ascontiguousarray(rows.T), j[:, None] ^ j, axis=0)
     g *= b[:, None, None]
     gf = g.view(float).reshape(-1)
-    return _wht(gf, n, scratch=gf)
+    return wht_one_gemm(gf, n, scratch=gf)
 
 
 def zx_axis_order(z_axes, x_axes) -> list[int]:
@@ -498,7 +520,7 @@ def bell_form_whole(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     f = bell_transform_rows(psi[None], psi, n).reshape(2**n, 2, 2**n)  # T: (x, re/im, z)
     f *= h_xz
     f = f.transpose(2, 0, 1).reshape(-1)  # (z, x, re/im): z leads for the transform
-    f = _wht(f, n, scratch=f).reshape(2**n, 2, 2**n)  # S: (x, re/im, j)
+    f = wht_one_gemm(f, n, scratch=f).reshape(2**n, 2, 2**n)  # S: (x, re/im, j)
     j = np.arange(2**n, dtype=np.uint16)
     g = np.take_along_axis(f, (j[:, None] ^ j)[:, None], axis=0)  # g[i, :, j] = S[i ^ j, :, j]
     r = (g.reshape(-1, 2**n) @ np.stack([psi.real, psi.imag], axis=1)).reshape(-1, 2, 2)
@@ -508,7 +530,7 @@ def bell_form_whole(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
 def fwht_unblocked(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of a power-of-two length, in whole-length passes."""
     a = np.asarray(a, dtype=float)
-    return _wht(a, a.size.bit_length() - 1)
+    return wht_one_gemm(a, a.size.bit_length() - 1)
 
 
 def bell_amplitudes_whole(a: StateVector, b: StateVector) -> np.ndarray:
@@ -533,13 +555,13 @@ def fwht_two_buffer(a: np.ndarray) -> np.ndarray:
     m = a.size.bit_length() - 1
     hi = 4 * -(-max(m - _FWHT_CHUNK_BITS, 0) // 4)
     if not hi:
-        return _wht(a, m)
+        return wht_one_gemm(a, m)
     v, out, spare = a, np.empty(a.size), np.empty(a.size)
     for k in range(0, hi, 4):
         np.matmul(_hadamard(4), v.reshape(2**k, 16, -1), out=out.reshape(2**k, 16, -1))
         v, out = out, spare if v is a else v
     for chunk in v.reshape(-1, 2 ** (m - hi)):
-        r = _wht(chunk, m - hi, scratch=chunk)
+        r = wht_one_gemm(chunk, m - hi, scratch=chunk)
         if r is not chunk:
             chunk[:] = r
     return v

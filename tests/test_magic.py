@@ -193,7 +193,7 @@ DENSE_CALL_ARRAYS = {
     "bell_amplitudes": 2.1,
     "bell_distribution": 3.1,
     "bell_magic_exact": 2.15,
-    "fwht": 1.15,
+    "fwht": 1.05,
     "_bell_form": 4.3,
     "_gradient_kernel": 3.1,
 }
@@ -220,6 +220,38 @@ def test_dense_memory_is_bounded(call):
     finally:
         tracemalloc.stop()
     assert peak < DENSE_CALL_ARRAYS[call] * 8 * 4**n, peak / (8 * 4**n)
+
+
+SMALL_GEMM_MNK = 10**6  # OpenBLAS runs a dgemm unpacked, in its small-matrix kernel, up to M N K = 10^6
+
+
+def test_dense_transforms_issue_only_small_gemms(monkeypatch):
+    # every Walsh-Hadamard pass goes through np.matmul in slices of at most
+    # 2^15 floats, so each product stays under the packing cutoff at any N
+    n = 9
+    state = sample_haar_state(n, np.random.default_rng(23))
+    dist = bell_distribution(state)
+    h = _gradient_kernel(dist)
+    big = np.random.default_rng(24).random(4**11)
+    sizes = []
+    matmul = np.matmul
+
+    def recorded(x1, x2, *args, **kwargs):
+        (rows, inner), cols = np.shape(x1)[-2:], np.shape(x2)[-1]
+        sizes.append(rows * inner * cols)
+        return matmul(x1, x2, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    calls = {
+        "fwht": lambda: fwht(big),
+        "bell_distribution": lambda: bell_distribution(sample_haar_state(11, np.random.default_rng(25))),
+        "_gradient_kernel": lambda: _gradient_kernel(dist),
+        "_bell_form": lambda: sim._bell_form(state.amplitudes, h, n),
+    }
+    for name, run in calls.items():
+        sizes.clear()
+        run()
+        assert sizes and max(sizes) <= SMALL_GEMM_MNK, (name, max(sizes, default=None))
 
 
 def test_bell_magic_exact_matches_stacked_transform_form():

@@ -34,6 +34,7 @@ from oracles import (
     pauli_expectation,
     shifted_rows,
     simulate_rows_per_row,
+    wht_one_gemm,
 )
 
 CHI2_5SIGMA = stats.norm.sf(5.0)  # one-sided 5-sigma tail probability
@@ -311,6 +312,22 @@ def test_bell_transform_matches_cached_table_gather():
             gf = g.view(float).reshape(-1)
             ref = sim._wht(gf, n, scratch=gf)
             assert np.array_equal(bell_transform_rows(rows, b, n), ref), (n, r)
+
+
+def test_sliced_wht_matches_one_gemm_per_pass():
+    # one GEMM per pass up to 2^15 entries, row slices of 2^15 floats above;
+    # the Bell blocks and `_bell_form` transform fewer bits than the array holds
+    data = np.random.default_rng(30).random(2**22) - 0.5
+    data.setflags(write=False)
+    for m in range(23):
+        for nbits in sorted({m, max(m - 1, 0), (m + 1) // 2}):
+            v = data[: 2**m]
+            assert np.array_equal(sim._wht(v, nbits).view(np.uint64),
+                                  wht_one_gemm(v, nbits).view(np.uint64)), (m, nbits)
+            w, w_ref = v.copy(), v.copy()
+            got, ref = sim._wht(w, nbits, scratch=w), wht_one_gemm(w_ref, nbits, scratch=w_ref)
+            assert (got is w) == (ref is w_ref), (m, nbits)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (m, nbits)
 
 
 def test_blocked_bell_transform_matches_unblocked_rows():
