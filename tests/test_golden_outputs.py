@@ -33,7 +33,8 @@ from bellmagic.stabilizer import bell_sample_stabilizer, random_clifford
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 
 # every subcommand and mode at small sizes; the N = 8 runs take several
-# Bell-transform blocks through bell_amplitudes and the exact gradient
+# Bell-transform blocks through bell_amplitudes and the exact gradient, and
+# the N = 11 run takes fwht's chunked path and the larger Bell blocks' floor
 CLI_RUNS = {
     "magic-haar": ["magic", "--family", "haar", "--n", "5", "--nq", "200", "--reps", "3",
                    "--bootstrap", "20", "--seed", "1"],
@@ -42,6 +43,8 @@ CLI_RUNS = {
                     "--seed", "2"],
     "magic-n8": ["magic", "--family", "clifford-t", "--n", "8", "--d", "2", "--nt", "3",
                  "--nq", "100", "--reps", "2", "--seed", "3"],
+    "magic-n11": ["magic", "--family", "magic-input", "--n", "11", "--d", "2", "--na", "2",
+                  "--p", "0.1", "--nq", "2000", "--seed", "15"],
     "discriminate-single": ["discriminate", "--mode", "curve", "--kind", "single", "--n", "4",
                             "--d", "2", "--na", "1", "--nq-grid", "5,10", "--reps", "20",
                             "--seed", "4"],
