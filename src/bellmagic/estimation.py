@@ -48,13 +48,21 @@ def _resample_count(n_resamples: int | None, n_outcomes: int) -> int:
 
 
 def _distinct_tuples(m: int, n_trials: int, width: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform ordered `width`-tuples of distinct indices in [0, m), by rejection."""
+    """Uniform ordered `width`-tuples of distinct indices in [0, m), by rejection.
+
+    A row is redrawn when any two of its entries are equal, found by the
+    width (width - 1) / 2 column comparisons.
+    """
     idx = rng.integers(0, m, size=(n_trials, width))
-    rows = np.arange(n_trials)  # rows still to check; accepted rows never change
+    rows, cols = np.arange(n_trials), idx.T  # rows still to check; accepted rows never change
     while len(rows):
-        srt = np.sort(idx[rows], axis=1)
-        rows = rows[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
+        repeated = np.zeros(len(rows), dtype=bool)
+        for i in range(1, width):
+            for k in range(i):
+                repeated |= cols[i] == cols[k]
+        rows = rows[repeated]
         idx[rows] = rng.integers(0, m, size=(len(rows), width))
+        cols = idx[rows].T
     return idx
 
 

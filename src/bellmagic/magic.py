@@ -24,12 +24,20 @@ timed alike, while 4^11 took 1.4 to 2 times as long with the smaller and
 larger chunks, which leave one more whole-array pass.  The groups and
 their order are `_wht`'s and each slice computes the same 16-term sums,
 so every sum is rounded as in one whole-length GEMM per pass and the
-output is bit-identical.  J is applied in place on the transform's output
+output is bit-identical.  These passes live in the generator
+`_fwht_chunks`, which writes into a given array, which may be the input
+itself, and yields each finished chunk (the whole array below 2^17
+entries) while it is in cache.  `fwht` drains it into a new array.
+`xor_convolve` squares each chunk of the first transform as it is
+yielded (or multiplies it by the other input's transform), then runs the
+second transform in place in the same buffer and scales each chunk by
+1/len there: no whole-array pass between the transforms, and one 4^N
+array fewer.  J is applied in place on the transform's output
 (`_swap_pairs`): chunks of 4^8 entries trade places by their high pairs
 and are gathered through one cached 4^8-entry index of their low pairs.
-So `fwht` holds one 4^N array besides its input, and `bell_magic_exact`
-two besides P.  The O(16^N) double loop that the tests check B against
-lives in `tests/oracles.py`.
+So `fwht` and `xor_convolve` of one input hold one 4^N array besides
+their input, and `bell_magic_exact` two besides P.  The O(16^N) double
+loop that the tests check B against lives in `tests/oracles.py`.
 
 All logarithms are base 2, so the additive quantities count injected
 T-states: B_a(|T>^k tensored into any Clifford circuit) = k.
@@ -56,11 +64,12 @@ _FWHT_CHUNK_BITS = 16  # `fwht` finishes each contiguous run of 2^16 entries in 
 _SWAP_CHUNK_PAIRS = 8  # `_swap_pairs` gathers 4^8-entry (512 KB) chunks
 
 
-def fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, W(a)[k] = sum_j (-1)^<k,j> a[j].
+def _fwht_chunks(a: np.ndarray, out: np.ndarray):
+    """Run `fwht`'s passes of `a` into the float array `out`, which may be `a` itself.
 
-    Returns a new float array; `a` is left untouched.  The length must be a
-    power of two.
+    Yields each finished contiguous chunk of `out` (at most 2^16 entries),
+    or the whole of `out` below 2^17 entries, in order while it is in
+    cache, so that the caller can apply an elementwise step to it there.
     """
     a = np.asarray(a, dtype=float)
     size = a.size
@@ -68,38 +77,59 @@ def fwht(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"fwht needs a 1-D array whose length is a power of two, got {a.shape}")
     m = size.bit_length() - 1
     hi = 4 * -(-max(m - _FWHT_CHUNK_BITS, 0) // 4)  # leading bits, in _wht's groups of four
-    if not hi:
-        return _wht(a, m)
     # _wht's first hi / 4 passes, each H_4 from the left on every (16, -1) batch,
     # which leaves the index order as it is, 2^11 columns per GEMM so that each
-    # stays small (`_GEMM_FLOATS`): the first reads `a` into `out`, later ones
-    # work in place through one 16 x 2^11 spare
-    out, h = np.empty(size), _hadamard(4)
-    spare = np.empty((16, _GEMM_FLOATS >> 4))
-    w = spare.shape[1]
-    first, dest = a.reshape(16, -1), out.reshape(16, -1)
-    for s in range(0, dest.shape[1], w):
-        np.matmul(h, first[:, s : s + w], out=dest[:, s : s + w])
-    for k in range(4, hi, 4):
-        for batch in out.reshape(2**k, 16, -1):
-            for s in range(0, batch.shape[1], w):
-                np.matmul(h, batch[:, s : s + w], out=spare)
-                batch[:, s : s + w] = spare
-    for chunk in out.reshape(-1, 2 ** (m - hi)):  # then the low m - hi bits, a chunk at a time
-        r = _wht(chunk, m - hi, scratch=chunk)
+    # stays small (`_GEMM_FLOATS`): the first reads `a` into `out` unless `a` is
+    # `out`, the others work in place through one 16 x 2^11 spare
+    if hi:
+        h, spare = _hadamard(4), np.empty((16, _GEMM_FLOATS >> 4))
+        w = spare.shape[1]
+        if a is not out:
+            first, dest = a.reshape(16, -1), out.reshape(16, -1)
+            for s in range(0, dest.shape[1], w):
+                np.matmul(h, first[:, s : s + w], out=dest[:, s : s + w])
+        for k in range(0 if a is out else 4, hi, 4):
+            for batch in out.reshape(2**k, 16, -1):
+                for s in range(0, batch.shape[1], w):
+                    np.matmul(h, batch[:, s : s + w], out=spare)
+                    batch[:, s : s + w] = spare
+    # then the low m - hi bits, a chunk at a time (all of `a` into `out` when hi = 0)
+    src = out if hi else a
+    for piece, chunk in zip(src.reshape(-1, 2 ** (m - hi)), out.reshape(-1, 2 ** (m - hi))):
+        r = _wht(piece, m - hi, scratch=chunk)
         if r is not chunk:
             chunk[:] = r
+        yield chunk
+
+
+def fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform, W(a)[k] = sum_j (-1)^<k,j> a[j].
+
+    Returns a new float array; `a` is left untouched.  The length must be a
+    power of two.
+    """
+    out = np.empty(np.size(a))
+    for _ in _fwht_chunks(a, out):
+        pass
     return out
 
 
 def xor_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """XOR (dyadic) convolution c[n] = sum_r a[r] b[r XOR n]."""
+    """XOR (dyadic) convolution c[n] = sum_r a[r] b[r XOR n].
+
+    W(a) W(b) is formed chunk by chunk as `_fwht_chunks` finishes W(a), and
+    transformed back in place, each chunk scaled by 1/len as it finishes.
+    """
     if len(a) != len(b):
         raise ValueError("length mismatch")
-    fa = fwht(a)
-    fa *= fa if b is a else fwht(b)
-    c = fwht(fa)
-    c /= len(a)
+    fb = None if b is a else fwht(b)
+    c = np.empty(len(a))
+    s = 0
+    for chunk in _fwht_chunks(a, c):
+        chunk *= chunk if fb is None else fb[s : s + len(chunk)]
+        s += len(chunk)
+    for chunk in _fwht_chunks(c, c):
+        chunk /= len(a)
     return c
 
 

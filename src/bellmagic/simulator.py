@@ -39,8 +39,15 @@ z_N x_N), to the blocks' (x, re/im, z) layout, one view per block.
 `bell_amplitudes` copies each block into its view of the complex output
 while it is in cache, so the distribution path never holds the whole
 transform (256 MB at N = 12), only three 4^N float arrays at most; its
-phases and squares also go through cache-sized blocks.  `_bell_form`
+phases and squares also go through cache-sized blocks.  A block holds at
+least 16 x values (`_MIN_X_PER_BLOCK`), so from N = 11 on it outgrows
+`_BELL_BLOCK` (1 MB at N = 12) and each contiguous run of that copy holds
+2^9 floats rather than 2^5: at N = 12 `bell_distribution` went from 527
+to 443 ms (median of 8 interleaved calls, one BLAS thread).  `_bell_form`
 weights each block by h through its view, holding four arrays at most.
+`BellDistribution` checks min, max and sum, and `noisy_bell_distribution`
+scales and floors, one cache-sized block at a time, so each reads a 4^N
+array once.  `sample` searches the CDF with its draws sorted.
 
 `_simulate_rows` is the one forward gate walk, one 2x2 matrix or CNOT
 gather per gate on a stack of rows; `simulate` is its one-row case.  As
@@ -286,6 +293,9 @@ class NoiseModel:
             raise ValueError("depolarizing probability must be in [0, 1]")
 
 
+_CHECK_BLOCK = 2**16  # entries per block of `BellDistribution`'s checks (512 KB); one up to N = 8
+
+
 @dataclass(frozen=True)
 class BellDistribution:
     """Probability vector over the 4^N two-copy Bell outcomes.
@@ -302,10 +312,14 @@ class BellDistribution:
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (4**self.n_qubits,):
             raise ValueError("probability vector has wrong length")
-        if not (p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12):  # `not` so that NaN fails
-            raise ValueError("entries outside [0, 1]")
-        if not abs(p.sum() - 1.0) <= 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum()}")
+        total = 0.0
+        for s in range(0, len(p), _CHECK_BLOCK):  # min, max and sum while the block is in cache
+            block = p[s : s + _CHECK_BLOCK]
+            if not (block.min() >= -1e-12 and block.max() <= 1.0 + 1e-12):  # `not`: NaN fails
+                raise ValueError("entries outside [0, 1]")
+            total += float(block.sum())
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"probabilities sum to {total}")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
@@ -382,13 +396,18 @@ def _bell_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
     return halves[0][:, None], halves[1]
 
 
-_BELL_BLOCK = 2**15  # float entries of one gather + transform block of `_bell_blocks`; L2-sized
+_BELL_BLOCK = 2**15  # floats per gather + transform block of `_bell_blocks` to N = 10; L2-sized
+# x values per block at least: from N = 11 on a block outgrows `_BELL_BLOCK` (2^17 floats,
+# 1 MB, at N = 12), so that each run `bell_amplitudes` copies through `_block_views` holds
+# 2^9 floats, not 2^5; `_wht` still issues its GEMMs in `_GEMM_FLOATS` slices
+_MIN_X_PER_BLOCK = 16
 _ROW_BLOCK = 2**15  # complex entries per block of `bell_amplitudes`' phases and the squares of P
 
 
 def _x_per_block(n: int) -> int:
-    """x values in one block of `_bell_blocks`: `_BELL_BLOCK` floats, or every x up to N = 7."""
-    return min(2**n, max(1, _BELL_BLOCK >> (n + 1)))
+    """x values in one block of `_bell_blocks`: `_BELL_BLOCK` floats, or every x up to N = 7,
+    and never fewer than `_MIN_X_PER_BLOCK`."""
+    return min(2**n, max(_MIN_X_PER_BLOCK, _BELL_BLOCK >> (n + 1)))
 
 
 def _bell_blocks(a: np.ndarray, b: np.ndarray, n: int):
@@ -397,8 +416,8 @@ def _bell_blocks(a: np.ndarray, b: np.ndarray, n: int):
     A CNOT from copy B onto copy A, then Hadamards on copy B: gathers
     g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard transforms the float view
     of g over j.  Yields the transform for one run of x values after the
-    other, each a flat float array of `_BELL_BLOCK` entries (4 x values at
-    N = 12, one block for N <= 7) whose axes run (x, re/im, z); the
+    other, each a flat float array of `_BELL_BLOCK` entries (one block for
+    N <= 7), or of 16 x values from N = 11 on, whose axes run (x, re/im, z); the
     amplitude of outcome (z, x) is 2^-N/2 (-i)^{#Y} times it.  Each block
     is gathered through its own j XOR x index and transformed with itself
     as `_wht`'s scratch; every x gets the same sums as in one whole-array
@@ -443,6 +462,7 @@ def _bell_form(psi: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     for x0, (block, w) in zip(range(0, 2**n, step), blocks):
         block.reshape((2,) * w.ndim)[...] *= w
         f[:, x0 : x0 + step] = block.reshape(step, 2, 2**n).transpose(2, 0, 1)
+    del block, w, blocks  # the last block and the generator's gather, before the transform back
     f = _wht(f.reshape(-1), n, scratch=f.reshape(-1)).reshape(2**n, 2, 2**n)  # S: (x, re/im, j)
     j = np.arange(2**n, dtype=np.uint16)  # n <= DENSE_CAP fits uint16
     g = np.take_along_axis(f, (j[:, None] ^ j)[:, None], axis=0)  # g[i, :, j] = S[i ^ j, :, j]
@@ -455,7 +475,9 @@ def bell_amplitudes(a: StateVector, b: StateVector) -> np.ndarray:
     """Bell-basis amplitudes <Bell_r | a (x) b> as a 4^N complex vector.
 
     Copies each (x, re/im, z) block of `_bell_blocks` into its
-    `_block_views` view of the output while it is in cache, and multiplies
+    `_block_views` view of the output while it is in cache, in contiguous
+    runs of 2^(2k + 1) floats for a block of 2^k x values (2^9 from N = 10
+    on, every x up to N = 7), and multiplies
     by 2^-N/2 (-i)^{#Y(r)}, one -i per qubit whose digit is Y, a row block
     of `_ROW_BLOCK` complex entries at a time.
     """
@@ -507,18 +529,30 @@ def noisy_bell_distribution(dist: BellDistribution, noise: NoiseModel) -> BellDi
     p = noise.p
     if p == 0.0:
         return dist
-    probs = np.multiply(dist.probabilities, (1 - p) ** 2)  # the one 4^N allocation
-    probs += p * (2 - p) / 4**dist.n_qubits
+    scale, floor = (1 - p) ** 2, p * (2 - p) / 4**dist.n_qubits
+    src, probs = dist.probabilities, np.empty(len(dist.probabilities))  # the one 4^N allocation
+    for s in range(0, len(probs), _ROW_BLOCK):  # scaled and floored while in cache
+        dest = probs[s : s + _ROW_BLOCK]
+        np.multiply(src[s : s + _ROW_BLOCK], scale, out=dest)
+        dest += floor
     return BellDistribution(dist.n_qubits, probs)
 
 
 def sample(dist: BellDistribution, n_samples: int, rng: np.random.Generator) -> BellSamples:
-    """Draw i.i.d. outcomes by inverse CDF; deterministic for a fixed seed."""
+    """Draw i.i.d. outcomes by inverse CDF; deterministic for a fixed seed.
+
+    The draws search the CDF in sorted order, each from where the one before
+    it landed, and their indices go back to draw order: the same indices as
+    an unsorted search, with fewer cache misses on a 4^N CDF.
+    """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     cdf = np.cumsum(dist.probabilities)
     cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(n_samples), side="right")
+    draws = rng.random(n_samples)
+    order = np.argsort(draws)
+    idx = np.empty(n_samples, dtype=np.intp)
+    idx[order] = np.searchsorted(cdf, draws[order], side="right")
     return BellSamples.from_indices(dist.n_qubits, idx)
 
 

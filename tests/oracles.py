@@ -39,7 +39,16 @@ passes between two whole-length buffers, and `pair_swapped_copy` swaps
 the (z, x) bits of every pair by an axis transpose into a new array: the
 code that `simulator.bell_amplitudes`, `magic.fwht` and
 `magic._swap_pairs` replaced in block-sized and in-place form, which they
-must match bit for bit.
+must match bit for bit.  `xor_convolve_three_calls` is XOR convolution as
+three whole-array `fwht` calls with whole-array steps between them, the
+reference for `magic.xor_convolve`, which squares or multiplies and scales
+each chunk of `magic._fwht_chunks` while it is in cache.
+`check_probabilities_whole` is `BellDistribution`'s validation as three
+whole-array passes (min, max, sum), `noisy_probabilities_two_pass` the
+depolarized distribution as one whole-array scale and one whole-array add,
+and `sample_unsorted` the inverse-CDF search with the draws in draw order:
+the references for the block-at-a-time checks and noise and the sorted
+search of `simulator`.
 `pauli_expectation` reads <psi|sigma_p|psi> off one explicit application
 of sigma_p, independently of the Bell-transform path behind
 `simulator.pauli_expectation_table`.
@@ -66,9 +75,10 @@ for the bit-block transposes of `pauli._pack_qubit_planes`.
 integer bit operations, with `swap_pairs` exchanging the bits of every
 (z, x) pair: the scalar reference for `pauli.symplectic_rows` and
 `pauli.swap_pair_words`.
-`distinct_tuples_all_rows` re-checks every row in each rejection round, the
-reference for `estimation._distinct_tuples`, which re-checks only the rows
-it redraws.  `all_quadruples_brute` enumerates every ordered quadruple of
+`distinct_tuples_all_rows` re-checks every row in each rejection round, and
+`distinct_tuples_sorted` finds repeated entries by sorting each row it
+re-checks: the references for `estimation._distinct_tuples`, which
+re-checks only the rows it redraws, by pairwise column comparisons.  `all_quadruples_brute` enumerates every ordered quadruple of
 up to 8 outcomes (`quadruple_mean` scores a list of them), the reference
 for the Gram-matrix statistics of `estimation.estimate_bell_magic`'s
 "distinct" and "all" modes.  `resampled_curve_rep` scores a discrimination
@@ -95,10 +105,12 @@ from bellmagic.magic import (
     MagicValue,
     additive_magic,
     bell_magic_exact,
+    fwht,
     q_distribution,
 )
 from bellmagic.pauli import (
     PAULI_LETTERS,
+    BellSamples,
     PauliString,
     pack_ints,
     swap_pair_words,
@@ -567,6 +579,41 @@ def fwht_two_buffer(a: np.ndarray) -> np.ndarray:
     return v
 
 
+def xor_convolve_three_calls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`magic.xor_convolve` as three whole-array `fwht` calls, squared and scaled whole."""
+    fa = fwht(a)
+    fa *= fa if b is a else fwht(b)
+    c = fwht(fa)
+    c /= len(a)
+    return c
+
+
+def check_probabilities_whole(n_qubits: int, probabilities) -> None:
+    """`BellDistribution`'s checks as three whole-array passes; raises ValueError."""
+    p = np.asarray(probabilities, dtype=float)
+    if p.shape != (4**n_qubits,):
+        raise ValueError("probability vector has wrong length")
+    if not (p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12):  # `not` so that NaN fails
+        raise ValueError("entries outside [0, 1]")
+    if not abs(p.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"probabilities sum to {p.sum()}")
+
+
+def noisy_probabilities_two_pass(dist: BellDistribution, p: float) -> np.ndarray:
+    """`simulator.noisy_bell_distribution`'s probabilities, scaled whole, then floored whole."""
+    probs = np.multiply(dist.probabilities, (1 - p) ** 2)
+    probs += p * (2 - p) / 4**dist.n_qubits
+    return probs
+
+
+def sample_unsorted(dist: BellDistribution, n_samples: int, rng) -> BellSamples:
+    """`simulator.sample` searching the CDF with the draws in draw order."""
+    cdf = np.cumsum(dist.probabilities)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, rng.random(n_samples), side="right")
+    return BellSamples.from_indices(dist.n_qubits, idx)
+
+
 def pair_swapped_copy(v: np.ndarray, n_qubits: int) -> np.ndarray:
     """v[J r] over r as a new array, by transposing the (2, 2)^N view."""
     axes = zx_axis_order(z_axes=range(1, 2 * n_qubits, 2), x_axes=range(0, 2 * n_qubits, 2))
@@ -717,6 +764,18 @@ def distinct_tuples_all_rows(m: int, n_trials: int, width: int,
         if not bad.any():
             return idx
         idx[bad] = rng.integers(0, m, size=(int(bad.sum()), width))
+
+
+def distinct_tuples_sorted(m: int, n_trials: int, width: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Rejection sampler of distinct-index tuples that sorts each re-checked row."""
+    idx = rng.integers(0, m, size=(n_trials, width))
+    rows = np.arange(n_trials)  # rows still to check; accepted rows never change
+    while len(rows):
+        srt = np.sort(idx[rows], axis=1)
+        rows = rows[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
+        idx[rows] = rng.integers(0, m, size=(len(rows), width))
+    return idx
 
 
 def quadruple_mean(words: np.ndarray, quad: np.ndarray) -> float:

@@ -91,7 +91,9 @@ def test_oracles_are_not_in_the_library():
             "fwht_unblocked", "all_quadruples_brute", "resampled_curve_rep",
             "LARGE_RESAMPLE_FACTOR", "pack_qubit_planes_unpacked", "pack_zx",
             "symplectic_product", "swap_pairs", "bell_form_whole", "zx_axis_order",
-            "gradient_estimate_unstacked", "wht_one_gemm"} <= defined
+            "gradient_estimate_unstacked", "wht_one_gemm", "xor_convolve_three_calls",
+            "check_probabilities_whole", "noisy_probabilities_two_pass", "sample_unsorted",
+            "distinct_tuples_sorted"} <= defined
     modules = [bellmagic, *_submodules().values()]
     leaked = sorted(f"{mod.__name__}.{name}" for mod in modules for name in defined
                     if hasattr(mod, name))

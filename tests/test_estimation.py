@@ -10,7 +10,12 @@ from bellmagic.pauli import BellSamples
 from bellmagic.simulator import NoiseModel, bell_distribution, noisy_bell_distribution, sample
 from bellmagic.stabilizer import bell_sample_stabilizer, random_clifford
 
-from oracles import all_quadruples_brute, distinct_tuples_all_rows, quadruple_mean
+from oracles import (
+    all_quadruples_brute,
+    distinct_tuples_all_rows,
+    distinct_tuples_sorted,
+    quadruple_mean,
+)
 
 
 def t_samples(n_samples, seed):
@@ -70,6 +75,20 @@ def test_distinct_tuples_keep_the_rng_stream():
                     ref = distinct_tuples_all_rows(m, n_trials, width, ref_rng)
                     assert np.array_equal(fast, ref)
                     assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_pairwise_repeat_check_matches_sort_form(width):
+    # column comparisons redraw the rows a per-row sort finds, in the same
+    # order, so the tuples and the generator state afterwards are the same
+    for m in (4, 5, 6, 50, 2000):
+        for n_trials in (1, 3000, 20000):
+            for seed in range(4):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                fast = est._distinct_tuples(m, n_trials, width, rng)
+                ref = distinct_tuples_sorted(m, n_trials, width, ref_rng)
+                assert np.array_equal(fast, ref), (m, n_trials, seed)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n_qubits", [32, 64, 1504])  # 1, 2 and 47 words

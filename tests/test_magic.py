@@ -31,6 +31,7 @@ from oracles import (
     mixed_bell_distribution,
     pair_swap_permutation,
     pair_swapped_copy,
+    xor_convolve_three_calls,
 )
 
 R_ANGLE = np.arccos(1 / np.sqrt(3))
@@ -109,10 +110,28 @@ def test_blocked_fwht_matches_whole_length_passes():
         assert np.array_equal(fwht(a), fwht_unblocked(a)), m
 
 
+def test_chunked_xor_convolve_matches_three_calls():
+    # squared, multiplied and scaled chunk by chunk as `_fwht_chunks` finishes
+    # them, the second transform in place: the whole array below 2^17 entries,
+    # 2^16-entry chunks from 2^17 on
+    rng = np.random.default_rng(24)
+    a_data, b_data = rng.random(2**24) - 0.5, rng.random(2**24) - 0.5
+    for data in (a_data, b_data):
+        data.setflags(write=False)
+    for m in range(25):
+        a, b = a_data[: 2**m], b_data[: 2**m]
+        for other in (a, b):
+            got = _bits(xor_convolve(a, other))
+            assert np.array_equal(got, _bits(xor_convolve_three_calls(a, other))), (m, other is a)
+            del got
+
+
 def _assert_dense_layers_match_unblocked(ns, monkeypatch):
-    """Every Bell amplitude vector and fwht behind the Pauli table, the Bell
-    distribution and its exact B equals the whole-array kernels' output bit
-    for bit, so the layers' outputs equal the unblocked ones too."""
+    """Every Bell amplitude vector and Walsh-Hadamard transform behind the
+    Pauli table, the Bell distribution and its exact B equals the whole-array
+    kernels' output bit for bit, so the layers' outputs equal the unblocked
+    ones too.  The chunks of `_fwht_chunks` are checked as they are yielded,
+    before the caller's in-cache step changes them."""
     calls = []
 
     def checked(kernel, reference):
@@ -123,14 +142,27 @@ def _assert_dense_layers_match_unblocked(ns, monkeypatch):
             return out
         return call
 
+    fwht_chunks = magic._fwht_chunks
+
+    def checked_chunks(a, out):
+        calls.append("_fwht_chunks")
+        ref, s = fwht_unblocked(a), 0  # before `out`, which may be `a`, is written
+        for chunk in fwht_chunks(a, out):
+            assert np.array_equal(chunk, ref[s : s + len(chunk)]), ("_fwht_chunks", n, s)
+            s += len(chunk)
+            yield chunk
+        assert s == len(ref), n
+
     monkeypatch.setattr(sim, "bell_amplitudes", checked(sim.bell_amplitudes, bell_amplitudes_whole))
     monkeypatch.setattr(magic, "fwht", checked(magic.fwht, fwht_unblocked))
+    monkeypatch.setattr(magic, "_fwht_chunks", checked_chunks)
     for n in ns:
         calls.clear()
         state = sample_haar_state(n, np.random.default_rng(100 + n))
         sim.pauli_expectation_table(state)  # a against conj(a)
-        bell_magic_exact(bell_distribution(state))  # a against itself, then three fwht
-        assert calls == ["bell_amplitudes"] * 2 + ["fwht"] * 3, n
+        # a against itself; xor_convolve's two transforms, then fwht's one
+        bell_magic_exact(bell_distribution(state))
+        assert calls == ["bell_amplitudes"] * 2 + ["_fwht_chunks"] * 3 + ["fwht"], n
 
 
 @pytest.mark.parametrize("n", [9, 10])

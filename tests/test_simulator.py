@@ -28,10 +28,13 @@ from oracles import (
     bell_amplitudes_whole,
     bell_form_whole,
     bell_transform_rows,
+    check_probabilities_whole,
     from_letters,
     magic_input_circuit_gatewise,
     mixed_bell_distribution,
+    noisy_probabilities_two_pass,
     pauli_expectation,
+    sample_unsorted,
     shifted_rows,
     simulate_rows_per_row,
     wht_one_gemm,
@@ -416,6 +419,79 @@ def test_noisy_distribution():
     supported = noisy[bell_distribution(stab).probabilities > 1e-12]
     assert np.allclose(supported, 0.9**2 / 8 + 0.19 / 64)
     assert supported[0] == pytest.approx(0.104219, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 12])  # one check block up to N = 8, 256 at N = 12
+def test_blocked_checks_match_whole_array_checks(n):
+    # the same accept or reject, and the same message for entries out of range,
+    # as min, max and sum over the whole array; NaN in any block still fails
+    size = 4**n
+    base = np.full(size, 4.0**-n)
+    cases = {"uniform": {}, "nan first": {0: np.nan}, "nan last": {size - 1: np.nan},
+             "inf middle": {size // 2: np.inf}, "below": {0: -2e-12},
+             "above": {size - 1: 1.0 + 2e-12}, "at the floor": {size - 1: -1e-12},
+             "sum high": {size - 1: 4.0**-n + 2e-9}, "sum low": {0: 4.0**-n - 2e-9},
+             "sum near": {size - 1: 4.0**-n + 5e-10}}
+    for name, entries in cases.items():
+        p = base.copy()
+        for k, v in entries.items():
+            p[k] = v
+        outcomes = []
+        for check in (lambda: BellDistribution(n, p), lambda: check_probabilities_whole(n, p)):
+            try:
+                check()
+                outcomes.append("accepted")
+            except ValueError as e:
+                outcomes.append(str(e).split(" to ")[0])  # the sum's last digits may differ
+        assert outcomes[0] == outcomes[1], (n, name, outcomes)
+        assert (outcomes[0] == "accepted") == (name in ("uniform", "sum near")), (n, name)
+
+
+def test_blocked_noise_matches_two_pass():
+    # scaled and floored a `_ROW_BLOCK` at a time: one block up to N = 7
+    rng = np.random.default_rng(22)
+    for n in range(1, 13):
+        v = rng.random(4**n)
+        d = BellDistribution(n, v / v.sum())
+        for p in (0.05, 0.1, 1.0):
+            got = noisy_bell_distribution(d, NoiseModel(p)).probabilities
+            ref = noisy_probabilities_two_pass(d, p)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (n, p)
+
+
+class _FixedDraws:
+    """A stand-in generator whose `random` returns given draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws.copy()
+
+
+def test_sorted_search_matches_unsorted_draws():
+    # searching with sorted draws and scattering back gives the draw-order
+    # indices, also for one draw, repeated draws and draws equal to CDF values
+    # over runs of zero probability
+    rng = np.random.default_rng(23)
+    for n in range(1, 13):
+        v = rng.random(4**n)
+        v[rng.random(4**n) < 0.3] = 0.0
+        v[0] += 1.0  # never all zero
+        d = BellDistribution(n, v / v.sum())
+        for m in (1, 2, 1000):
+            seed = int(rng.integers(2**32))
+            got = sample(d, m, np.random.default_rng(seed))
+            ref = sample_unsorted(d, m, np.random.default_rng(seed))
+            assert np.array_equal(got.words, ref.words), (n, m)
+        cdf = np.cumsum(d.probabilities)
+        edges = cdf[rng.integers(0, len(cdf) - 1, size=50)]
+        draws = np.concatenate([np.repeat(rng.random(20), 5), edges, edges, [0.0, edges[0]]])
+        draws = draws[rng.permutation(len(draws))]
+        got = sample(d, len(draws), _FixedDraws(draws))
+        ref = sample_unsorted(d, len(draws), _FixedDraws(draws))
+        assert np.array_equal(got.words, ref.words), n
 
 
 def test_noise_model_validation():
