@@ -77,26 +77,29 @@ def _fwht_chunks(a: np.ndarray, out: np.ndarray):
         raise ValueError(f"fwht needs a 1-D array whose length is a power of two, got {a.shape}")
     m = size.bit_length() - 1
     hi = 4 * -(-max(m - _FWHT_CHUNK_BITS, 0) // 4)  # leading bits, in _wht's groups of four
+    if not hi:  # the whole array is one chunk
+        r = _wht(a, m, scratch=out)
+        if r is not out:
+            out[:] = r
+        yield out
+        return
     # _wht's first hi / 4 passes, each H_4 from the left on every (16, -1) batch,
     # which leaves the index order as it is, 2^11 columns per GEMM so that each
     # stays small (`_GEMM_FLOATS`): the first reads `a` into `out` unless `a` is
     # `out`, the others work in place through one 16 x 2^11 spare
-    if hi:
-        h, spare = _hadamard(4), np.empty((16, _GEMM_FLOATS >> 4))
-        w = spare.shape[1]
-        if a is not out:
-            first, dest = a.reshape(16, -1), out.reshape(16, -1)
-            for s in range(0, dest.shape[1], w):
-                np.matmul(h, first[:, s : s + w], out=dest[:, s : s + w])
-        for k in range(0 if a is out else 4, hi, 4):
-            for batch in out.reshape(2**k, 16, -1):
-                for s in range(0, batch.shape[1], w):
-                    np.matmul(h, batch[:, s : s + w], out=spare)
-                    batch[:, s : s + w] = spare
-    # then the low m - hi bits, a chunk at a time (all of `a` into `out` when hi = 0)
-    src = out if hi else a
-    for piece, chunk in zip(src.reshape(-1, 2 ** (m - hi)), out.reshape(-1, 2 ** (m - hi))):
-        r = _wht(piece, m - hi, scratch=chunk)
+    h, spare = _hadamard(4), np.empty((16, _GEMM_FLOATS >> 4))
+    w = spare.shape[1]
+    if a is not out:
+        first, dest = a.reshape(16, -1), out.reshape(16, -1)
+        for s in range(0, dest.shape[1], w):
+            np.matmul(h, first[:, s : s + w], out=dest[:, s : s + w])
+    for k in range(0 if a is out else 4, hi, 4):
+        for batch in out.reshape(2**k, 16, -1):
+            for s in range(0, batch.shape[1], w):
+                np.matmul(h, batch[:, s : s + w], out=spare)
+                batch[:, s : s + w] = spare
+    for chunk in out.reshape(-1, 2 ** (m - hi)):  # then the low m - hi bits, a chunk at a time
+        r = _wht(chunk, m - hi, scratch=chunk)
         if r is not chunk:
             chunk[:] = r
         yield chunk
