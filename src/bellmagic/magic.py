@@ -25,9 +25,9 @@ larger chunks, which leave one more whole-array pass.  The groups and
 their order are `_wht`'s and each slice computes the same 16-term sums,
 so every sum is rounded as in one whole-length GEMM per pass and the
 output is bit-identical.  These passes live in the generator
-`_fwht_chunks`, which writes into a given array, which may be the input
-itself, and yields each finished chunk (the whole array below 2^17
-entries) while it is in cache.  `fwht` drains it into a new array.
+`_fwht_chunks`.  It writes into a given array, possibly the input itself,
+and yields each finished chunk (the whole array below 2^17 entries)
+while it is in cache.  `fwht` drains it into a new array.
 `xor_convolve` squares each chunk of the first transform as it is
 yielded (or multiplies it by the other input's transform), then runs the
 second transform in place in the same buffer and scales each chunk by

@@ -42,8 +42,9 @@ transform (256 MB at N = 12), only three 4^N float arrays at most; its
 phases and squares also go through cache-sized blocks.  A block holds at
 least 16 x values (`_MIN_X_PER_BLOCK`), so from N = 11 on it outgrows
 `_BELL_BLOCK` (1 MB at N = 12) and each contiguous run of that copy holds
-2^9 floats rather than 2^5: at N = 12 `bell_distribution` went from 527
-to 443 ms (median of 8 interleaved calls, one BLAS thread).  `_bell_form`
+2^9 floats rather than 2^5: at N = 12 the copy took 120 ms instead of
+170 and the block transforms 175 instead of 199 (medians of 8 interleaved
+calls against 4-x blocks, 2-vCPU Xeon, one BLAS thread).  `_bell_form`
 weights each block by h through its view, holding four arrays at most.
 `BellDistribution` checks min, max and sum, and `noisy_bell_distribution`
 scales and floors, one cache-sized block at a time, so each reads a 4^N
@@ -397,9 +398,8 @@ def _bell_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _BELL_BLOCK = 2**15  # floats per gather + transform block of `_bell_blocks` to N = 10; L2-sized
-# x values per block at least: from N = 11 on a block outgrows `_BELL_BLOCK` (2^17 floats,
-# 1 MB, at N = 12), so that each run `bell_amplitudes` copies through `_block_views` holds
-# 2^9 floats, not 2^5; `_wht` still issues its GEMMs in `_GEMM_FLOATS` slices
+# x values per block at least, so that each run `bell_amplitudes` copies through
+# `_block_views` holds 2^9 floats at N = 11 and 12, not 2^7 and 2^5
 _MIN_X_PER_BLOCK = 16
 _ROW_BLOCK = 2**15  # complex entries per block of `bell_amplitudes`' phases and the squares of P
 
@@ -417,7 +417,7 @@ def _bell_blocks(a: np.ndarray, b: np.ndarray, n: int):
     g[j, x] = a[j XOR x] b[j] and Walsh-Hadamard transforms the float view
     of g over j.  Yields the transform for one run of x values after the
     other, each a flat float array of `_BELL_BLOCK` entries (one block for
-    N <= 7), or of 16 x values from N = 11 on, whose axes run (x, re/im, z); the
+    N <= 7; 16 x values from N = 11 on) whose axes run (x, re/im, z); the
     amplitude of outcome (z, x) is 2^-N/2 (-i)^{#Y} times it.  Each block
     is gathered through its own j XOR x index and transformed with itself
     as `_wht`'s scratch; every x gets the same sums as in one whole-array
